@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt lint lint-json lint-diff build test race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-snap profile
+.PHONY: check vet fmt lint lint-json lint-diff build test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-snap profile
 
 check: vet fmt lint build race metrics-verify
 
@@ -43,6 +43,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# cores re-runs the packages whose README guarantees depend on the core
+# count — serial ≡ parallel byte identity (core, experiments) and the
+# zero-alloc /v2/lookup steady state (httpapi) — at 1, 2 and 4 procs,
+# so a single-core runner cannot hide a multi-core failure.
+CORES_PKGS = ./internal/core/ ./internal/experiments/ ./internal/geodb/httpapi/
+
+cores:
+	$(GO) test -count=1 -cpu 1,2,4 $(CORES_PKGS)
 
 # The concurrency-heavy packages race first and fast — obs (atomics and
 # locks), core (the parallel measurement engine) and ipx (the shared

@@ -65,7 +65,6 @@ import (
 	"syscall"
 	"time"
 
-	"routergeo/internal/core"
 	"routergeo/internal/experiments"
 	"routergeo/internal/faults"
 	"routergeo/internal/geodb"
@@ -85,13 +84,11 @@ func main() {
 		build       = flag.Bool("build", false, "build a study and serve its four databases")
 		seed        = flag.Int64("seed", 1, "world seed (with -build)")
 		maxBatch    = flag.Int("max-batch", httpapi.DefaultMaxBatch, "max addresses per /v2/lookup request")
-		concurrency = flag.Int("concurrency", 0, "worker-pool width for large batches (0 = GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", httpapi.DefaultRequestTimeout, "per-request timeout (0 disables)")
 		drain       = flag.Duration("drain", 10*time.Second, "shutdown drain timeout")
 		grace       = flag.Duration("grace", time.Second, "delay between /healthz flipping to draining and the listener closing")
 		quiet       = flag.Bool("quiet", false, "silence routine access logs (4xx/5xx still log)")
 		debugAddr   = flag.String("debug-addr", "", "optional debug listener serving pprof, /debug/metrics, /metrics and the /v2/events stream")
-		par         = flag.Int("parallelism", 0, "worker count for measurement loops and the default batch pool width (0 = GOMAXPROCS)")
 		chaos       = flag.String("chaos", "", "fault-injection policy, e.g. mixed or errors:rate=0.5,seed=7 (see internal/faults)")
 		snapDir     = flag.String("snap-dir", "", "directory of .rgsnap snapshots to serve and hot-reload from")
 		reloadEvery = flag.Duration("reload-interval", httpapi.DefaultReloadInterval, "how often -snap-dir is polled for new snapshot generations")
@@ -102,10 +99,6 @@ func main() {
 	lf := obs.AddLogFlags(flag.CommandLine)
 	flag.Var(&dbPaths, "db", "path to a .rgdb file or a directory of them (repeatable)")
 	flag.Parse()
-	core.SetParallelism(*par)
-	if *concurrency == 0 && *par > 0 {
-		*concurrency = *par
-	}
 
 	logger, err := lf.Setup(os.Stderr)
 	if err != nil {
@@ -160,9 +153,6 @@ func main() {
 	}
 	if *archive > 0 {
 		opts = append(opts, httpapi.WithSnapshotArchive(*archive))
-	}
-	if *concurrency > 0 {
-		opts = append(opts, httpapi.WithServerConcurrency(*concurrency))
 	}
 	// The access logger is always installed; -quiet raises its floor to
 	// Warn so routine 2xx traffic goes silent while 4xx/5xx still log.

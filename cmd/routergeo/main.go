@@ -66,7 +66,7 @@ func main() {
 		epochs    = flag.Int("epochs", 3, "epochs in the longitudinal sweep (with -longitudinal)")
 		interval  = flag.Float64("interval-months", 4, "months of churn between epochs (with -longitudinal)")
 		manifest  = flag.String("manifest", "routergeo-run.json", "write the JSON run manifest here (empty disables)")
-		par       = flag.Int("parallelism", 0, "worker count for measurement loops and the experiment fan-out; 1 forces the serial path (0 = GOMAXPROCS)")
+		par       = flag.Int("parallelism", 0, "worker count for the measurement engine: sweeps, experiments, drift epochs and vendor builds; 1 forces the serial path (0 = GOMAXPROCS)")
 		remote    = flag.String("remote", "", "instead of experiments, score the accuracy sweep through a geoserve instance at this base URL")
 		remoteFB  = flag.Bool("remote-fallback", true, "with -remote, degrade to the locally built databases when the server cannot answer (false: misses are tainted instead)")
 		debugAddr = flag.String("debug-addr", "", "optional debug listener serving pprof, /metrics and the /v2/events stream")

@@ -28,7 +28,7 @@ func CountryAgreement(ctx context.Context, a, b geodb.Provider, addrs []ipx.Addr
 	parts := make([]slot[partial], workers)
 	res := make([][]*resolver, workers)
 	dbs := []geodb.Provider{a, b}
-	runBlocks(len(addrs), workers, func(wi, _, lo, hi int) {
+	runBlocks(len(addrs), blockSize, workers, func(wi, _, lo, hi int) {
 		rs := res[wi]
 		if rs == nil {
 			rs = bindResolvers(dbs)
@@ -80,7 +80,7 @@ func CountryAgreementAll(ctx context.Context, dbs []geodb.Provider, addrs []ipx.
 	total = len(addrs)
 	parts := make([]slot[int], workers)
 	res := make([][]*resolver, workers)
-	runBlocks(len(addrs), workers, func(wi, _, lo, hi int) {
+	runBlocks(len(addrs), blockSize, workers, func(wi, _, lo, hi int) {
 		rs := res[wi]
 		if rs == nil {
 			rs = bindResolvers(dbs)
@@ -152,7 +152,7 @@ func MeasurePairwiseCity(ctx context.Context, a, b geodb.Provider, addrs []ipx.A
 	res := make([][]*resolver, workers)
 	bufs := make([]*[]float64, workers)
 	dbs := []geodb.Provider{a, b}
-	runBlocks(len(addrs), workers, func(wi, _, lo, hi int) {
+	runBlocks(len(addrs), blockSize, workers, func(wi, _, lo, hi int) {
 		rs := res[wi]
 		if rs == nil {
 			rs = bindResolvers(dbs)
@@ -225,9 +225,9 @@ func CityAnsweredInAll(ctx context.Context, dbs []geodb.Provider, addrs []ipx.Ad
 	for _, db := range dbs {
 		prefetch(ctx, db, addrs)
 	}
-	parts := make([][]ipx.Addr, numBlocks(len(addrs)))
+	parts := make([][]ipx.Addr, numBlocks(len(addrs), blockSize))
 	res := make([][]*resolver, workers)
-	runBlocks(len(addrs), workers, func(wi, bi, lo, hi int) {
+	runBlocks(len(addrs), blockSize, workers, func(wi, bi, lo, hi int) {
 		rs := res[wi]
 		if rs == nil {
 			rs = bindResolvers(dbs)

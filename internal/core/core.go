@@ -21,7 +21,6 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"routergeo/internal/geo"
 	"routergeo/internal/geodb"
@@ -128,7 +127,7 @@ func MeasureCoverage(ctx context.Context, db geodb.Provider, addrs []ipx.Addr) C
 	prefetch(ctx, db, addrs)
 	parts := make([]slot[Coverage], workers)
 	res := make([]*resolver, workers)
-	runBlocks(len(addrs), workers, func(wi, _, lo, hi int) {
+	runBlocks(len(addrs), blockSize, workers, func(wi, _, lo, hi int) {
 		r := res[wi]
 		if r == nil {
 			r = resolverPool.Get().(*resolver)
@@ -205,7 +204,7 @@ func MeasureAccuracy(ctx context.Context, db geodb.Provider, targets []Target) A
 	parts := make([]slot[Accuracy], workers)
 	res := make([]*resolver, workers)
 	bufs := make([]*[]float64, workers)
-	runBlocks(len(targets), workers, func(wi, _, lo, hi int) {
+	runBlocks(len(targets), blockSize, workers, func(wi, _, lo, hi int) {
 		r := res[wi]
 		if r == nil {
 			r = resolverPool.Get().(*resolver)
@@ -294,39 +293,13 @@ func AccuracyByMethod(ctx context.Context, db geodb.Provider, targets []Target) 
 	return accuracyByGroup(ctx, db, grouped)
 }
 
-// accuracyByGroup measures independent target groups, concurrently when
-// the engine is parallel: many small groups (per-country slices) spread
-// across workers, while a dominant group still fans out inside its own
-// MeasureAccuracy call. Group results are independent, so the map is
-// identical to the serial loop's.
+// accuracyByGroup measures independent target groups one after
+// another; a group large enough for the engine still fans out inside its
+// own MeasureAccuracy call.
 func accuracyByGroup[K comparable](ctx context.Context, db geodb.Provider, grouped map[K][]Target) map[K]Accuracy {
 	out := make(map[K]Accuracy, len(grouped))
-	workers := Parallelism()
-	if workers <= 1 || len(grouped) <= 1 {
-		for k, ts := range grouped {
-			out[k] = MeasureAccuracy(ctx, db, ts)
-		}
-		return out
-	}
-	keys := make([]K, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	results := make([]Accuracy, len(keys))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	wg.Add(len(keys))
-	for i, k := range keys {
-		go func(i int, ts []Target) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = MeasureAccuracy(ctx, db, ts)
-		}(i, grouped[k])
-	}
-	wg.Wait()
-	for i, k := range keys {
-		out[k] = results[i]
+	for k, ts := range grouped {
+		out[k] = MeasureAccuracy(ctx, db, ts)
 	}
 	return out
 }
@@ -367,7 +340,7 @@ func SharedIncorrect(dbs []geodb.Provider, targets []Target) (shared int, wrongP
 	}
 	parts := make([]slot[partial], workers)
 	res := make([][]*resolver, workers)
-	runBlocks(len(targets), workers, func(wi, _, lo, hi int) {
+	runBlocks(len(targets), blockSize, workers, func(wi, _, lo, hi int) {
 		rs := res[wi]
 		if rs == nil {
 			rs = bindResolvers(dbs)

@@ -32,13 +32,13 @@ import (
 var parallelismSetting atomic.Int64
 
 // SetParallelism fixes the engine's worker count. n <= 0 restores the
-// default of GOMAXPROCS; n == 1 forces the serial path everywhere. The
-// cmd binaries wire their -parallelism flag here.
+// default of GOMAXPROCS; n == 1 forces the serial path everywhere.
+// routergeo wires its -parallelism flag here.
 func SetParallelism(n int) { parallelismSetting.Store(int64(n)) }
 
-// Parallelism returns the resolved worker count the engine will use for
+// parallelism returns the resolved worker count the engine will use for
 // large inputs.
-func Parallelism() int {
+func parallelism() int {
 	if n := parallelismSetting.Load(); n > 0 {
 		return int(n)
 	}
@@ -46,7 +46,7 @@ func Parallelism() int {
 }
 
 // serialCutoff is the input size below which measurements take the
-// serial fast path regardless of Parallelism: goroutine startup costs
+// serial fast path whatever the worker count: goroutine startup costs
 // more than scanning a few thousand addresses. A variable so the
 // equality tests can force tiny inputs through the parallel path.
 var serialCutoff = 1 << 13
@@ -60,7 +60,7 @@ var blockSize = 8192
 
 // workersFor resolves how many workers an input of n items gets.
 func workersFor(n int) int {
-	w := Parallelism()
+	w := parallelism()
 	if w <= 1 || n < serialCutoff {
 		return 1
 	}
@@ -70,8 +70,9 @@ func workersFor(n int) int {
 	return w
 }
 
-// numBlocks returns how many blocks [0, n) splits into.
-func numBlocks(n int) int { return (n + blockSize - 1) / blockSize }
+// numBlocks returns how many blocks of the given size [0, n) splits
+// into.
+func numBlocks(n, size int) int { return (n + size - 1) / size }
 
 // slot pads a per-worker partial to its own cache line, so workers
 // flushing block-local tallies into parts[wi] never false-share with
@@ -81,20 +82,20 @@ type slot[T any] struct {
 	_ [64]byte
 }
 
-// runBlocks executes process once per block of [0, n) and waits for all
-// of them. workers == 1 visits the blocks in index order on the
-// caller's goroutine; otherwise workers goroutines claim blocks off an
-// atomic cursor. process receives the claiming worker's index wi (for
-// per-worker state: resolvers, sample buffers), the block index bi (for
-// order-sensitive merges) and the block's [lo, hi) bounds.
+// runBlocks executes process once per size-item block of [0, n) and
+// waits for all of them. workers == 1 visits the blocks in index order
+// on the caller's goroutine; otherwise workers goroutines claim blocks
+// off an atomic cursor. process receives the claiming worker's index wi
+// (for per-worker state: resolvers, sample buffers), the block index bi
+// (for order-sensitive merges) and the block's [lo, hi) bounds.
 //
 //geolint:hotpath
-func runBlocks(n, workers int, process func(wi, bi, lo, hi int)) {
-	nb := numBlocks(n)
+func runBlocks(n, size, workers int, process func(wi, bi, lo, hi int)) {
+	nb := numBlocks(n, size)
 	if workers <= 1 {
 		for bi := 0; bi < nb; bi++ {
-			lo := bi * blockSize
-			process(0, bi, lo, min(lo+blockSize, n))
+			lo := bi * size
+			process(0, bi, lo, min(lo+size, n))
 		}
 		return
 	}
@@ -102,7 +103,7 @@ func runBlocks(n, workers int, process func(wi, bi, lo, hi int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for wi := 0; wi < workers; wi++ {
-		//lint:ignore hotalloc one closure per WORKER per sweep, not per block — the allocation amortizes over the thousands of blocks each worker claims off the cursor
+		//lint:ignore hotalloc the bound is one closure per worker per call, whatever n is: at the default scale nothing amortizes it (the 9,575-address Ark sweep is 2 blocks, Each claims 3-14 items); BenchmarkAccuracy/workers=N allocs/op in BENCH_core.json checks it
 		go func(wi int) {
 			defer wg.Done()
 			for {
@@ -110,10 +111,21 @@ func runBlocks(n, workers int, process func(wi, bi, lo, hi int)) {
 				if bi >= nb {
 					return
 				}
-				lo := bi * blockSize
-				process(wi, bi, lo, min(lo+blockSize, n))
+				lo := bi * size
+				process(wi, bi, lo, min(lo+size, n))
 			}
 		}(wi)
 	}
 	wg.Wait()
+}
+
+// Each runs fn(i) once for every i in [0, n) on the engine: size-1
+// blocks claimed off the same cursor by as many workers as the engine
+// has (see SetParallelism), but never more than n. At one worker it
+// runs in index order on the caller's goroutine. It fans out a handful
+// of independent, coarse tasks (paper artifacts, drift epochs, vendor
+// builds); a caller that needs ordered output buffers per item and
+// writes after Each returns.
+func Each(n int, fn func(i int)) {
+	runBlocks(n, 1, min(parallelism(), n), func(_, i, _, _ int) { fn(i) })
 }

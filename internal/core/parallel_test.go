@@ -261,22 +261,20 @@ func TestParallelMatchesSerialAdversarial(t *testing.T) {
 
 // TestRunBlocks checks the block engine's contract: every index in
 // [0, n) is processed exactly once, block bounds match the block index,
-// and the serial path visits blocks in order.
+// and the serial path visits blocks in order. The size-1 cases are
+// Each's path.
 func TestRunBlocks(t *testing.T) {
-	oldBlock := blockSize
-	blockSize = 64
-	t.Cleanup(func() { blockSize = oldBlock })
-
-	for _, tc := range []struct{ n, workers int }{
-		{0, 1}, {0, 4}, {1, 1}, {63, 2}, {64, 3}, {65, 7},
-		{1000, 1}, {1000, 4}, {4096, 8}, {100, 100},
+	for _, tc := range []struct{ n, size, workers int }{
+		{0, 64, 1}, {0, 64, 4}, {1, 64, 1}, {63, 64, 2}, {64, 64, 3}, {65, 64, 7},
+		{1000, 64, 1}, {1000, 64, 4}, {4096, 64, 8}, {100, 64, 100},
+		{14, 1, 1}, {14, 1, 2}, {14, 1, 3}, {14, 1, 7},
 	} {
 		var mu sync.Mutex
 		seen := make([]int, tc.n)
 		var serialOrder []int
-		runBlocks(tc.n, tc.workers, func(wi, bi, lo, hi int) {
-			if lo != bi*blockSize || hi != min(lo+blockSize, tc.n) || lo >= hi {
-				t.Errorf("runBlocks(%d,%d): block %d has bounds [%d,%d)", tc.n, tc.workers, bi, lo, hi)
+		runBlocks(tc.n, tc.size, tc.workers, func(wi, bi, lo, hi int) {
+			if lo != bi*tc.size || hi != min(lo+tc.size, tc.n) || lo >= hi {
+				t.Errorf("runBlocks(%d,%d,%d): block %d has bounds [%d,%d)", tc.n, tc.size, tc.workers, bi, lo, hi)
 			}
 			mu.Lock()
 			for i := lo; i < hi; i++ {
@@ -289,7 +287,7 @@ func TestRunBlocks(t *testing.T) {
 		})
 		for i, c := range seen {
 			if c != 1 {
-				t.Fatalf("runBlocks(%d,%d): index %d processed %d times", tc.n, tc.workers, i, c)
+				t.Fatalf("runBlocks(%d,%d,%d): index %d processed %d times", tc.n, tc.size, tc.workers, i, c)
 			}
 		}
 		for i := 1; i < len(serialOrder); i++ {
@@ -297,8 +295,8 @@ func TestRunBlocks(t *testing.T) {
 				t.Fatalf("serial path visited blocks out of order: %v", serialOrder)
 			}
 		}
-		if want := numBlocks(tc.n); tc.workers == 1 && len(serialOrder) != want {
-			t.Fatalf("runBlocks(%d,1): %d blocks visited, want %d", tc.n, len(serialOrder), want)
+		if want := numBlocks(tc.n, tc.size); tc.workers == 1 && len(serialOrder) != want {
+			t.Fatalf("runBlocks(%d,%d,1): %d blocks visited, want %d", tc.n, tc.size, len(serialOrder), want)
 		}
 	}
 }

@@ -54,7 +54,12 @@ func runTable1(ctx context.Context, w io.Writer, env *Env) error {
 	for d, n := range env.DNSStats.PerDomainCounts {
 		domains = append(domains, dc{d, n})
 	}
-	sort.Slice(domains, func(i, j int) bool { return domains[i].n > domains[j].n })
+	sort.Slice(domains, func(i, j int) bool {
+		if domains[i].n != domains[j].n {
+			return domains[i].n > domains[j].n
+		}
+		return domains[i].d < domains[j].d
+	})
 	for _, x := range domains {
 		fmt.Fprintf(w, "  %-18s %5d\n", x.d, x.n)
 	}

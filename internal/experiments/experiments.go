@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"routergeo/internal/core"
 	"routergeo/internal/obs"
@@ -82,37 +81,17 @@ func ByID(id string) (Experiment, bool) {
 // RunAll executes every experiment against env, writing each artifact
 // under a banner in presentation order. The experiments are independent
 // (each reads the immutable Env and builds its own accumulators), so
-// when the measurement engine is parallel they run concurrently with
-// their output buffered and emitted in registry order — the stream is
-// byte-identical to a sequential run. Output stops at the first failed
-// experiment and its error is returned, though later experiments may
-// already have run by then.
+// they run on the measurement engine with their output buffered and
+// emitted in registry order — the stream is byte-identical at any
+// worker count. Output stops at the first failed experiment and its
+// error is returned, though later experiments have run by then.
 func RunAll(ctx context.Context, w io.Writer, env *Env) error {
 	exps := All()
-	workers := core.Parallelism()
-	if workers <= 1 {
-		for _, e := range exps {
-			fmt.Fprintf(w, "\n================ %s — %s ================\n", e.ID, e.Title)
-			if err := RunOne(ctx, e, w, env); err != nil {
-				return fmt.Errorf("%s: %w", e.ID, err)
-			}
-		}
-		return nil
-	}
 	bufs := make([]bytes.Buffer, len(exps))
 	errs := make([]error, len(exps))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	wg.Add(len(exps))
-	for i, e := range exps {
-		go func(i int, e Experiment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = RunOne(ctx, e, &bufs[i], env)
-		}(i, e)
-	}
-	wg.Wait()
+	core.Each(len(exps), func(i int) {
+		errs[i] = RunOne(ctx, exps[i], &bufs[i], env)
+	})
 	for i, e := range exps {
 		fmt.Fprintf(w, "\n================ %s — %s ================\n", e.ID, e.Title)
 		if _, err := w.Write(bufs[i].Bytes()); err != nil {

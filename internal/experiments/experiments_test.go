@@ -382,3 +382,39 @@ func TestRunAllConcurrentMatchesSequential(t *testing.T) {
 		t.Fatalf("outputs differ in length: %d vs %d bytes", serial.Len(), parallel.Len())
 	}
 }
+
+// TestTable1TiedDomainsInNameOrder gives DNS ground-truth domains equal
+// counts and requires Table 1 to print the same bytes on every run, with
+// tied domains in name order: the rows come from a map, whose iteration
+// order Go randomizes.
+func TestTable1TiedDomainsInNameOrder(t *testing.T) {
+	env := *testEnv(t)
+	env.DNSStats.PerDomainCounts = map[string]int{
+		"cogentco.com": 900, "ntt.net": 300, "seabone.net": 140, "pnap.net": 140,
+		"peak10.net": 23, "digitalwest.net": 23, "belwue.de": 23,
+	}
+	var first string
+	for run := 0; run < 20; run++ {
+		var buf bytes.Buffer
+		if err := runTable1(context.Background(), &buf, &env); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = buf.String()
+		} else if buf.String() != first {
+			t.Fatalf("run %d printed different bytes than run 0:\n%s\nvs\n%s", run, buf.String(), first)
+		}
+	}
+	_, rows, _ := strings.Cut(first, "Per-domain DNS ground truth")
+	rows, _, _ = strings.Cut(rows, "rDNS funnel")
+	var got []string
+	for _, line := range strings.Split(rows, "\n")[1:] {
+		if f := strings.Fields(line); len(f) == 2 {
+			got = append(got, f[0])
+		}
+	}
+	want := []string{"cogentco.com", "ntt.net", "pnap.net", "seabone.net", "belwue.de", "digitalwest.net", "peak10.net"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("per-domain rows in order %v, want %v", got, want)
+	}
+}

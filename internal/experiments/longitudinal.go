@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"routergeo/internal/core"
 	"routergeo/internal/geodb"
@@ -37,7 +36,7 @@ func targetsAt(env *Env, months float64) []core.Target {
 }
 
 // epochReport is one epoch's fully rendered block, buffered so the
-// parallel sweep can emit blocks in epoch order — the output stream is
+// sweep can emit blocks in epoch order — the output stream is
 // byte-identical whether epochs run serially or concurrently.
 type epochReport struct {
 	rows bytes.Buffer
@@ -54,9 +53,9 @@ type epochReport struct {
 // churn); per epoch it reports the all-database country-agreement
 // consistency over the Ark address list.
 //
-// Epochs are independent given the immutable Env, so with the parallel
-// engine they run concurrently with buffered output, emitted in epoch
-// order — byte-identical to the serial run, like every other sweep.
+// Epochs are independent given the immutable Env, so they run on the
+// measurement engine with buffered output, emitted in epoch order —
+// byte-identical at any worker count, like every other sweep.
 func Longitudinal(ctx context.Context, w io.Writer, env *Env, epochs int, intervalMonths float64) error {
 	if epochs < 1 || intervalMonths <= 0 {
 		return fmt.Errorf("experiments: longitudinal sweep needs epochs >= 1 and a positive interval, got %d and %v", epochs, intervalMonths)
@@ -117,31 +116,10 @@ func Longitudinal(ctx context.Context, w io.Writer, env *Env, epochs int, interv
 		return nil
 	}
 
-	workers := core.Parallelism()
 	reports := make([]epochReport, epochs)
-	if workers <= 1 {
-		for k := 0; k < epochs; k++ {
-			if err := runEpoch(ctx, k, &reports[k].rows); err != nil {
-				return fmt.Errorf("epoch %d: %w", k, err)
-			}
-			if _, err := w.Write(reports[k].rows.Bytes()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	wg.Add(epochs)
-	for k := 0; k < epochs; k++ {
-		go func(k int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			reports[k].err = runEpoch(ctx, k, &reports[k].rows)
-		}(k)
-	}
-	wg.Wait()
+	core.Each(epochs, func(k int) {
+		reports[k].err = runEpoch(ctx, k, &reports[k].rows)
+	})
 	for k := range reports {
 		if reports[k].err != nil {
 			return fmt.Errorf("epoch %d: %w", k, reports[k].err)

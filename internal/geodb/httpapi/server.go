@@ -5,7 +5,6 @@ import (
 	"errors"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -27,9 +26,6 @@ const (
 	DefaultMaxBodyBytes = 16 << 20
 	// DefaultRequestTimeout bounds one request end to end.
 	DefaultRequestTimeout = 60 * time.Second
-	// parallelBatchThreshold is the batch size above which the server
-	// resolves entries with a worker pool instead of a single goroutine.
-	parallelBatchThreshold = 256
 )
 
 // ServerOption configures NewHandler.
@@ -58,16 +54,6 @@ func WithMaxBodyBytes(n int64) ServerOption {
 // timeout middleware.
 func WithRequestTimeout(d time.Duration) ServerOption {
 	return func(h *Handler) { h.timeout = d }
-}
-
-// WithServerConcurrency sets the worker-pool width used to resolve
-// large batches. Defaults to GOMAXPROCS.
-func WithServerConcurrency(n int) ServerOption {
-	return func(h *Handler) {
-		if n > 0 {
-			h.concurrency = n
-		}
-	}
 }
 
 // WithLogger enables structured request logging through l (one line per
@@ -131,12 +117,11 @@ func WithEventHeartbeat(d time.Duration) ServerOption {
 type Handler struct {
 	gen atomic.Pointer[generation]
 
-	maxBatch    int
-	maxBody     int64
-	timeout     time.Duration
-	concurrency int
-	logger      *slog.Logger
-	reloadHook  func(force bool) (bool, error)
+	maxBatch   int
+	maxBody    int64
+	timeout    time.Duration
+	logger     *slog.Logger
+	reloadHook func(force bool) (bool, error)
 
 	draining atomic.Bool
 	metrics  *metrics
@@ -172,7 +157,6 @@ func NewHandler(dbs []*geodb.DB, opts ...ServerOption) *Handler {
 		maxBatch:     DefaultMaxBatch,
 		maxBody:      DefaultMaxBodyBytes,
 		timeout:      DefaultRequestTimeout,
-		concurrency:  runtime.GOMAXPROCS(0),
 		bus:          obs.Events(),
 		sseHeartbeat: obs.DefaultSSEHeartbeat,
 		streamStop:   make(chan struct{}),
@@ -400,7 +384,7 @@ func (h *Handler) handleV2Lookup(w http.ResponseWriter, r *http.Request) {
 		st.addrs[i], valid = a, valid+1
 	}
 
-	st.resolveBatch(g.serve, sel, h.concurrency)
+	st.resolveBatch(g.serve, sel)
 	st.appendEntries(g.serve, sel)
 	for j, si := range sel {
 		h.metrics.addLookups(g.serve[si].name, st.hits[j], int64(valid)-st.hits[j])

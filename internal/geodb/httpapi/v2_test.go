@@ -149,12 +149,12 @@ func TestV2LookupBadRequests(t *testing.T) {
 	}
 }
 
-func TestV2LookupLargeBatchParallel(t *testing.T) {
-	// Past parallelBatchThreshold the server resolves with a worker pool;
-	// the answer must still preserve request order entry by entry.
-	srv := httptest.NewServer(NewHandler(testDBs(t), WithServerConcurrency(4)))
-	defer srv.Close()
-	n := parallelBatchThreshold * 3
+// TestV2LookupLargeBatchKeepsOrder posts a 768-entry batch to the
+// default handler: the answer must preserve request order entry by
+// entry.
+func TestV2LookupLargeBatchKeepsOrder(t *testing.T) {
+	srv := testServer(t)
+	n := 768
 	ips := make([]string, n)
 	for i := range ips {
 		ips[i] = fmt.Sprintf("10.0.%d.%d", i/250, i%250)

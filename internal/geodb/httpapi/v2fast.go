@@ -83,10 +83,6 @@ var v2StatePool = sync.Pool{New: func() any { return new(v2State) }}
 
 func putV2State(st *v2State) { v2StatePool.Put(st) }
 
-// scratchPool serves the extra radix scratches parallel batch
-// resolution needs beyond the request state's own.
-var scratchPool = sync.Pool{New: func() any { return new(ipx.BatchScratch) }}
-
 // growN returns s resized to n, reallocating only when capacity is
 // short.
 //
@@ -305,42 +301,17 @@ func parseQuad(b []byte) (ipx.Addr, bool) {
 	return ipx.Addr(a), true
 }
 
-// resolveBatch fills st.idxs[j] for every selected database, splitting
-// large batches into per-worker segments resolved concurrently.
+// resolveBatch fills st.idxs[j] for every selected database with one
+// batch-kernel call each. A server gets its parallelism from concurrent
+// requests, not from splitting one request across goroutines.
 //
 //geolint:hotpath
-func (st *v2State) resolveBatch(serve []servedDB, sel []int, concurrency int) {
+func (st *v2State) resolveBatch(serve []servedDB, sel []int) {
 	n := len(st.addrs)
 	st.idxs = growN(st.idxs, len(sel))
 	for j, si := range sel {
-		idx := growN(st.idxs[j], n)
-		st.idxs[j] = idx
-		db := serve[si].db
-		if n <= parallelBatchThreshold || concurrency <= 1 {
-			db.LookupIndexBatch(st.addrs, idx, &st.sc)
-			continue
-		}
-		workers := concurrency
-		if lim := n / parallelBatchThreshold; workers > lim {
-			workers = lim
-		}
-		seg := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < n; lo += seg {
-			hi := lo + seg
-			if hi > n {
-				hi = n
-			}
-			wg.Add(1)
-			//lint:ignore hotalloc the fan-out only engages past parallelBatchThreshold addresses, so the per-segment closure amortizes to well under one alloc per thousand lookups; BenchmarkV2LookupHandler pins the small-batch path at zero
-			go func(lo, hi int) {
-				defer wg.Done()
-				sc := scratchPool.Get().(*ipx.BatchScratch)
-				db.LookupIndexBatch(st.addrs[lo:hi], idx[lo:hi], sc)
-				scratchPool.Put(sc)
-			}(lo, hi)
-		}
-		wg.Wait()
+		st.idxs[j] = growN(st.idxs[j], n)
+		serve[si].db.LookupIndexBatch(st.addrs, st.idxs[j], &st.sc)
 	}
 }
 
@@ -360,7 +331,7 @@ func (st *v2State) appendEntries(serve []servedDB, sel []int) {
 			out = append(out, ',')
 		}
 		if st.errs[i] != "" {
-			//lint:ignore hotalloc cold sub-path: only entries that failed address parsing reach stdlib marshaling (their input needs real JSON escaping); well-formed batches never allocate here
+			//lint:ignore hotalloc cold sub-path: only entries that failed address parsing reach stdlib marshaling (their input needs real JSON escaping); well-formed batches never allocate here, as TestV2LookupZeroAllocSteadyState checks
 			eb := mustJSON(BatchEntry{IP: string(ip), Error: st.errs[i]})
 			out = append(out, eb...)
 			continue

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -181,25 +182,33 @@ func batchBody(n int) []byte {
 
 // TestV2LookupZeroAllocSteadyState drives the handler directly (no
 // net/http server machinery) and requires the steady-state hot path to
-// stop allocating once the pooled state has grown to the batch size.
+// stop allocating once the pooled state has grown to the batch size. It
+// runs at several GOMAXPROCS values, each set before NewHandler, so the
+// zero-alloc guarantee is checked as a multi-core server would run, not
+// only on the core count of the machine at hand.
 func TestV2LookupZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; the zero-alloc bar is asserted in normal builds and by the bench-compare gate")
 	}
-	h := NewHandler(testDBs(t))
-	body := batchBody(512)
-	rb := &replayBody{data: body}
-	req := httptest.NewRequest(http.MethodPost, "/v2/lookup", rb)
-	req.Body = rb
-	w := &nullResponseWriter{h: make(http.Header)}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			h := NewHandler(testDBs(t))
+			body := batchBody(512)
+			rb := &replayBody{data: body}
+			req := httptest.NewRequest(http.MethodPost, "/v2/lookup", rb)
+			req.Body = rb
+			w := &nullResponseWriter{h: make(http.Header)}
 
-	run := func() {
-		rb.off = 0
-		h.handleV2Lookup(w, req)
-	}
-	run() // warm the pools
-	if avg := testing.AllocsPerRun(200, run); avg > 0.1 {
-		t.Errorf("steady-state /v2/lookup allocates %.2f times per request, want 0", avg)
+			run := func() {
+				rb.off = 0
+				h.handleV2Lookup(w, req)
+			}
+			run() // warm the pools
+			if avg := testing.AllocsPerRun(200, run); avg > 0.1 {
+				t.Errorf("steady-state /v2/lookup allocates %.2f times per request at GOMAXPROCS=%d, want 0", avg, procs)
+			}
+		})
 	}
 }
 
