@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt lint lint-json lint-diff build test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-snap profile
+.PHONY: check vet fmt lint lint-json lint-diff build test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-formats profile
 
 check: vet fmt lint build race metrics-verify
 
@@ -151,10 +151,12 @@ bench-compare:
 	$(GO) test -bench '$(OBS_BENCH_PATTERN)' -benchtime $(BENCH_TIME) -benchmem -run ^$$ $(OBS_BENCH_PKGS) | tee BENCH_obs.new.json
 	$(GO) run ./cmd/benchcompare -old BENCH_obs.json -new BENCH_obs.new.json -threshold $(NS_THRESHOLD)
 
-# 10-second snapshot decoder fuzz smoke — the same job CI runs. The
-# corpus seeds live in the package; findings land in testdata/fuzz.
-fuzz-snap:
+# 10-second fuzz smoke over both on-disk database readers, the RGSP
+# snapshot decoder and the CSV parser — the same job CI runs. The corpus
+# seeds live in the packages; findings land in their testdata/fuzz.
+fuzz-formats:
 	$(GO) test -run ^$$ -fuzz FuzzDecode -fuzztime 10s ./internal/geodb/snapshot/
+	$(GO) test -run ^$$ -fuzz FuzzRead -fuzztime 10s ./internal/geodb/dbcsv/
 
 # profile captures pprof profiles of a real sweep — the §4/§5.1
 # consistency passes and the §5.2.1 accuracy sweep, the three loops the

@@ -128,8 +128,8 @@ func BenchmarkLookup(b *testing.B) {
 // and batched transports.
 const remoteBenchAddrs = 1000
 
-// BenchmarkRemoteLookupSingle pays the original wire cost: one GET
-// /v1/lookup round trip per address.
+// BenchmarkRemoteLookupSingle pays the unbatched wire cost: one
+// single-address POST /v2/lookup round trip per address.
 func BenchmarkRemoteLookupSingle(b *testing.B) {
 	env := benchEnvironment(b)
 	srv := httptest.NewServer(httpapi.NewHandler(env.DBs))

@@ -8,16 +8,14 @@
 //
 // Usage:
 //
-//	geolookup -db dir_or_file [-db ...] [-format F] ip [ip...]  # local files
-//	geolookup -server http://host:8080 [-rdb N] [ip...]         # remote /v2
+//	geolookup -db dir_or_file [-db ...] ip [ip...]         # local files
+//	geolookup -server http://host:8080 [-rdb N] [ip...]    # remote /v2
 //
-// Each -db flag names one database file (.rgdb, .csv or .rgsnap), or a
-// directory containing several. Formats are sniffed by magic bytes, not
-// extension; -format {csv,dbfile,snap} instead asserts a single-file
-// format and fails loudly on a mismatch. In remote mode, addresses
-// missing from the command line are read from stdin (one per line), so
-// a whole Ark-style address file pipes through one batched request
-// stream:
+// Each -db flag names one database file (.rgsnap or .csv), or a
+// directory containing several; formats are sniffed by magic bytes, not
+// extension. In remote mode, addresses missing from the command line
+// are read from stdin (one per line), so a whole Ark-style address file
+// pipes through one batched request stream:
 //
 //	geolookup -server http://host:8080 < addrs.txt
 package main
@@ -48,12 +46,10 @@ func main() {
 		server    = flag.String("server", "", "geoserve base URL; queries /v2/lookup instead of local files")
 		remoteDB  = flag.String("rdb", "", "with -server: restrict lookups to one database name")
 		debugAddr = flag.String("debug-addr", "", "optional debug listener serving pprof, /metrics and the /v2/events stream")
-		format    = dbload.Auto
 		dbPaths   dbList
 	)
 	lf := obs.AddLogFlags(flag.CommandLine)
 	flag.Var(&dbPaths, "db", "path to a database file or a directory of them (repeatable)")
-	flag.Var(&format, "format", "assert the file format: csv, dbfile or snap (default: sniff magic bytes)")
 	flag.Parse()
 
 	// Setup installs the slog default the client's retry warnings go to.
@@ -70,14 +66,14 @@ func main() {
 	}
 
 	if len(dbPaths) == 0 || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: geolookup -db dir_or_file [-db ...] [-format F] ip [ip...]")
+		fmt.Fprintln(os.Stderr, "usage: geolookup -db dir_or_file [-db ...] ip [ip...]")
 		fmt.Fprintln(os.Stderr, "       geolookup -server URL [-rdb name] [ip...] (< addrs.txt)")
 		os.Exit(2)
 	}
 
 	var dbs []*geodb.DB
 	for _, p := range dbPaths {
-		loaded, err := loadPath(p, format)
+		loaded, err := dbload.Load(p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "geolookup:", err)
 			os.Exit(1)
@@ -186,31 +182,4 @@ func printAnswer(name string, r httpapi.RecordJSON) {
 	default:
 		fmt.Printf("  %-18s empty record\n", name)
 	}
-}
-
-// loadPath loads one database file in any supported format (sniffed by
-// magic bytes, or asserted by -format), or every database artifact in a
-// directory. Snapshot mappings stay open for the process lifetime: a
-// one-shot CLI never retires a generation.
-func loadPath(p string, format dbload.Format) ([]*geodb.DB, error) {
-	info, err := os.Stat(p)
-	if err != nil {
-		return nil, err
-	}
-	if !info.IsDir() {
-		l, err := dbload.Open(p, format)
-		if err != nil {
-			return nil, err
-		}
-		return []*geodb.DB{l.DB}, nil
-	}
-	loaded, err := dbload.OpenDir(p)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*geodb.DB, 0, len(loaded))
-	for _, l := range loaded {
-		out = append(out, l.DB)
-	}
-	return out, nil
 }

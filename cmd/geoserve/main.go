@@ -97,7 +97,7 @@ func main() {
 		dbPaths     dbList
 	)
 	lf := obs.AddLogFlags(flag.CommandLine)
-	flag.Var(&dbPaths, "db", "path to a .rgdb file or a directory of them (repeatable)")
+	flag.Var(&dbPaths, "db", "path to a database file or a directory of them (repeatable)")
 	flag.Parse()
 
 	logger, err := lf.Setup(os.Stderr)
@@ -131,7 +131,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "built in %v\n", time.Since(start).Round(time.Millisecond))
 	case len(dbPaths) > 0:
 		for _, p := range dbPaths {
-			loaded, err := load(p)
+			loaded, err := dbload.Load(p)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "geoserve:", err)
 				os.Exit(1)
@@ -224,6 +224,12 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
+	// Install the shutdown handler before announcing the listener: a
+	// caller that signals as soon as it has seen "listening on" must get
+	// the graceful drain, not the default kill.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	// Listen before serving so the printed address is the actual bound
 	// one — with -addr :0 (tests, parallel CI) the kernel picks the port
 	// and the "listening on" line is how callers learn it.
@@ -235,9 +241,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "listening on http://%s\n", ln.Addr())
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case err := <-errCh:
@@ -264,31 +267,4 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "geoserve: shutdown complete")
 	}
-}
-
-// load opens a file (any supported format, sniffed by magic bytes) or a
-// directory of database artifacts.
-func load(p string) ([]*geodb.DB, error) {
-	info, err := os.Stat(p)
-	if err != nil {
-		return nil, err
-	}
-	if !info.IsDir() {
-		l, err := dbload.Open(p, dbload.Auto)
-		if err != nil {
-			return nil, err
-		}
-		return []*geodb.DB{l.DB}, nil
-	}
-	loaded, err := dbload.OpenDir(p)
-	if err != nil {
-		return nil, err
-	}
-	var out []*geodb.DB
-	for _, l := range loaded {
-		// Mappings stay open for the process lifetime; this static mode
-		// has no reload, so nothing ever retires them.
-		out = append(out, l.DB)
-	}
-	return out, nil
 }

@@ -14,15 +14,16 @@
 //	geosnap -info file.rgsnap [file...]               # print snapshot identity and stats
 //	geosnap -diff old.rgsnap new.rgsnap               # diff two snapshots of one database
 //
-// Conversion accepts any supported input format (CSV dump, RGDB binary,
-// or an existing snapshot), sniffed by magic bytes. -epoch overrides the
+// Conversion accepts either supported input format (CSV dump or an
+// existing snapshot), sniffed by magic bytes. -epoch overrides the
 // recorded build time (unix seconds), which feeds the generation id:
 // re-publishing identical data under a new epoch yields a new generation,
 // which is how an operator forces a visible flip without changing bytes
 // of the database itself. Left unset, the epoch is deterministic — a
-// study build derives it from the world seed, a conversion keeps each
-// source's recorded epoch — so the same inputs always republish the same
-// bytes. An explicit -epoch value is honored verbatim, including 0.
+// study build stamps experiments.SnapshotEpoch(seed), as routergeo
+// -dbdir does, and a conversion keeps each source's recorded epoch — so
+// the same inputs always republish the same bytes. An explicit -epoch
+// value is honored verbatim, including 0.
 //
 // With -epochs N (and -build), geosnap publishes a time series instead
 // of a single generation: epoch k rebuilds the four vendor databases as
@@ -55,12 +56,6 @@ type dbList []string
 func (d *dbList) String() string     { return strings.Join(*d, ",") }
 func (d *dbList) Set(v string) error { *d = append(*d, v); return nil }
 
-// epochBase anchors the deterministic default build epoch for study
-// builds in the paper's data-collection era (mid-2017); the seed offsets
-// it so different worlds never collide on a generation id by epoch
-// alone.
-const epochBase = 1_500_000_000
-
 // secondsPerMonth is the mean Gregorian month, the step between epochs
 // in a published series.
 const secondsPerMonth = 2_629_800
@@ -68,13 +63,13 @@ const secondsPerMonth = 2_629_800
 // buildEpochFor resolves the tri-state -epoch flag for a study build:
 // an explicitly set value is honored verbatim — including 0, which used
 // to be unrepresentable because it meant "now" — and an unset flag
-// yields a seed-derived default, so the default publish is reproducible
-// instead of stamping wall-clock time.
+// yields the seed-derived default every study export shares, so the
+// default publish is reproducible instead of stamping wall-clock time.
 func buildEpochFor(seed, epoch int64, epochSet bool) int64 {
 	if epochSet {
 		return epoch
 	}
-	return epochBase + seed
+	return experiments.SnapshotEpoch(seed)
 }
 
 func main() {
@@ -136,7 +131,7 @@ func main() {
 
 	var dbs []*geodb.DB
 	for _, p := range dbPaths {
-		l, err := dbload.Open(p, dbload.Auto)
+		l, err := dbload.Open(p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "geosnap:", err)
 			os.Exit(1)
@@ -169,7 +164,11 @@ func main() {
 		if epochSet {
 			meta.BuildEpoch = *epoch
 		}
-		if err := writeSnapshot(path, db, meta); err != nil {
+		if err := snapshot.WriteFile(path, db, meta); err != nil {
+			fmt.Fprintln(os.Stderr, "geosnap:", err)
+			os.Exit(1)
+		}
+		if err := report(path); err != nil {
 			fmt.Fprintln(os.Stderr, "geosnap:", err)
 			os.Exit(1)
 		}
@@ -206,17 +205,17 @@ func buildMain(seed int64, out string, epoch int64, epochSet bool, epochs int, i
 		if epochs > 1 {
 			dir = filepath.Join(out, fmt.Sprintf("epoch-%03d", k))
 		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "geosnap:", err)
-			return 1
-		}
 		meta := snapshot.Meta{
 			BuildEpoch:   base + int64(float64(k)*intervalMonths*secondsPerMonth),
 			SourceFormat: "study",
 		}
-		for _, db := range dbs {
-			path := filepath.Join(dir, strings.ToLower(db.Name())+snapshot.Ext)
-			if err := writeSnapshot(path, db, meta); err != nil {
+		paths, err := experiments.WriteSnapshots(dir, dbs, meta)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "geosnap:", err)
+			return 1
+		}
+		for _, path := range paths {
+			if err := report(path); err != nil {
 				fmt.Fprintln(os.Stderr, "geosnap:", err)
 				return 1
 			}
@@ -225,13 +224,8 @@ func buildMain(seed int64, out string, epoch int64, epochSet bool, epochs int, i
 	return 0
 }
 
-func writeSnapshot(path string, db *geodb.DB, meta snapshot.Meta) error {
-	if meta.SourceFormat == "" {
-		meta.SourceFormat = db.Meta().SourceFormat
-	}
-	if err := snapshot.WriteFile(path, db, meta); err != nil {
-		return err
-	}
+// report prints the identity of a freshly written snapshot.
+func report(path string) error {
 	si, err := snapshot.Inspect(path)
 	if err != nil {
 		return err
@@ -280,7 +274,7 @@ func diffMain(paths []string) int {
 		return 2
 	}
 	load := func(p string) (*geodb.DB, error) {
-		l, err := dbload.Open(p, dbload.Auto)
+		l, err := dbload.Open(p)
 		if err != nil {
 			return nil, err
 		}

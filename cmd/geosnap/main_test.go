@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"routergeo/internal/experiments"
+)
 
 // TestBuildEpochTriState pins the -epoch flag's tri-state semantics:
 // unset means a deterministic seed-derived epoch (never wall-clock
@@ -13,8 +17,8 @@ func TestBuildEpochTriState(t *testing.T) {
 		set         bool
 		want        int64
 	}{
-		{seed: 1, epoch: 0, set: false, want: epochBase + 1},
-		{seed: 42, epoch: 0, set: false, want: epochBase + 42},
+		{seed: 1, epoch: 0, set: false, want: 1_500_000_001},
+		{seed: 42, epoch: 0, set: false, want: 1_500_000_042},
 		{seed: 1, epoch: 0, set: true, want: 0},
 		{seed: 1, epoch: 1234, set: true, want: 1234},
 		{seed: 99, epoch: -5, set: true, want: -5},
@@ -24,6 +28,11 @@ func TestBuildEpochTriState(t *testing.T) {
 			t.Errorf("buildEpochFor(%d, %d, %v) = %d, want %d",
 				tc.seed, tc.epoch, tc.set, got, tc.want)
 		}
+	}
+	// The unset default is the epoch every other study export stamps,
+	// pinned above so published generation ids stay stable.
+	if got := experiments.SnapshotEpoch(1); got != buildEpochFor(1, 0, false) {
+		t.Errorf("SnapshotEpoch(1) = %d, want the -build default %d", got, buildEpochFor(1, 0, false))
 	}
 	// The default epoch is a pure function of the seed: two unset-flag
 	// builds of the same world republish under the same epoch.

@@ -3,16 +3,17 @@
 // breakdown, the RTT disqualification funnel, and the cross-dataset
 // agreement checks. Optionally it dumps the merged dataset as CSV (the
 // shape the paper released via IMPACT), or exports it as a queryable
-// geolocation database in any of the repo's formats.
+// geolocation database.
 //
 // Usage:
 //
-//	gtbuild [-seed N] [-ases N] [-csv out.csv] [-out db -format {csv,dbfile,snap}]
+//	gtbuild [-seed N] [-ases N] [-csv out.csv] [-out db.rgsnap|db.csv]
 //
 // -out writes the ground truth as a per-address (/32) database named
 // "GroundTruth", usable anywhere an exported vendor database is — with
-// geolookup, geoserve, or geosnap. -format picks the container (default:
-// by extension, else dbfile); "snap" writes an RGSP snapshot directly.
+// geolookup, geoserve, or geosnap. A .csv path gets a CSV dump; any other
+// path an RGSP snapshot stamped with the seed's study build epoch, so
+// re-running with the same seed writes the same bytes.
 package main
 
 import (
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"time"
 
 	"routergeo/internal/experiments"
 	"routergeo/internal/geodb"
@@ -39,10 +39,8 @@ func main() {
 		csvPath   = flag.String("csv", "", "write the merged ground truth as CSV to this path")
 		outPath   = flag.String("out", "", "export the ground truth as a geolocation database to this path")
 		debugAddr = flag.String("debug-addr", "", "optional debug listener serving pprof, /metrics and the /v2/events stream")
-		format    = dbload.Auto
 	)
 	lf := obs.AddLogFlags(flag.CommandLine)
-	flag.Var(&format, "format", "with -out: database format (csv, dbfile or snap; default: by extension)")
 	flag.Parse()
 
 	if _, err := lf.Setup(os.Stderr); err != nil {
@@ -80,8 +78,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gtbuild:", err)
 			os.Exit(1)
 		}
-		meta := snapshot.Meta{BuildEpoch: time.Now().Unix(), SourceFormat: "groundtruth"}
-		if err := dbload.WriteFile(*outPath, db, format, meta); err != nil {
+		meta := snapshot.Meta{BuildEpoch: experiments.SnapshotEpoch(*seed), SourceFormat: "groundtruth"}
+		if err := dbload.WriteFile(*outPath, db, meta); err != nil {
 			fmt.Fprintln(os.Stderr, "gtbuild:", err)
 			os.Exit(1)
 		}

@@ -10,11 +10,12 @@
 //	routergeo [-seed N] [-ases N] [-list] [-run id[,id...]] [-dbdir DIR]
 //
 // With no flags it runs every experiment. -list names them; -run selects
-// a subset; -dbdir additionally exports the four vendor databases in the
-// dbfile binary format for use with cmd/geolookup. Every evaluation run
-// writes a JSON run manifest (-manifest, default routergeo-run.json)
-// recording the config, the stage tree with per-stage timings and item
-// counts, and the headline dataset sizes.
+// a subset; -dbdir additionally exports the four vendor databases as
+// <name>.rgsnap snapshots, the files cmd/geolookup reads and geoserve
+// -snap-dir serves. Every evaluation run writes a JSON run manifest
+// (-manifest, default routergeo-run.json) recording the config, the
+// stage tree with per-stage timings and item counts, and the headline
+// dataset sizes.
 //
 // -remote URL scores the accuracy sweep through a running geoserve
 // instance instead of in-process databases; outage bookkeeping
@@ -40,15 +41,14 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"routergeo/internal/core"
 	"routergeo/internal/experiments"
-	"routergeo/internal/geodb/dbfile"
 	"routergeo/internal/geodb/httpapi"
+	"routergeo/internal/geodb/snapshot"
 	"routergeo/internal/obs"
 )
 
@@ -165,15 +165,13 @@ func main() {
 	rec.SetCount("targets", int64(len(env.Targets)))
 
 	if *dbdir != "" {
-		if err := os.MkdirAll(*dbdir, 0o755); err != nil {
+		meta := snapshot.Meta{BuildEpoch: experiments.SnapshotEpoch(*seed), SourceFormat: "study"}
+		paths, err := experiments.WriteSnapshots(*dbdir, env.DBs, meta)
+		if err != nil {
 			fail(err)
 		}
-		for _, db := range env.DBs {
-			path := filepath.Join(*dbdir, strings.ToLower(db.Name())+".rgdb")
-			if err := dbfile.WriteFile(path, db); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%d ranges)\n", path, db.Len())
+		for i, path := range paths {
+			fmt.Fprintf(os.Stderr, "wrote %s (%d ranges)\n", path, env.DBs[i].Len())
 		}
 	}
 

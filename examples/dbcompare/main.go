@@ -1,6 +1,6 @@
 // DBCompare: the paper's §5.1 consistency analysis as a standalone
-// workflow — export the four databases to the binary .rgdb format, load
-// them back the way an external consumer would, and compute pairwise
+// workflow — export the four databases as .rgsnap snapshots, load them
+// back the way an external consumer would, and compute pairwise
 // agreement over the Ark-observed router addresses. Demonstrates the
 // file format round trip plus the consistency methodology.
 package main
@@ -11,7 +11,7 @@ import (
 	"os"
 
 	"routergeo"
-	"routergeo/internal/geodb/dbfile"
+	"routergeo/internal/geodb/dbload"
 	"routergeo/internal/ipx"
 )
 
@@ -40,11 +40,12 @@ func main() {
 	}
 	var dbs []db
 	for _, p := range paths {
-		loaded, err := dbfile.ReadFile(p)
+		loaded, err := dbload.Open(p)
 		if err != nil {
 			log.Fatal(err)
 		}
-		d := loaded
+		defer loaded.Close()
+		d := loaded.DB
 		dbs = append(dbs, db{
 			name: d.Name(),
 			lookup: func(a ipx.Addr) (string, bool) {

@@ -70,14 +70,15 @@ func main() {
 		fmt.Printf("%-18s %12.1f%% %12.1f%% %15s %12s\n",
 			db.Name(), 100*local.CountryAccuracy(), 100*local.CityAccuracy(), "local", "-")
 
-		// Path 1: single-lookup client — one GET /v1/lookup per address.
+		// Path 1: single-lookup client — one single-address POST
+		// /v2/lookup per address.
 		single := httpapi.NewClient(srv.URL, httpapi.WithDatabase(db.Name()))
 		start := time.Now()
 		remoteSingle := core.MeasureAccuracy(ctx, single, env.Targets)
 		singleTime := time.Since(start)
 		fmt.Printf("%-18s %12.1f%% %12.1f%% %15s %12s\n",
 			"", 100*remoteSingle.CountryAccuracy(), 100*remoteSingle.CityAccuracy(),
-			"HTTP /v1 x1", singleTime.Round(time.Millisecond))
+			"HTTP /v2 x1", singleTime.Round(time.Millisecond))
 
 		// Path 2: RemoteProvider — core's Prefetcher hook batches every
 		// target through POST /v2/lookup with eight workers.

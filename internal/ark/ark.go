@@ -37,7 +37,7 @@ type Config struct {
 	// Sink, when non-nil, receives every raw trace as it is collected —
 	// the hook cmd/arkcollect uses to archive the sweep in the wartslite
 	// container, the way real Ark stores warts files.
-	Sink func(monitor string, dst ipx.Addr, hops []traceroute.Hop)
+	Sink func(monitor string, dst ipx.Addr, hops []traceroute.Hop) `json:"-"`
 }
 
 // DefaultConfig returns the sweep parameters the experiments use.

@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -416,5 +418,23 @@ func TestTable1TiedDomainsInNameOrder(t *testing.T) {
 	want := []string{"cogentco.com", "ntt.net", "pnap.net", "seabone.net", "belwue.de", "digitalwest.net", "peak10.net"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("per-domain rows in order %v, want %v", got, want)
+	}
+}
+
+// TestConfigJSONRoundTrip guards the run manifest's config record: the
+// config must encode to JSON (hooks such as ark.Config.Sink are tagged
+// out) and decode back to the same value, or obs.Run.SetConfig drops it.
+func TestConfigJSONRoundTrip(t *testing.T) {
+	cfg := DefaultConfig()
+	b, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Config
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, cfg) {
+		t.Errorf("config changed through JSON:\n got %+v\nwant %+v", back, cfg)
 	}
 }

@@ -1,9 +1,9 @@
 // Package dbload is the one loader every binary shares: it opens a
-// geolocation database in any of the repo's on-disk formats — CSV dump,
-// RGDB binary, RGSP snapshot — dispatching on magic bytes rather than
-// file extension, so a renamed artifact still opens as what it is. It
-// also centralizes the matching write dispatch and the directory scan
-// the servers use, ending the per-binary extension-switch duplication.
+// geolocation database in either of the repo's on-disk formats — CSV
+// dump or RGSP snapshot — dispatching on magic bytes rather than file
+// extension, so a renamed artifact still opens as what it is. It also
+// centralizes the matching write dispatch and the file-or-directory
+// load the binaries use.
 package dbload
 
 import (
@@ -15,64 +15,23 @@ import (
 
 	"routergeo/internal/geodb"
 	"routergeo/internal/geodb/dbcsv"
-	"routergeo/internal/geodb/dbfile"
 	"routergeo/internal/geodb/snapshot"
 )
 
-// Format names an on-disk database format. The zero value is Auto:
-// sniff the file's magic bytes.
+// Format names an on-disk database format.
 type Format string
 
 const (
-	Auto   Format = "auto"
-	CSV    Format = "csv"
-	DBFile Format = "dbfile"
-	Snap   Format = "snap"
+	CSV  Format = "csv"
+	Snap Format = "snap"
 )
 
-// String implements flag.Value.
-func (f *Format) String() string {
-	if *f == "" {
-		return string(Auto)
-	}
-	return string(*f)
-}
-
-// Set implements flag.Value, so binaries can share
-// `flag.Var(&format, "format", ...)`.
-func (f *Format) Set(s string) error {
-	switch Format(s) {
-	case Auto, CSV, DBFile, Snap:
-		*f = Format(s)
-		return nil
-	}
-	return fmt.Errorf("unknown format %q (want auto, csv, dbfile or snap)", s)
-}
-
-// Ext returns the conventional file extension for the format.
-func (f Format) Ext() string {
-	switch f {
-	case CSV:
-		return ".csv"
-	case DBFile:
-		return ".rgdb"
-	case Snap:
-		return snapshot.Ext
-	}
-	return ""
-}
-
-// Sniff classifies leading file bytes by magic. Anything that is not a
-// known binary magic is presumed CSV — the CSV reader then produces the
-// real parse error if it is not.
+// Sniff classifies leading file bytes by magic. Anything that is not the
+// snapshot magic is presumed CSV — the CSV reader then produces the real
+// parse error if it is not.
 func Sniff(head []byte) Format {
-	if len(head) >= 4 {
-		switch string(head[:4]) {
-		case snapshot.Magic:
-			return Snap
-		case dbfile.Magic:
-			return DBFile
-		}
+	if len(head) >= 4 && string(head[:4]) == snapshot.Magic {
+		return Snap
 	}
 	return CSV
 }
@@ -81,7 +40,7 @@ func Sniff(head []byte) Format {
 func SniffFile(path string) (Format, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return Auto, err
+		return "", err
 	}
 	defer f.Close()
 	head := make([]byte, 4)
@@ -99,56 +58,37 @@ type Loaded struct {
 	Close  func() error
 }
 
-// Open loads one database file. Format Auto (or "") sniffs the magic
-// bytes; naming a format insists on it, and a mismatched magic is an
-// error rather than a silent fallback.
-func Open(path string, format Format) (Loaded, error) {
-	sniffed, err := SniffFile(path)
+// Open loads one database file in the format its magic bytes name.
+func Open(path string) (Loaded, error) {
+	format, err := SniffFile(path)
 	if err != nil {
 		return Loaded{}, err
 	}
-	if format == Auto || format == "" {
-		format = sniffed
-	} else if format != sniffed {
-		return Loaded{}, fmt.Errorf("%s: file is %s, not the requested %s", path, sniffed, format)
-	}
-	noop := func() error { return nil }
-	switch format {
-	case Snap:
+	if format == Snap {
 		h, err := snapshot.Open(path)
 		if err != nil {
 			return Loaded{}, err
 		}
 		return Loaded{DB: h.DB(), Path: path, Format: Snap, Close: h.Close}, nil
-	case DBFile:
-		db, err := dbfile.ReadFile(path)
-		if err != nil {
-			return Loaded{}, err
-		}
-		meta := db.Meta()
-		meta.SourceFormat = "dbfile"
-		db.SetMeta(meta)
-		return Loaded{DB: db, Path: path, Format: DBFile, Close: noop}, nil
-	default:
-		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		db, err := dbcsv.ReadFile(path, name)
-		if err != nil {
-			return Loaded{}, err
-		}
-		meta := db.Meta()
-		meta.SourceFormat = "csv"
-		db.SetMeta(meta)
-		return Loaded{DB: db, Path: path, Format: CSV, Close: noop}, nil
 	}
+	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	db, err := dbcsv.ReadFile(path, name)
+	if err != nil {
+		return Loaded{}, err
+	}
+	meta := db.Meta()
+	meta.SourceFormat = "csv"
+	db.SetMeta(meta)
+	return Loaded{DB: db, Path: path, Format: CSV, Close: func() error { return nil }}, nil
 }
 
-// OpenDir loads every database artifact in dir (*.rgdb, *.csv, *.rgsnap),
+// OpenDir loads every database artifact in dir (*.csv, *.rgsnap),
 // sniffing each by magic, in sorted path order. Closing any returned
 // Loaded is the caller's job; on error the already-opened ones are
 // closed before returning.
 func OpenDir(dir string) ([]Loaded, error) {
 	var paths []string
-	for _, pattern := range []string{"*.rgdb", "*.csv", "*" + snapshot.Ext} {
+	for _, pattern := range []string{"*.csv", "*" + snapshot.Ext} {
 		matches, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			return nil, err
@@ -157,11 +97,11 @@ func OpenDir(dir string) ([]Loaded, error) {
 	}
 	sort.Strings(paths)
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("%s: no .rgdb, .csv or %s files", dir, snapshot.Ext)
+		return nil, fmt.Errorf("%s: no .csv or %s files", dir, snapshot.Ext)
 	}
 	var out []Loaded
 	for _, p := range paths {
-		l, err := Open(p, Auto)
+		l, err := Open(p)
 		if err != nil {
 			for _, prev := range out {
 				_ = prev.Close()
@@ -173,26 +113,38 @@ func OpenDir(dir string) ([]Loaded, error) {
 	return out, nil
 }
 
-// WriteFile writes db to path in the named format (Auto writes the
-// format matching the path's extension, defaulting to dbfile). The meta
-// is consulted only by the snapshot writer.
-func WriteFile(path string, db *geodb.DB, format Format, meta snapshot.Meta) error {
-	if format == Auto || format == "" {
-		switch filepath.Ext(path) {
-		case ".csv":
-			format = CSV
-		case snapshot.Ext:
-			format = Snap
-		default:
-			format = DBFile
+// Load opens path as one database file or, when it is a directory, as
+// every database artifact in it (see OpenDir). Snapshot mappings stay
+// open for the life of the process, which suits binaries that never
+// retire what they loaded; callers that do must use Open or OpenDir.
+func Load(path string) ([]*geodb.DB, error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	if !info.IsDir() {
+		l, err := Open(path)
+		if err != nil {
+			return nil, err
 		}
+		return []*geodb.DB{l.DB}, nil
 	}
-	switch format {
-	case Snap:
-		return snapshot.WriteFile(path, db, meta)
-	case CSV:
+	loaded, err := OpenDir(path)
+	if err != nil {
+		return nil, err
+	}
+	dbs := make([]*geodb.DB, len(loaded))
+	for i, l := range loaded {
+		dbs[i] = l.DB
+	}
+	return dbs, nil
+}
+
+// WriteFile writes db to path: CSV when the path ends in .csv, an RGSP
+// snapshot stamped with meta otherwise.
+func WriteFile(path string, db *geodb.DB, meta snapshot.Meta) error {
+	if filepath.Ext(path) == ".csv" {
 		return dbcsv.WriteFile(path, db)
-	default:
-		return dbfile.WriteFile(path, db)
 	}
+	return snapshot.WriteFile(path, db, meta)
 }

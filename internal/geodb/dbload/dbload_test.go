@@ -1,7 +1,6 @@
 package dbload
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +8,7 @@ import (
 
 	"routergeo/internal/geo"
 	"routergeo/internal/geodb"
+	"routergeo/internal/geodb/dbcsv"
 	"routergeo/internal/geodb/snapshot"
 	"routergeo/internal/ipx"
 )
@@ -32,45 +32,37 @@ func sample(t *testing.T, name string) *geodb.DB {
 func TestSniffIgnoresExtension(t *testing.T) {
 	dir := t.TempDir()
 	db := sample(t, "mislabeled")
-	// A snapshot wearing a .csv name and a dbfile wearing a snapshot name.
+	// A snapshot wearing a .csv name and a CSV dump wearing a snapshot name.
 	snapAsCSV := filepath.Join(dir, "x.csv")
-	if err := WriteFile(snapAsCSV, db, Snap, snapshot.Meta{BuildEpoch: 5}); err != nil {
+	if err := snapshot.WriteFile(snapAsCSV, db, snapshot.Meta{BuildEpoch: 5}); err != nil {
 		t.Fatal(err)
 	}
-	dbfileAsSnap := filepath.Join(dir, "y"+snapshot.Ext)
-	if err := WriteFile(dbfileAsSnap, db, DBFile, snapshot.Meta{}); err != nil {
+	csvAsSnap := filepath.Join(dir, "y"+snapshot.Ext)
+	if err := dbcsv.WriteFile(csvAsSnap, db); err != nil {
 		t.Fatal(err)
 	}
-	for path, want := range map[string]Format{snapAsCSV: Snap, dbfileAsSnap: DBFile} {
-		got, err := SniffFile(path)
+	for _, tc := range []struct {
+		path, name string
+		want       Format
+	}{
+		{snapAsCSV, "mislabeled", Snap},
+		{csvAsSnap, "y", CSV}, // CSV has no embedded name
+	} {
+		got, err := SniffFile(tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("SniffFile(%s) = %s, want %s", filepath.Base(path), got, want)
+		if got != tc.want {
+			t.Errorf("SniffFile(%s) = %s, want %s", filepath.Base(tc.path), got, tc.want)
 		}
-		l, err := Open(path, Auto)
+		l, err := Open(tc.path)
 		if err != nil {
-			t.Fatalf("Open(%s): %v", path, err)
+			t.Fatalf("Open(%s): %v", tc.path, err)
 		}
-		if l.Format != want || l.DB.Name() != "mislabeled" {
-			t.Errorf("Open(%s) = format %s name %q", filepath.Base(path), l.Format, l.DB.Name())
+		if l.Format != tc.want || l.DB.Name() != tc.name {
+			t.Errorf("Open(%s) = format %s name %q", filepath.Base(tc.path), l.Format, l.DB.Name())
 		}
 		l.Close()
-	}
-}
-
-func TestOpenFormatMismatch(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "db.rgdb")
-	if err := WriteFile(p, sample(t, "s"), DBFile, snapshot.Meta{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(p, Snap); err == nil || !strings.Contains(err.Error(), "not the requested") {
-		t.Fatalf("requesting wrong format: err = %v", err)
-	}
-	if _, err := Open(p, DBFile); err != nil {
-		t.Fatalf("requesting right format: %v", err)
 	}
 }
 
@@ -79,26 +71,37 @@ func TestRoundTripAllFormats(t *testing.T) {
 	db := sample(t, "rt")
 	addr := ipx.MustParseAddr("10.0.1.2")
 	want, _ := db.Lookup(addr)
-	for _, f := range []Format{CSV, DBFile, Snap} {
-		p := filepath.Join(dir, "db"+f.Ext())
-		if err := WriteFile(p, db, Auto, snapshot.Meta{BuildEpoch: 9}); err != nil {
-			t.Fatalf("%s: %v", f, err)
+	// Only the snapshot carries the writer's meta.
+	for _, tc := range []struct {
+		file, src string
+		format    Format
+		epoch     int64
+	}{
+		{"db.csv", "csv", CSV, 0},
+		{"db" + snapshot.Ext, "snapshot", Snap, 9},
+	} {
+		p := filepath.Join(dir, tc.file)
+		if err := WriteFile(p, db, snapshot.Meta{BuildEpoch: 9, SourceFormat: "study"}); err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
 		}
-		l, err := Open(p, Auto)
+		l, err := Open(p)
 		if err != nil {
-			t.Fatalf("%s: %v", f, err)
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if l.Format != tc.format {
+			t.Errorf("%s: written as %s, want %s", tc.file, l.Format, tc.format)
 		}
 		got, ok := l.DB.Lookup(addr)
 		if !ok || got.Country != want.Country || got.City != want.City {
-			t.Errorf("%s: Lookup = %+v,%v", f, got, ok)
+			t.Errorf("%s: Lookup = %+v,%v", tc.file, got, ok)
 		}
-		if src := l.DB.Meta().SourceFormat; src == "" {
-			t.Errorf("%s: SourceFormat not set", f)
+		if m := l.DB.Meta(); m.SourceFormat != tc.src || m.BuildEpoch != tc.epoch {
+			t.Errorf("%s: meta = %+v, want source %q epoch %d", tc.file, m, tc.src, tc.epoch)
 		}
 		l.Close()
 	}
 	// CSV keeps the file-derived name (it has no embedded one).
-	l, err := Open(filepath.Join(dir, "db.csv"), CSV)
+	l, err := Open(filepath.Join(dir, "db.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,32 +111,41 @@ func TestRoundTripAllFormats(t *testing.T) {
 	}
 }
 
-func TestOpenDirMixedFormats(t *testing.T) {
+// TestLoadFileOrDir covers the binaries' -db argument: one file of
+// either format, or a directory mixing both, loaded in path order.
+func TestLoadFileOrDir(t *testing.T) {
 	dir := t.TempDir()
-	for name, f := range map[string]Format{"alpha": CSV, "bravo": DBFile, "charlie": Snap} {
-		p := filepath.Join(dir, name+f.Ext())
-		if err := WriteFile(p, sample(t, name), f, snapshot.Meta{BuildEpoch: 1}); err != nil {
+	for _, file := range []string{"alpha.csv", "bravo" + snapshot.Ext} {
+		name := strings.TrimSuffix(file, filepath.Ext(file))
+		if err := WriteFile(filepath.Join(dir, file), sample(t, name), snapshot.Meta{BuildEpoch: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	loaded, err := OpenDir(dir)
+	dbs, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded) != 3 {
-		t.Fatalf("loaded %d databases", len(loaded))
+	if len(dbs) != 2 || dbs[0].Name() != "alpha" || dbs[1].Name() != "bravo" {
+		t.Fatalf("Load(dir) = %d databases", len(dbs))
 	}
-	for _, l := range loaded {
-		l.Close()
+	dbs, err = Load(filepath.Join(dir, "bravo"+snapshot.Ext))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := OpenDir(t.TempDir()); err == nil {
+	if len(dbs) != 1 || dbs[0].Name() != "bravo" {
+		t.Fatalf("Load(file) = %d databases", len(dbs))
+	}
+	if _, err := Load(t.TempDir()); err == nil {
 		t.Error("empty directory should error")
+	}
+	if _, err := Load(filepath.Join(dir, "missing.csv")); err == nil {
+		t.Error("missing file should error")
 	}
 }
 
 func TestOpenDirClosesOnError(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteFile(filepath.Join(dir, "good"+snapshot.Ext), sample(t, "good"), Snap, snapshot.Meta{}); err != nil {
+	if err := WriteFile(filepath.Join(dir, "good"+snapshot.Ext), sample(t, "good"), snapshot.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "zbad"+snapshot.Ext), []byte("RGSPgarbage"), 0o644); err != nil {
@@ -141,24 +153,5 @@ func TestOpenDirClosesOnError(t *testing.T) {
 	}
 	if _, err := OpenDir(dir); err == nil {
 		t.Fatal("corrupt member should fail the directory load")
-	}
-}
-
-func TestFormatFlagValue(t *testing.T) {
-	var f Format
-	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	fs.Var(&f, "format", "")
-	if err := fs.Parse([]string{"-format", "snap"}); err != nil {
-		t.Fatal(err)
-	}
-	if f != Snap {
-		t.Fatalf("parsed %q", f)
-	}
-	if err := f.Set("parquet"); err == nil {
-		t.Error("bad format accepted")
-	}
-	var zero Format
-	if zero.String() != "auto" {
-		t.Errorf("zero value String = %q", zero.String())
 	}
 }

@@ -3,8 +3,8 @@
 // country or city resolution, exactly the query interface MaxMind,
 // IP2Location and NetAcuity expose. The concrete DB type is an immutable
 // sorted range database (the layout those products actually ship) built
-// through a layered Builder, plus a binary file format in the dbfile
-// subpackage.
+// through a layered Builder; its on-disk forms live in the snapshot
+// (RGSP binary) and dbcsv subpackages.
 package geodb
 
 import (
@@ -151,7 +151,7 @@ type Meta struct {
 	// BuildEpoch is the unix-seconds build time recorded by the writer.
 	BuildEpoch int64
 	// SourceFormat names the artifact the database was loaded from:
-	// "snapshot", "dbfile", "csv", or "" for an in-memory build.
+	// "snapshot", "csv", or "" for an in-memory build.
 	SourceFormat string
 }
 

@@ -226,13 +226,25 @@ func TestClientWithAsOf(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	c := NewClient(srv.URL, WithAsOf(150))
+	addr := ipx.MustParseAddr("10.0.0.1")
+	c := NewClient(srv.URL, WithAsOf(150), WithDatabase("alpha"))
 	entries, err := c.BatchLookup(context.Background(), []string{"10.0.0.1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := entries[0].Results["alpha"].City; got != "city-100" {
 		t.Fatalf("asof-pinned batch answered %q, want city-100", got)
+	}
+	// The single-address paths honour the same pin.
+	if rec, ok, err := c.TryLookup(context.Background(), addr); err != nil || !ok || rec.City != "city-100" {
+		t.Fatalf("asof-pinned TryLookup = (%+v, %v, %v), want city-100", rec, ok, err)
+	}
+	p, err := NewRemoteProvider(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := p.Lookup(addr); !ok || rec.City != "city-100" {
+		t.Fatalf("asof-pinned RemoteProvider.Lookup = (%+v, %v), want city-100", rec, ok)
 	}
 
 	// Before the horizon: terminal sentinel, no retry burn.
@@ -241,12 +253,18 @@ func TestClientWithAsOf(t *testing.T) {
 		attempts++
 		return http.DefaultTransport.RoundTrip(r)
 	})}
-	c = NewClient(srv.URL, WithAsOf(50), WithHTTPClient(hc))
+	c = NewClient(srv.URL, WithAsOf(50), WithDatabase("alpha"), WithHTTPClient(hc))
 	if _, err := c.BatchLookup(context.Background(), []string{"10.0.0.1"}); !errors.Is(err, ErrBeforeArchiveHorizon) {
 		t.Fatalf("err = %v, want ErrBeforeArchiveHorizon", err)
 	}
 	if attempts != 1 {
 		t.Fatalf("horizon miss burned %d attempts, want 1 (terminal)", attempts)
+	}
+	if _, _, err := c.TryLookup(context.Background(), addr); !errors.Is(err, ErrBeforeArchiveHorizon) {
+		t.Fatalf("TryLookup err = %v, want ErrBeforeArchiveHorizon", err)
+	}
+	if attempts != 2 {
+		t.Fatalf("TryLookup horizon miss burned %d attempts, want 1 (terminal)", attempts-1)
 	}
 }
 

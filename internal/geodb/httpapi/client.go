@@ -22,8 +22,7 @@ import (
 )
 
 // Client defaults, applied by NewClient; a zero/struct-literal Client
-// behaves like the original v1 client (no retries, no timeout, no
-// breaker).
+// has none of them (no retries, no timeout, no breaker).
 const (
 	DefaultRetries     = 2
 	DefaultBackoff     = 100 * time.Millisecond
@@ -171,7 +170,7 @@ func WithAsOf(unix int64) ClientOption {
 }
 
 // WithBaseContext sets the context Provider-shaped entry points
-// (Lookup, TryLookup via RemoteProvider, Databases, Stats) derive their
+// (Lookup, TryLookup via RemoteProvider, DatabaseInfos, Stats) derive their
 // request contexts from, since the geodb.Provider interface cannot carry
 // one. Cancelling it aborts their in-flight retries.
 func WithBaseContext(ctx context.Context) ClientOption {
@@ -179,7 +178,7 @@ func WithBaseContext(ctx context.Context) ClientOption {
 }
 
 // Client talks to a server created by NewHandler. The zero value with
-// only BaseURL set is a valid v1 client; NewClient additionally arms
+// only BaseURL set is a valid client; NewClient additionally arms
 // retries, capped+jittered backoff, timeouts, batch concurrency and the
 // circuit breaker.
 type Client struct {
@@ -593,15 +592,6 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// Databases lists the server's databases (the stable /v1 shape).
-func (c *Client) Databases() ([]string, error) {
-	var names []string
-	if err := c.do(c.rootCtx(), "/v1/databases", nil, &names); err != nil {
-		return nil, err
-	}
-	return names, nil
-}
-
 // DatabaseInfos lists the server's databases with range counts and
 // resolution stats (/v2/databases).
 func (c *Client) DatabaseInfos() ([]DatabaseInfo, error) {
@@ -619,23 +609,6 @@ func (c *Client) Stats() (StatsResponse, error) {
 		return StatsResponse{}, err
 	}
 	return s, nil
-}
-
-// LookupAll queries every database for one address.
-func (c *Client) LookupAll(ip string) (LookupResponse, error) {
-	return c.lookup(c.rootCtx(), ip, "")
-}
-
-func (c *Client) lookup(ctx context.Context, ip, db string) (LookupResponse, error) {
-	path := "/v1/lookup?ip=" + url.QueryEscape(ip)
-	if db != "" {
-		path += "&db=" + url.QueryEscape(db)
-	}
-	var out LookupResponse
-	if err := c.do(ctx, path, nil, &out); err != nil {
-		return LookupResponse{}, err
-	}
-	return out, nil
 }
 
 // BatchLookup resolves many addresses through POST /v2/lookup,
@@ -727,20 +700,21 @@ func (c *Client) Name() string { return c.DB }
 // TryLookup resolves one address in the pinned database, distinguishing
 // a transport failure (err != nil) from a genuine database miss
 // (ok == false, err == nil) — the distinction Lookup's Provider
-// signature cannot express. ctx bounds the attempt and its retries.
+// signature cannot express. It is a one-address BatchLookup, so the
+// WithAsOf pin applies. ctx bounds the attempt and its retries.
 func (c *Client) TryLookup(ctx context.Context, a ipx.Addr) (geodb.Record, bool, error) {
 	if c.DB == "" {
 		return geodb.Record{}, false, errors.New("httpapi: no database pinned (set Client.DB or WithDatabase)")
 	}
-	resp, err := c.lookup(ctx, a.String(), c.DB)
+	entries, err := c.BatchLookup(ctx, []string{a.String()})
 	if err != nil {
 		return geodb.Record{}, false, err
 	}
-	rj, ok := resp.Results[c.DB]
-	if !ok {
-		return geodb.Record{}, false, nil
+	e := entries[0]
+	if e.Error != "" {
+		return geodb.Record{}, false, fmt.Errorf("httpapi: lookup %s: %s", a, e.Error)
 	}
-	rec, found := toRecord(rj)
+	rec, found := toRecord(e.Results[c.DB])
 	return rec, found, nil
 }
 

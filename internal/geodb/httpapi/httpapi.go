@@ -31,7 +31,8 @@
 // Stability: /v1 is frozen — its routes, parameters and payload shapes
 // are exactly the original one-address-per-request surface and carry no
 // generation fields. All generation-aware additions live on /v2
-// (additive, omitempty) and in response headers.
+// (additive, omitempty) and in response headers. The Client speaks /v2
+// only, so /v1 is a server-side surface for external consumers.
 //
 // The server side threads every request through a middleware stack
 // (panic recovery, request logging, metrics, timeouts, body-size caps);
@@ -148,8 +149,8 @@ type SnapshotInfo struct {
 	Checksum string `json:"checksum,omitempty"`
 	// BuildEpoch is the writer-recorded build time in unix seconds.
 	BuildEpoch int64 `json:"build_epoch,omitempty"`
-	// SourceFormat says where the database came from: "snapshot",
-	// "dbfile", "csv" or "memory".
+	// SourceFormat says where the database came from: "snapshot", "csv"
+	// or "memory".
 	SourceFormat string `json:"source_format,omitempty"`
 }
 

@@ -52,9 +52,8 @@ func TestHealthz(t *testing.T) {
 
 func TestDatabasesEndpoint(t *testing.T) {
 	srv := testServer(t)
-	c := &Client{BaseURL: srv.URL}
-	names, err := c.Databases()
-	if err != nil {
+	var names []string
+	if err := getJSON(srv.URL+"/v1/databases", &names); err != nil {
 		t.Fatal(err)
 	}
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
@@ -64,9 +63,8 @@ func TestDatabasesEndpoint(t *testing.T) {
 
 func TestLookupAll(t *testing.T) {
 	srv := testServer(t)
-	c := &Client{BaseURL: srv.URL}
-	resp, err := c.LookupAll("10.0.1.2")
-	if err != nil {
+	var resp LookupResponse
+	if err := getJSON(srv.URL+"/v1/lookup?ip=10.0.1.2", &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.IP != "10.0.1.2" || len(resp.Results) != 2 {
@@ -84,9 +82,8 @@ func TestLookupAll(t *testing.T) {
 
 func TestLookupMiss(t *testing.T) {
 	srv := testServer(t)
-	c := &Client{BaseURL: srv.URL}
-	resp, err := c.LookupAll("192.0.2.1")
-	if err != nil {
+	var resp LookupResponse
+	if err := getJSON(srv.URL+"/v1/lookup?ip=192.0.2.1", &resp); err != nil {
 		t.Fatal(err)
 	}
 	for name, r := range resp.Results {

@@ -217,7 +217,8 @@ func TestV2Stats(t *testing.T) {
 	if s.Requests < 3 {
 		t.Errorf("Requests = %d, want >= 3", s.Requests)
 	}
-	if s.ByEndpoint["GET /v1/lookup"] != 2 || s.ByEndpoint["POST /v2/lookup"] != 1 {
+	// The client's single-address path is a one-address /v2 batch.
+	if s.ByEndpoint["GET /v1/lookup"] != 0 || s.ByEndpoint["POST /v2/lookup"] != 3 {
 		t.Errorf("ByEndpoint = %+v", s.ByEndpoint)
 	}
 	// All three lookups were pinned to alpha: two hits, one miss; beta

@@ -81,7 +81,7 @@ type Meta struct {
 	// a pure function of their inputs.
 	BuildEpoch int64
 	// SourceFormat names what the snapshot was compiled from, e.g.
-	// "study", "dbfile", "csv".
+	// "study", "groundtruth", "csv".
 	SourceFormat string
 }
 

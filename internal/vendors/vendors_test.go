@@ -7,7 +7,7 @@ import (
 
 	"routergeo/internal/geo"
 	"routergeo/internal/geodb"
-	"routergeo/internal/geodb/dbfile"
+	"routergeo/internal/geodb/snapshot"
 	"routergeo/internal/hints"
 	"routergeo/internal/ipx"
 	"routergeo/internal/netsim"
@@ -259,14 +259,14 @@ func TestBuildRequiresInputs(t *testing.T) {
 	}
 }
 
-func TestVendorDBRoundTripsThroughDBFile(t *testing.T) {
+func TestVendorDBRoundTripsThroughSnapshot(t *testing.T) {
 	w, dbs := setup(t)
 	db := dbs["NetAcuity"]
 	var buf bytes.Buffer
-	if err := dbfile.Write(&buf, db); err != nil {
+	if err := snapshot.Write(&buf, db, snapshot.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := dbfile.Read(&buf)
+	back, _, err := snapshot.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +361,10 @@ func TestEvolvedBuildAtZeroIsIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b1, b2 bytes.Buffer
-		if err := dbfile.Write(&b1, base); err != nil {
+		if err := snapshot.Write(&b1, base, snapshot.Meta{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := dbfile.Write(&b2, evolved); err != nil {
+		if err := snapshot.Write(&b2, evolved, snapshot.Meta{}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
@@ -393,10 +393,10 @@ func TestEvolvedBuildAtHorizonDiffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b1, b2 bytes.Buffer
-	if err := dbfile.Write(&b1, base); err != nil {
+	if err := snapshot.Write(&b1, base, snapshot.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dbfile.Write(&b2, later); err != nil {
+	if err := snapshot.Write(&b2, later, snapshot.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(b1.Bytes(), b2.Bytes()) {

@@ -23,14 +23,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"path/filepath"
-	"strings"
 
 	"routergeo/internal/core"
 	"routergeo/internal/experiments"
 	"routergeo/internal/geo"
 	"routergeo/internal/geodb"
-	"routergeo/internal/geodb/dbfile"
+	"routergeo/internal/geodb/snapshot"
 	"routergeo/internal/groundtruth"
 	"routergeo/internal/ipx"
 	"routergeo/internal/netsim"
@@ -372,18 +370,13 @@ func (s *Study) Operators(withInterfaces bool) []ASInfo {
 	return out
 }
 
-// ExportDatabases writes the four databases in the binary dbfile format to
-// dir, named like "netacuity.rgdb", and returns the paths.
+// ExportDatabases writes the four databases to dir as RGSP snapshots
+// named like "netacuity.rgsnap", stamped with the seed's build epoch, and
+// returns the paths. They are the same bytes `routergeo -dbdir` and
+// `geosnap -build` write for the same seed.
 func (s *Study) ExportDatabases(dir string) ([]string, error) {
-	var out []string
-	for _, db := range s.env.DBs {
-		path := filepath.Join(dir, strings.ToLower(db.Name())+".rgdb")
-		if err := dbfile.WriteFile(path, db); err != nil {
-			return nil, err
-		}
-		out = append(out, path)
-	}
-	return out, nil
+	meta := snapshot.Meta{BuildEpoch: experiments.SnapshotEpoch(s.env.Cfg.World.Seed), SourceFormat: "study"}
+	return experiments.WriteSnapshots(dir, s.env.DBs, meta)
 }
 
 // GroundTruthSizes returns the sizes of the constituent datasets:

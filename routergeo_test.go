@@ -2,10 +2,15 @@ package routergeo
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"routergeo/internal/experiments"
+	"routergeo/internal/geodb/dbload"
+	"routergeo/internal/geodb/snapshot"
 )
 
 var (
@@ -232,9 +237,40 @@ func TestExportDatabases(t *testing.T) {
 	if len(paths) != 4 {
 		t.Fatalf("exported %d files", len(paths))
 	}
-	for _, p := range paths {
+	for i, p := range paths {
 		if filepath.Dir(p) != dir {
 			t.Errorf("export escaped directory: %s", p)
+		}
+		if filepath.Ext(p) != snapshot.Ext {
+			t.Errorf("export %s is not a snapshot", p)
+		}
+		l, err := dbload.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := s.env.DBs[i]
+		if l.Format != dbload.Snap || l.DB.Fingerprint() != mem.Fingerprint() {
+			t.Errorf("%s reloads as %s with fingerprint %x, want snap with %x",
+				p, l.Format, l.DB.Fingerprint(), mem.Fingerprint())
+		}
+		if got, want := l.DB.Meta().BuildEpoch, experiments.SnapshotEpoch(3); got != want {
+			t.Errorf("%s build epoch = %d, want %d", p, got, want)
+		}
+		l.Close()
+	}
+	// The bytes are a pure function of the study: a second export matches.
+	again, err := s.ExportDatabases(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range paths {
+		b1, err1 := os.ReadFile(paths[i])
+		b2, err2 := os.ReadFile(again[i])
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Errorf("%s: second export wrote different bytes", filepath.Base(paths[i]))
 		}
 	}
 }
