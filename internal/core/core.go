@@ -27,7 +27,6 @@ import (
 	"routergeo/internal/groundtruth"
 	"routergeo/internal/ipx"
 	"routergeo/internal/netsim"
-	"routergeo/internal/obs"
 	"routergeo/internal/stats"
 )
 
@@ -90,77 +89,30 @@ type Prefetcher interface {
 	Prefetch(ctx context.Context, addrs []ipx.Addr) error
 }
 
-// prefetch offers addrs to db if it supports bulk resolution, bounded by
-// the evaluation's ctx so cancellation stops the batched requests too.
-func prefetch(ctx context.Context, db geodb.Provider, addrs []ipx.Addr) {
-	if p, ok := db.(Prefetcher); ok {
-		_ = p.Prefetch(ctx, addrs)
-	}
-}
-
-// prefetchTargets is prefetch over a target list's addresses.
-func prefetchTargets(ctx context.Context, db geodb.Provider, targets []Target) {
-	if _, ok := db.(Prefetcher); !ok {
-		return
-	}
-	addrs := make([]ipx.Addr, len(targets))
-	for i, t := range targets {
-		addrs[i] = t.Addr
-	}
-	prefetch(ctx, db, addrs)
-}
-
 // MeasureCoverage queries every address once. Large inputs are scored by
 // the parallel engine; the result is identical either way.
 func MeasureCoverage(ctx context.Context, db geodb.Provider, addrs []ipx.Addr) Coverage {
-	ctx, sp := obs.Start(ctx, "core.coverage")
-	defer sp.End()
-	sp.SetAttr("db", db.Name())
-	sp.SetItems(int64(len(addrs)))
-	workers := workersFor(len(addrs))
-	sp.SetAttr("workers", workers)
-	prog := obs.NewProgress("core.coverage "+db.Name(), int64(len(addrs)))
-	defer prog.Finish()
-	// One up-front prefetch for the whole sweep: a remote provider
-	// pipelines the full batch through its own worker pool instead of
-	// being serialized by per-chunk calls inside the workers.
-	prefetch(ctx, db, addrs)
-	parts := make([]slot[Coverage], workers)
-	res := make([]*resolver, workers)
-	runBlocks(len(addrs), blockSize, workers, func(wi, _, lo, hi int) {
-		r := res[wi]
-		if r == nil {
-			r = resolverPool.Get().(*resolver)
-			r.bind(db)
-			res[wi] = r
-		}
-		block := addrs[lo:hi]
-		r.resolve(block)
-		c := Coverage{Total: len(block)}
-		for k := range block {
-			rec, ok := r.rec(k)
-			if !ok {
-				continue
+	parts, _ := sweep(ctx, "core.coverage", []geodb.Provider{db}, addrs,
+		func(c *Coverage, _ *[]float64, _, lo, hi int, rs []*resolver) {
+			c.Total += hi - lo
+			for k := range hi - lo {
+				rec, ok := rs[0].rec(k)
+				if !ok {
+					continue
+				}
+				if rec.HasCountry() {
+					c.Country++
+				}
+				if rec.HasCity() {
+					c.City++
+				}
 			}
-			if rec.HasCountry() {
-				c.Country++
-			}
-			if rec.HasCity() {
-				c.City++
-			}
-		}
-		prog.Add(int64(len(block)))
-		p := &parts[wi].v
-		p.Total += c.Total
-		p.Country += c.Country
-		p.City += c.City
-	})
-	putResolvers(res)
+		})
 	var c Coverage
-	for i := range parts {
-		c.Total += parts[i].v.Total
-		c.Country += parts[i].v.Country
-		c.City += parts[i].v.City
+	for _, p := range parts {
+		c.Total += p.Total
+		c.Country += p.Country
+		c.City += p.City
 	}
 	return c
 }
@@ -194,75 +146,47 @@ func (a Accuracy) CityAccuracy() float64 { return stats.Fraction(a.Within40Km, a
 // pooled buffer; the buffers concatenate into the result CDF, whose
 // sorted points are identical whatever the accumulation order.
 func MeasureAccuracy(ctx context.Context, db geodb.Provider, targets []Target) Accuracy {
-	ctx, sp := obs.Start(ctx, "core.accuracy")
-	defer sp.End()
-	sp.SetAttr("db", db.Name())
-	sp.SetItems(int64(len(targets)))
-	workers := workersFor(len(targets))
-	sp.SetAttr("workers", workers)
-	prefetchTargets(ctx, db, targets)
-	parts := make([]slot[Accuracy], workers)
-	res := make([]*resolver, workers)
-	bufs := make([]*[]float64, workers)
-	runBlocks(len(targets), blockSize, workers, func(wi, _, lo, hi int) {
-		r := res[wi]
-		if r == nil {
-			r = resolverPool.Get().(*resolver)
-			r.bind(db)
-			res[wi] = r
-			sb := samplePool.Get().(*[]float64)
-			*sb = (*sb)[:0]
-			bufs[wi] = sb
-		}
-		block := targets[lo:hi]
-		r.resolveTargets(block)
-		var acc Accuracy
-		acc.Total = len(block)
-		s := *bufs[wi]
-		for k := range block {
-			t := &block[k]
-			rec, ok := r.rec(k)
-			if !ok {
-				continue
-			}
-			if rec.HasCountry() {
-				acc.CountryAnswered++
-				if rec.Country == t.Country {
-					acc.CountryCorrect++
+	parts, samples := sweep(ctx, "core.accuracy", []geodb.Provider{db}, targets,
+		func(acc *Accuracy, samples *[]float64, _, lo, hi int, rs []*resolver) {
+			r := rs[0]
+			acc.Total += hi - lo
+			s := *samples
+			for k := range hi - lo {
+				t := &targets[lo+k]
+				rec, ok := r.rec(k)
+				if !ok {
+					continue
+				}
+				if rec.HasCountry() {
+					acc.CountryAnswered++
+					if rec.Country == t.Country {
+						acc.CountryCorrect++
+					}
+				}
+				if rec.HasCity() {
+					acc.CityAnswered++
+					tv := t.TruthVec
+					if tv.IsZero() {
+						tv = t.Truth.Vec()
+					}
+					d := geo.ArcKm(r.vec(k, rec), tv)
+					s = append(s, d)
+					if d <= CityRangeKm {
+						acc.Within40Km++
+					}
 				}
 			}
-			if rec.HasCity() {
-				acc.CityAnswered++
-				tv := t.TruthVec
-				if tv.IsZero() {
-					tv = t.Truth.Vec()
-				}
-				d := geo.ArcKm(r.vec(k, rec), tv)
-				s = append(s, d)
-				if d <= CityRangeKm {
-					acc.Within40Km++
-				}
-			}
-		}
-		*bufs[wi] = s
-		p := &parts[wi].v
-		p.Total += acc.Total
-		p.CountryAnswered += acc.CountryAnswered
-		p.CountryCorrect += acc.CountryCorrect
-		p.CityAnswered += acc.CityAnswered
-		p.Within40Km += acc.Within40Km
-	})
-	putResolvers(res)
+			*samples = s
+		})
 	var out Accuracy
-	for i := range parts {
-		p := &parts[i].v
+	for _, p := range parts {
 		out.Total += p.Total
 		out.CountryAnswered += p.CountryAnswered
 		out.CountryCorrect += p.CountryCorrect
 		out.CityAnswered += p.CityAnswered
 		out.Within40Km += p.Within40Km
 	}
-	out.ErrorCDF = stats.FromSamples(mergeSamples(bufs))
+	out.ErrorCDF = stats.FromSamples(samples)
 	return out
 }
 
@@ -332,84 +256,57 @@ func TopCountries(targets []Target, n int) []string {
 // many targets a group of databases all geolocate to the *same wrong
 // country* — the paper's observation that IP2Location and both MaxMinds
 // share roughly two thirds of their wrong answers (Figure 4 discussion).
-func SharedIncorrect(dbs []geodb.Provider, targets []Target) (shared int, wrongPerDB []int) {
-	workers := workersFor(len(targets))
+func SharedIncorrect(ctx context.Context, dbs []geodb.Provider, targets []Target) (shared int, wrongPerDB []int) {
 	type partial struct {
 		shared int
 		wrong  []int
 	}
-	parts := make([]slot[partial], workers)
-	res := make([][]*resolver, workers)
-	runBlocks(len(targets), blockSize, workers, func(wi, _, lo, hi int) {
-		rs := res[wi]
-		if rs == nil {
-			rs = bindResolvers(dbs)
-			res[wi] = rs
-			parts[wi].v.wrong = make([]int, len(dbs))
-		}
-		block := targets[lo:hi]
-		for _, r := range rs {
-			r.resolveTargets(block)
-		}
-		p := &parts[wi].v
-		answers := make([]string, len(dbs))
-		for k := range block {
-			t := &block[k]
-			allSameWrong := true
-			for i, r := range rs {
-				rec, ok := r.rec(k)
-				if !ok || !rec.HasCountry() {
-					allSameWrong = false
-					answers[i] = ""
+	parts, _ := sweep(ctx, "core.shared_incorrect", dbs, targets,
+		func(p *partial, _ *[]float64, _, lo, hi int, rs []*resolver) {
+			if p.wrong == nil {
+				p.wrong = make([]int, len(dbs))
+			}
+			answers := make([]string, len(dbs))
+			for k := range hi - lo {
+				t := &targets[lo+k]
+				allSameWrong := true
+				for i, r := range rs {
+					rec, ok := r.rec(k)
+					if !ok || !rec.HasCountry() {
+						allSameWrong = false
+						answers[i] = ""
+						continue
+					}
+					answers[i] = rec.Country
+					if rec.Country != t.Country {
+						p.wrong[i]++
+					}
+				}
+				if !allSameWrong {
 					continue
 				}
-				answers[i] = rec.Country
-				if rec.Country != t.Country {
-					p.wrong[i]++
+				first := answers[0]
+				if first == t.Country {
+					continue
+				}
+				same := true
+				for _, a := range answers[1:] {
+					if a != first {
+						same = false
+						break
+					}
+				}
+				if same {
+					p.shared++
 				}
 			}
-			if !allSameWrong {
-				continue
-			}
-			first := answers[0]
-			if first == t.Country {
-				continue
-			}
-			same := true
-			for _, a := range answers[1:] {
-				if a != first {
-					same = false
-					break
-				}
-			}
-			if same {
-				p.shared++
-			}
-		}
-	})
-	for _, rs := range res {
-		putResolvers(rs)
-	}
+		})
 	wrongPerDB = make([]int, len(dbs))
-	for i := range parts {
-		p := &parts[i].v
+	for _, p := range parts {
 		shared += p.shared
 		for i, n := range p.wrong {
 			wrongPerDB[i] += n
 		}
 	}
 	return shared, wrongPerDB
-}
-
-// bindResolvers mints one worker's resolver per provider. The pool Gets
-// stay inline per the poolescape rule's pairing with putResolvers at
-// sweep end.
-func bindResolvers(dbs []geodb.Provider) []*resolver {
-	rs := make([]*resolver, len(dbs))
-	for i, db := range dbs {
-		r := resolverPool.Get().(*resolver)
-		r.bind(db)
-		rs[i] = r
-	}
-	return rs
 }

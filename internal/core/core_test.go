@@ -229,7 +229,7 @@ func TestSharedIncorrect(t *testing.T) {
 		{Addr: ipx.MustParseAddr("10.0.0.1"), Country: "FR"}, // all wrong, same answer
 		{Addr: ipx.MustParseAddr("10.0.0.2"), Country: "US"}, // all right
 	}
-	shared, wrong := SharedIncorrect(dbs, targets)
+	shared, wrong := SharedIncorrect(context.Background(), dbs, targets)
 	if shared != 1 {
 		t.Errorf("shared = %d", shared)
 	}

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"context"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
+
+	"routergeo/internal/geodb"
+	"routergeo/internal/ipx"
+	"routergeo/internal/obs"
 )
 
 // The parallel measurement engine. Every measurement in this package is
@@ -75,8 +81,7 @@ func workersFor(n int) int {
 func numBlocks(n, size int) int { return (n + size - 1) / size }
 
 // slot pads a per-worker partial to its own cache line, so workers
-// flushing block-local tallies into parts[wi] never false-share with
-// their neighbours.
+// tallying into parts[wi] never false-share with their neighbours.
 type slot[T any] struct {
 	v T
 	_ [64]byte
@@ -117,6 +122,87 @@ func runBlocks(n, size, workers int, process func(wi, bi, lo, hi int)) {
 		}(wi)
 	}
 	wg.Wait()
+}
+
+// sweep runs one measurement over items — addresses or targets — on
+// the block engine. It opens the stage's span and progress reporter,
+// offers the whole input once to every provider that prefetches, binds
+// one pooled resolver per (worker, provider), resolves each block in
+// every provider and then calls score with the worker's partial, its
+// pooled sample buffer, the block's index and [lo, hi) bounds, and the
+// resolvers: rs[i] answers dbs[i], and block position k is items[lo+k].
+// It returns the per-worker partials, for the caller to sum, and every
+// worker's samples concatenated.
+func sweep[T ipx.Addr | Target, P any](ctx context.Context, stage string, dbs []geodb.Provider, items []T,
+	score func(p *P, samples *[]float64, bi, lo, hi int, rs []*resolver)) ([]P, []float64) {
+	names := make([]string, len(dbs))
+	for i, db := range dbs {
+		names[i] = db.Name()
+	}
+	label := strings.Join(names, "/")
+	ctx, sp := obs.Start(ctx, stage)
+	defer sp.End()
+	sp.SetAttr("dbs", label)
+	sp.SetItems(int64(len(items)))
+	workers := workersFor(len(items))
+	sp.SetAttr("workers", workers)
+	prog := obs.NewProgress(stage+" "+label, int64(len(items)))
+	defer prog.Finish()
+
+	var addrs []ipx.Addr
+	var targets []Target
+	switch v := any(items).(type) {
+	case []ipx.Addr:
+		addrs = v
+	case []Target:
+		targets = v
+	}
+	// One up-front prefetch per provider for the whole input: a remote
+	// provider pipelines the full batch through its own worker pool
+	// instead of being serialized by per-block calls inside the workers.
+	// Target addresses are copied out only when some provider wants them.
+	for _, db := range dbs {
+		if p, ok := db.(Prefetcher); ok {
+			if addrs == nil {
+				addrs = make([]ipx.Addr, len(targets))
+				for i := range targets {
+					addrs[i] = targets[i].Addr
+				}
+			}
+			_ = p.Prefetch(ctx, addrs)
+		}
+	}
+
+	parts := make([]slot[P], workers)
+	res := make([][]*resolver, workers)
+	bufs := make([]*[]float64, workers)
+	runBlocks(len(items), blockSize, workers, func(wi, bi, lo, hi int) {
+		rs := res[wi]
+		if rs == nil {
+			rs = bindResolvers(dbs)
+			res[wi] = rs
+			sb := samplePool.Get().(*[]float64)
+			*sb = (*sb)[:0]
+			bufs[wi] = sb
+		}
+		for _, r := range rs {
+			if targets != nil {
+				r.resolveTargets(targets[lo:hi])
+			} else {
+				r.resolve(addrs[lo:hi])
+			}
+		}
+		score(&parts[wi].v, bufs[wi], bi, lo, hi, rs)
+		prog.Add(int64(hi - lo))
+	})
+	for _, rs := range res {
+		putResolvers(rs)
+	}
+	out := make([]P, workers)
+	for i := range parts {
+		out[i] = parts[i].v
+	}
+	return out, mergeSamples(bufs)
 }
 
 // Each runs fn(i) once for every i in [0, n) on the engine: size-1

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"routergeo/internal/geodb"
 	"routergeo/internal/groundtruth"
 	"routergeo/internal/ipx"
+	"routergeo/internal/obs"
 	"routergeo/internal/stats"
 )
 
@@ -135,7 +137,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	allS, totalS := CountryAgreementAll(ctx, providers, addrs)
 	pairS := MeasurePairwiseCity(ctx, dbA, dbB, addrs)
 	cityS := CityAnsweredInAll(ctx, providers, addrs)
-	sharedS, wrongS := SharedIncorrect(providers, targets)
+	sharedS, wrongS := SharedIncorrect(ctx, providers, targets)
 
 	// The fallback variant hides BatchIndexer behind a wrapper: both
 	// resolver paths must reproduce the same serial oracle.
@@ -202,7 +204,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 					}
 				}
 
-				sharedP, wrongP := SharedIncorrect(providers, targets)
+				sharedP, wrongP := SharedIncorrect(ctx, providers, targets)
 				if sharedP != sharedS {
 					t.Errorf("shared-incorrect: serial %d parallel %d", sharedS, sharedP)
 				}
@@ -213,6 +215,90 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// prefetchCounter hides a database's batch path, like noBatch, and
+// records every address list a sweep offers it through Prefetcher.
+type prefetchCounter struct {
+	noBatch
+	offered [][]ipx.Addr
+}
+
+func (p *prefetchCounter) Prefetch(_ context.Context, addrs []ipx.Addr) error {
+	p.offered = append(p.offered, slices.Clone(addrs))
+	return nil
+}
+
+// TestSweepContract holds every sweep to the same engine contract on a
+// multi-block, multi-worker schedule: one Prefetch per provider carrying
+// the whole input, and one child span under the caller's, named for the
+// sweep and counting the input.
+func TestSweepContract(t *testing.T) {
+	dbs := []*geodb.DB{synthDB(t, "a", 1), synthDB(t, "b", 2), synthDB(t, "c", 3)}
+	addrs, targets := synthInputs(3000)
+	targetAddrs := make([]ipx.Addr, len(targets))
+	for i, tg := range targets {
+		targetAddrs[i] = tg.Addr
+	}
+	for _, tc := range []struct {
+		stage string
+		dbs   int
+		input []ipx.Addr // what every provider must be offered
+		run   func(ctx context.Context, ps []geodb.Provider)
+	}{
+		{"core.coverage", 1, addrs, func(ctx context.Context, ps []geodb.Provider) {
+			MeasureCoverage(ctx, ps[0], addrs)
+		}},
+		{"core.accuracy", 1, targetAddrs, func(ctx context.Context, ps []geodb.Provider) {
+			MeasureAccuracy(ctx, ps[0], targets)
+		}},
+		{"core.shared_incorrect", 3, targetAddrs, func(ctx context.Context, ps []geodb.Provider) {
+			SharedIncorrect(ctx, ps, targets)
+		}},
+		{"core.country_agreement", 2, addrs, func(ctx context.Context, ps []geodb.Provider) {
+			CountryAgreement(ctx, ps[0], ps[1], addrs)
+		}},
+		{"core.country_agreement_all", 3, addrs, func(ctx context.Context, ps []geodb.Provider) {
+			CountryAgreementAll(ctx, ps, addrs)
+		}},
+		{"core.pairwise_city", 2, addrs, func(ctx context.Context, ps []geodb.Provider) {
+			MeasurePairwiseCity(ctx, ps[0], ps[1], addrs)
+		}},
+		{"core.city_answered_in_all", 3, addrs, func(ctx context.Context, ps []geodb.Provider) {
+			CityAnsweredInAll(ctx, ps, addrs)
+		}},
+	} {
+		t.Run(tc.stage, func(t *testing.T) {
+			forceParallel(t, 2)
+			counters := make([]*prefetchCounter, tc.dbs)
+			ps := make([]geodb.Provider, tc.dbs)
+			for i := range ps {
+				counters[i] = &prefetchCounter{noBatch: noBatch{dbs[i]}}
+				ps[i] = counters[i]
+			}
+			ctx, root := obs.Start(context.Background(), "caller")
+			tc.run(ctx, ps)
+			root.End()
+
+			for i, c := range counters {
+				if len(c.offered) != 1 {
+					t.Errorf("provider %d: %d Prefetch calls, want 1", i, len(c.offered))
+					continue
+				}
+				if !slices.Equal(c.offered[0], tc.input) {
+					t.Errorf("provider %d: prefetched %d addresses, want the %d-item input",
+						i, len(c.offered[0]), len(tc.input))
+				}
+			}
+			var spans []string
+			for _, c := range root.Snapshot().Children {
+				spans = append(spans, fmt.Sprintf("%s(items=%d)", c.Name, c.Items))
+			}
+			if want := fmt.Sprintf("%s(items=%d)", tc.stage, len(tc.input)); len(spans) != 1 || spans[0] != want {
+				t.Errorf("child spans %v, want [%s]", spans, want)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // loop per-position record views. Local databases resolve through
 // geodb.BatchIndexer — the sort-and-walk kernel plus an index into the
 // shared record table, no per-address record copies — and everything
-// else falls back to the provider's per-address lookup function.
+// else (a RemoteProvider) falls back to the provider's Lookup.
 // Resolvers are pooled: the buffers and the radix scratch survive
 // across blocks, workers and measurements, so steady-state sweeps
 // allocate nothing per block. Not safe for concurrent use; one
@@ -22,12 +22,12 @@ type resolver struct {
 	// batch path
 	batch geodb.BatchIndexer
 	recs  []geodb.Record
-	vecs  []geo.Vec3 // cached unit vectors per record, nil when unavailable
+	vecs  []geo.Vec3 // cached unit vector per record
 	idxs  []int32
 	sc    ipx.BatchScratch
 
 	// fallback path
-	lookup func(ipx.Addr) (geodb.Record, bool)
+	db     geodb.Provider
 	recbuf []geodb.Record
 	okbuf  []bool
 
@@ -36,42 +36,39 @@ type resolver struct {
 }
 
 // resolverPool recycles resolvers. Sites must Get inline and hand the
-// object back through putResolver; the poolescape lint rule keeps
+// object back through putResolvers; the poolescape lint rule keeps
 // pooled objects from outliving the sweep that got them.
 var resolverPool = sync.Pool{New: func() any { return new(resolver) }}
-
-// recordVeccer is the optional provider hook for a cached unit-vector
-// table parallel to Records() (geodb.DB implements it).
-type recordVeccer interface {
-	RecordVecs() []geo.Vec3
-}
 
 // bind points the resolver at db, choosing the batch or fallback path.
 func (r *resolver) bind(db geodb.Provider) {
 	if b, ok := db.(geodb.BatchIndexer); ok {
-		r.batch, r.recs, r.lookup = b, b.Records(), nil
-		if v, ok := db.(recordVeccer); ok {
-			r.vecs = v.RecordVecs()
-		}
+		r.batch, r.recs, r.vecs, r.db = b, b.Records(), b.RecordVecs(), nil
 		return
 	}
-	r.batch, r.recs, r.lookup = nil, nil, geodb.LookupFunc(db)
+	r.batch, r.recs, r.vecs, r.db = nil, nil, nil, db
 }
 
-// putResolver returns r to the pool, dropping the provider references
-// so a pooled resolver never pins a hot-swapped database's memory.
-func putResolver(r *resolver) {
-	if r == nil {
-		return
+// bindResolvers mints one worker's resolver per provider. The pool Gets
+// stay inline per the poolescape rule's pairing with putResolvers at
+// sweep end.
+func bindResolvers(dbs []geodb.Provider) []*resolver {
+	rs := make([]*resolver, len(dbs))
+	for i, db := range dbs {
+		r := resolverPool.Get().(*resolver)
+		r.bind(db)
+		rs[i] = r
 	}
-	r.batch, r.recs, r.vecs, r.lookup = nil, nil, nil, nil
-	resolverPool.Put(r)
+	return rs
 }
 
-// putResolvers returns every bound resolver of a per-worker table.
+// putResolvers returns one worker's resolvers to the pool, dropping the
+// provider references so a pooled resolver never pins a hot-swapped
+// database's memory.
 func putResolvers(rs []*resolver) {
 	for _, r := range rs {
-		putResolver(r)
+		r.batch, r.recs, r.vecs, r.db = nil, nil, nil, nil
+		resolverPool.Put(r)
 	}
 }
 
@@ -95,7 +92,7 @@ func (r *resolver) resolve(addrs []ipx.Addr) {
 	r.recbuf = grow(r.recbuf, n)
 	r.okbuf = grow(r.okbuf, n)
 	for i, a := range addrs {
-		r.recbuf[i], r.okbuf[i] = r.lookup(a)
+		r.recbuf[i], r.okbuf[i] = r.db.Lookup(a)
 	}
 }
 
@@ -138,19 +135,12 @@ func (r *resolver) vec(k int, rec *geodb.Record) geo.Vec3 {
 }
 
 // samplePool recycles per-worker ECDF sample buffers. Workers append
-// raw distance samples during a sweep; the merge step concatenates them
-// into the result CDF and puts the buffers back via putSamples.
+// raw distance samples during a sweep; mergeSamples concatenates them
+// into the result CDF and puts the buffers back.
 var samplePool = sync.Pool{New: func() any {
 	s := make([]float64, 0, 1<<14)
 	return &s
 }}
-
-// putSamples hands a sample buffer (possibly grown) back to the pool.
-func putSamples(s *[]float64) {
-	if s != nil {
-		samplePool.Put(s)
-	}
-}
 
 // mergeSamples concatenates per-worker sample buffers into one freshly
 // allocated slice (the one allocation that must escape into the result
@@ -166,7 +156,7 @@ func mergeSamples(bufs []*[]float64) []float64 {
 	for _, s := range bufs {
 		if s != nil {
 			out = append(out, *s...)
-			putSamples(s)
+			samplePool.Put(s)
 		}
 	}
 	return out

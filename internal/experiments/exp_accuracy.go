@@ -119,7 +119,7 @@ func runFig4(ctx context.Context, w io.Writer, env *Env) error {
 	for _, name := range regFed {
 		dbs = append(dbs, env.DB(name))
 	}
-	shared, wrong := core.SharedIncorrect(dbs, env.Targets)
+	shared, wrong := core.SharedIncorrect(ctx, dbs, env.Targets)
 	fmt.Fprintf(w, "\nShared incorrect country answers among %v: %d\n", regFed, shared)
 	for i, name := range regFed {
 		fmt.Fprintf(w, "  %-18s wrong on %5d, shared share %s (paper: 61–67%%)\n",

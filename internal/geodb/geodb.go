@@ -81,25 +81,6 @@ type Provider interface {
 	Lookup(a ipx.Addr) (Record, bool)
 }
 
-// Finderer is implemented by providers that can mint cheap per-goroutine
-// lookup functions. The returned function answers exactly like Lookup
-// but may carry single-goroutine state (a locality cache), so each
-// worker in a parallel sweep must call Finder for its own copy and never
-// share one across goroutines.
-type Finderer interface {
-	Finder() func(a ipx.Addr) (Record, bool)
-}
-
-// LookupFunc returns the cheapest per-goroutine lookup function db
-// offers: a private Finder when the provider mints them, the shared
-// Lookup method otherwise.
-func LookupFunc(db Provider) func(a ipx.Addr) (Record, bool) {
-	if f, ok := db.(Finderer); ok {
-		return f.Finder()
-	}
-	return db.Lookup
-}
-
 // BatchIndexer is implemented by providers whose record table is
 // resident in memory and whose lookups can be resolved in bulk. The
 // contract: out[i] after LookupIndexBatch is an index into Records()
@@ -112,6 +93,9 @@ type BatchIndexer interface {
 	// Records returns the shared record table; callers must treat it as
 	// read-only.
 	Records() []Record
+	// RecordVecs returns one unit-sphere vector per Records() entry for
+	// the distance kernel (geo.ArcKm); read-only like the table.
+	RecordVecs() []geo.Vec3
 	// LookupIndexBatch fills out[:len(addrs)] with record-table indices
 	// (-1 for a miss). s holds the reusable sort scratch; one scratch per
 	// goroutine, never shared concurrently.
@@ -173,24 +157,9 @@ func (d *DB) Lookup(a ipx.Addr) (Record, bool) {
 	return d.recs[i], true
 }
 
-// Finder implements Finderer: the returned function is a private
-// last-hit-caching view of the index for one goroutine.
-func (d *DB) Finder() func(a ipx.Addr) (Record, bool) {
-	f := d.idx.NewFinder()
-	recs := d.recs
-	return func(a ipx.Addr) (Record, bool) {
-		i, ok := f.Lookup(a)
-		if !ok {
-			return Record{}, false
-		}
-		return recs[i], true
-	}
-}
-
 // compile-time interface checks
 var (
 	_ Provider     = (*DB)(nil)
-	_ Finderer     = (*DB)(nil)
 	_ BatchIndexer = (*DB)(nil)
 )
 
@@ -198,12 +167,12 @@ var (
 // values index into. Read-only.
 func (d *DB) Records() []Record { return d.recs }
 
-// RecordVecs returns one unit-sphere vector per Records() entry,
-// computed lazily on first use and shared (read-only) thereafter. The
-// accuracy and consistency sweeps read it so per-pair great-circle
-// distances cost a dot product (geo.ArcKm) instead of per-pair
-// trigonometry. Only city records carry coordinates; every other entry
-// stays the zero vector and is never consulted.
+// RecordVecs implements BatchIndexer: one unit-sphere vector per
+// Records() entry, computed lazily on first use and shared (read-only)
+// thereafter. The accuracy and consistency sweeps read it so per-pair
+// great-circle distances cost a dot product (geo.ArcKm) instead of
+// per-pair trigonometry. Only city records carry coordinates; every
+// other entry stays the zero vector and is never consulted.
 func (d *DB) RecordVecs() []geo.Vec3 {
 	d.vecsOnce.Do(func() {
 		vs := make([]geo.Vec3, len(d.recs))

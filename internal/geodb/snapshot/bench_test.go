@@ -100,10 +100,9 @@ func benchLookups(b *testing.B, db *geodb.DB) {
 	for i := range queries {
 		queries[i] = lo + ipx.Addr(rng.Int63n(int64(hi-lo)))
 	}
-	find := db.Finder()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		find(queries[i%len(queries)])
+		db.Lookup(queries[i%len(queries)])
 	}
 }

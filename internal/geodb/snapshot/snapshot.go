@@ -7,7 +7,7 @@
 // loading is one read — a single mmap on linux, an io.ReadAll fallback
 // elsewhere — followed by O(records) table decoding and O(ranges)
 // integer validation. No per-range decoding happens; the mapped sections
-// ARE the slices the Finder probes, and lookups are bit-identical to the
+// ARE the slices lookups probe, and lookups are bit-identical to the
 // in-memory index the database was compiled from.
 //
 // Layout (all integers little-endian; every section 64-byte aligned):

@@ -127,14 +127,10 @@ func TestRoundTripProperty(t *testing.T) {
 		queries = append(queries, ipx.Addr(rng.Uint32()))
 	}
 
-	find := back.Finder()
 	for _, a := range queries {
 		want, wantOK := oracle.Lookup(a)
 		if got, ok := back.Lookup(a); ok != wantOK || got != want {
 			t.Fatalf("Lookup(%v) = %+v,%v; oracle %+v,%v", a, got, ok, want, wantOK)
-		}
-		if got, ok := find(a); ok != wantOK || got != want {
-			t.Fatalf("Finder(%v) = %+v,%v; oracle %+v,%v", a, got, ok, want, wantOK)
 		}
 	}
 }

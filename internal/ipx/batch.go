@@ -1,13 +1,13 @@
 package ipx
 
 // The batch lookup kernel. Sweeps probe hundreds of thousands of
-// addresses with no locality, which defeats both the Finder's last-hit
-// cache and the branch predictor inside find's binary search. FindBatch
-// instead sorts each block of addresses (an LSD radix sort over the
-// address bits, ~3x faster than a comparison sort here) and walks the
-// interval table once, monotonically, resolving every address against a
-// forward-moving cursor. Results scatter back to input positions, so
-// callers observe exactly the per-address Lookup answers in input order.
+// addresses with no locality, which defeats the branch predictor inside
+// find's binary search. FindBatch instead sorts each block of addresses
+// (an LSD radix sort over the address bits, ~3x faster than a
+// comparison sort here) and walks the interval table once,
+// monotonically, resolving every address against a forward-moving
+// cursor. Results scatter back to input positions, so callers observe
+// exactly the per-address Lookup answers in input order.
 
 // batchSegment is the largest number of addresses one sort-and-walk
 // segment handles: the radix keys pack the address in the top 32 bits
@@ -25,15 +25,14 @@ const (
 	radixMask   = radixSize - 1
 )
 
-// BatchScratch is the reusable working memory of FindBatch/LookupBatch:
-// the radix key buffers and counting tables. The zero value is ready to
-// use; buffers grow on demand and are retained across calls, so a
+// BatchScratch is the reusable working memory of FindBatch: the radix
+// key buffers and counting tables. The zero value is ready to use;
+// buffers grow on demand and are retained across calls, so a
 // per-worker scratch makes steady-state batch lookups allocation-free.
 // A BatchScratch must not be shared between concurrent calls.
 type BatchScratch struct {
 	keys []uint64
 	tmp  []uint64
-	idx  []int32
 	cnt  [radixPasses][radixSize]uint32
 }
 
@@ -158,31 +157,4 @@ func radixSortAddrKeys(keys, tmp []uint64, cnt *[radixPasses][radixSize]uint32) 
 		a, b = b, a
 	}
 	return a
-}
-
-// LookupBatch resolves many addresses at once: vals[i] and found[i]
-// receive what Lookup(addrs[i]) would return. Both outputs must have
-// len(addrs) room. See FindBatch for the kernel.
-func (x *FlatIndex[V]) LookupBatch(addrs []Addr, vals []V, found []bool, s *BatchScratch) {
-	if len(vals) < len(addrs) || len(found) < len(addrs) {
-		panic("ipx: LookupBatch output shorter than input")
-	}
-	out := growScratchIdx(s, len(addrs))
-	x.FindBatch(addrs, out, s)
-	var zero V
-	for i, r := range out {
-		if r >= 0 {
-			vals[i], found[i] = x.vals[r], true
-		} else {
-			vals[i], found[i] = zero, false
-		}
-	}
-}
-
-// idx is the interval-index buffer LookupBatch threads through
-// FindBatch; kept on the scratch so steady-state calls stay
-// allocation-free.
-func growScratchIdx(s *BatchScratch, n int) []int32 {
-	s.idx = grow(s.idx, n)
-	return s.idx[:n]
 }

@@ -33,16 +33,17 @@ func batchTestIndex(t testing.TB) *FlatIndex[uint32] {
 	return NewFlatIndex(m)
 }
 
-// checkBatchMatchesLookup pins LookupBatch to the per-address oracle.
+// checkBatchMatchesLookup pins FindBatch to the per-address oracle: the
+// interval it reports for each position must hold the value Lookup
+// returns, and a miss must be a Lookup miss.
 func checkBatchMatchesLookup(t *testing.T, x *FlatIndex[uint32], addrs []Addr, s *BatchScratch) {
 	t.Helper()
-	vals := make([]uint32, len(addrs))
-	found := make([]bool, len(addrs))
-	x.LookupBatch(addrs, vals, found, s)
+	out := make([]int32, len(addrs))
+	x.FindBatch(addrs, out, s)
 	for i, a := range addrs {
 		wantV, wantOK := x.Lookup(a)
-		if vals[i] != wantV || found[i] != wantOK {
-			t.Fatalf("LookupBatch[%d] (%v) = %v,%v want %v,%v", i, a, vals[i], found[i], wantV, wantOK)
+		if r := out[i]; (r >= 0) != wantOK || (wantOK && x.vals[r] != wantV) {
+			t.Fatalf("FindBatch[%d] (%v) = interval %d, want value %v,%v", i, a, r, wantV, wantOK)
 		}
 	}
 }
@@ -152,8 +153,7 @@ func BenchmarkLookupBatch(b *testing.B) {
 		random[i] = Addr(10<<24 | rng.Intn(900)<<8 | rng.Intn(256))
 		clustered[i] = Addr(10<<24 | (i/64)%700<<8 | i%256)
 	}
-	vals := make([]uint32, n)
-	found := make([]bool, n)
+	out := make([]int32, n)
 	for _, bc := range []struct {
 		name  string
 		addrs []Addr
@@ -161,7 +161,7 @@ func BenchmarkLookupBatch(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				x.LookupBatch(bc.addrs, vals, found, s)
+				x.FindBatch(bc.addrs, out, s)
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "addrs/s")
 		})

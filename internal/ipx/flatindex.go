@@ -7,8 +7,7 @@ import "fmt"
 // so a binary search touches only the 4-byte lower bounds, not whole
 // records), and a /16 jump table narrows every search to the handful of
 // intervals that can cover the address's top half. Lookup is safe for
-// concurrent use; for single-goroutine loops with address locality,
-// NewFinder returns an even cheaper accessor.
+// concurrent use; FindBatch resolves whole address blocks at once.
 type FlatIndex[V any] struct {
 	los  []Addr
 	his  []Addr
@@ -143,32 +142,4 @@ func (x *FlatIndex[V]) Lookup(a Addr) (V, bool) {
 	}
 	var zero V
 	return zero, false
-}
-
-// Finder is a single-goroutine accessor over a FlatIndex carrying a
-// last-hit cache: consecutive addresses in the same interval (traceroute
-// hops cluster in prefixes, sweeps walk address order) skip the search
-// entirely. Mint one per worker goroutine; the methods are NOT safe for
-// concurrent use. Finders sharing one FlatIndex are independent.
-type Finder[V any] struct {
-	idx  *FlatIndex[V]
-	last int // index of the last hit, -1 before any
-}
-
-// NewFinder returns a fresh Finder over x.
-func (x *FlatIndex[V]) NewFinder() *Finder[V] { return &Finder[V]{idx: x, last: -1} }
-
-// Lookup returns the value covering a, consulting the last-hit interval
-// before searching.
-func (f *Finder[V]) Lookup(a Addr) (V, bool) {
-	if l := f.last; l >= 0 && f.idx.los[l] <= a && a <= f.idx.his[l] {
-		return f.idx.vals[l], true
-	}
-	i, ok := f.idx.find(a)
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	f.last = i
-	return f.idx.vals[i], true
 }

@@ -38,16 +38,11 @@ func TestFlatIndexMatchesRangeMap(t *testing.T) {
 		if x.Len() != m.Len() {
 			t.Fatalf("n=%d: Len %d != %d", n, x.Len(), m.Len())
 		}
-		f := x.NewFinder()
 		probe := func(a Addr) {
 			wantV, wantOK := m.Lookup(a)
 			gotV, gotOK := x.Lookup(a)
 			if gotV != wantV || gotOK != wantOK {
 				t.Fatalf("n=%d: FlatIndex.Lookup(%v) = %v,%v want %v,%v", n, a, gotV, gotOK, wantV, wantOK)
-			}
-			fv, fok := f.Lookup(a)
-			if fv != wantV || fok != wantOK {
-				t.Fatalf("n=%d: Finder.Lookup(%v) = %v,%v want %v,%v", n, a, fv, fok, wantV, wantOK)
 			}
 		}
 		// Random probes plus every interval's boundary neighbourhood —
@@ -109,34 +104,6 @@ func TestFlatIndexBeforeBuildPanics(t *testing.T) {
 	NewFlatIndex(&RangeMap[int]{})
 }
 
-func TestFinderLocality(t *testing.T) {
-	m := &RangeMap[int]{}
-	m.AddPrefix(MustParsePrefix("10.0.0.0/24"), 1)
-	m.AddPrefix(MustParsePrefix("10.0.1.0/24"), 2)
-	m.MustBuild()
-	f := NewFlatIndex(m).NewFinder()
-	// A run inside one prefix, then a switch, then a miss, then back:
-	// the cache must never change an answer.
-	seq := []struct {
-		addr string
-		want int
-		ok   bool
-	}{
-		{"10.0.0.1", 1, true},
-		{"10.0.0.2", 1, true},
-		{"10.0.0.255", 1, true},
-		{"10.0.1.0", 2, true},
-		{"10.0.2.0", 0, false},
-		{"10.0.0.9", 1, true},
-	}
-	for _, s := range seq {
-		v, ok := f.Lookup(MustParseAddr(s.addr))
-		if v != s.want || ok != s.ok {
-			t.Errorf("Finder.Lookup(%s) = %d,%v want %d,%v", s.addr, v, ok, s.want, s.ok)
-		}
-	}
-}
-
 func BenchmarkRangeMapLookup(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	m := buildRandomMap(b, rng, 20000)
@@ -162,19 +129,5 @@ func BenchmarkFlatIndexLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Lookup(addrs[i%len(addrs)])
-	}
-}
-
-func BenchmarkFinderLookupClustered(b *testing.B) {
-	// Sequential /24 walks, the sweep access pattern the last-hit cache
-	// is built for.
-	rng := rand.New(rand.NewSource(3))
-	x := NewFlatIndex(buildRandomMap(b, rng, 20000))
-	f := x.NewFinder()
-	base := Addr(rng.Uint32())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Lookup(base + Addr(i&0xff))
 	}
 }

@@ -58,8 +58,8 @@ func FuzzParsePrefix(f *testing.F) {
 }
 
 // FuzzFlatIndexEquivalence decodes the fuzz input as a range set plus
-// probe addresses and checks that FlatIndex and Finder lookups agree
-// with RangeMap.Lookup on every probe. Overlapping draws are dropped
+// probe addresses and checks that FlatIndex.Lookup agrees with
+// RangeMap.Lookup on every probe. Overlapping draws are dropped
 // rather than rejected so almost any input exercises the index.
 func FuzzFlatIndexEquivalence(f *testing.F) {
 	f.Add([]byte{})
@@ -91,14 +91,10 @@ func FuzzFlatIndexEquivalence(f *testing.F) {
 			t.Fatalf("disjoint construction still overlapped: %v", err)
 		}
 		x := NewFlatIndex(m)
-		fd := x.NewFinder()
 		check := func(a Addr) {
 			wantV, wantOK := m.Lookup(a)
 			if gotV, gotOK := x.Lookup(a); gotV != wantV || gotOK != wantOK {
 				t.Fatalf("FlatIndex.Lookup(%v) = %v,%v want %v,%v", a, gotV, gotOK, wantV, wantOK)
-			}
-			if gotV, gotOK := fd.Lookup(a); gotV != wantV || gotOK != wantOK {
-				t.Fatalf("Finder.Lookup(%v) = %v,%v want %v,%v", a, gotV, gotOK, wantV, wantOK)
 			}
 		}
 		// Remaining bytes are probes; boundaries of every range too.
@@ -115,11 +111,11 @@ func FuzzFlatIndexEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzLookupBatchEquivalence decodes the input as a range set plus a
+// FuzzFindBatchEquivalence decodes the input as a range set plus a
 // probe list (any order, duplicates and misses included) and checks the
-// sort-then-walk LookupBatch kernel answers exactly like per-address
+// sort-then-walk FindBatch kernel answers exactly like per-address
 // Lookup at every position.
-func FuzzLookupBatchEquivalence(f *testing.F) {
+func FuzzFindBatchEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{10, 0, 0, 0, 10, 0, 255, 255, 10, 0, 0, 5, 9, 255, 255, 255})
 	f.Add([]byte{
@@ -157,14 +153,6 @@ func FuzzLookupBatchEquivalence(f *testing.F) {
 			addrs = append(addrs, r.Lo, r.Hi, r.Lo-1, r.Hi+1)
 			return true
 		})
-		vals := make([]uint32, len(addrs))
-		found := make([]bool, len(addrs))
-		x.LookupBatch(addrs, vals, found, &BatchScratch{})
-		for k, a := range addrs {
-			wantV, wantOK := x.Lookup(a)
-			if vals[k] != wantV || found[k] != wantOK {
-				t.Fatalf("LookupBatch[%d] (%v) = %v,%v want %v,%v", k, a, vals[k], found[k], wantV, wantOK)
-			}
-		}
+		checkBatchMatchesLookup(t, x, addrs, &BatchScratch{})
 	})
 }

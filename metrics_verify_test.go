@@ -80,11 +80,16 @@ func TestMetricsVerifyExposition(t *testing.T) {
 
 	// The kernel picks the port; the "listening on" line is how callers
 	// learn it. Keep draining stderr afterwards so the process never
-	// blocks on the pipe and the shutdown banner is captured.
+	// blocks on the pipe and the shutdown banner is captured. cmd.Wait
+	// closes the pipe once the process exits, so it must not run before
+	// the scanner has read to EOF (stderrDone), or the last lines — the
+	// banner among them — can be lost.
 	var stderrBuf bytes.Buffer
 	var stderrMu sync.Mutex
 	addrCh := make(chan string, 1)
+	stderrDone := make(chan struct{})
 	go func() {
+		defer close(stderrDone)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -196,7 +201,10 @@ func TestMetricsVerifyExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	go func() {
+		<-stderrDone
+		done <- cmd.Wait()
+	}()
 	select {
 	case err := <-done:
 		exited = true
