@@ -28,14 +28,17 @@ var (
 	benchErr  error
 )
 
-func benchEnvironment(b *testing.B) *experiments.Env {
-	b.Helper()
+// benchEnvironment builds the default (seed 1) environment once per
+// test binary; the artifact benchmarks and the golden-output test share
+// it.
+func benchEnvironment(tb testing.TB) *experiments.Env {
+	tb.Helper()
 	benchOnce.Do(func() {
 		cfg := experiments.DefaultConfig()
 		benchEnv, benchErr = experiments.NewEnv(context.Background(), cfg)
 	})
 	if benchErr != nil {
-		b.Fatal(benchErr)
+		tb.Fatal(benchErr)
 	}
 	return benchEnv
 }

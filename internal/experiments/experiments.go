@@ -93,7 +93,7 @@ func RunAll(ctx context.Context, w io.Writer, env *Env) error {
 		errs[i] = RunOne(ctx, exps[i], &bufs[i], env)
 	})
 	for i, e := range exps {
-		fmt.Fprintf(w, "\n================ %s — %s ================\n", e.ID, e.Title)
+		Banner(w, e)
 		if _, err := w.Write(bufs[i].Bytes()); err != nil {
 			return err
 		}
@@ -102,6 +102,12 @@ func RunAll(ctx context.Context, w io.Writer, env *Env) error {
 		}
 	}
 	return nil
+}
+
+// Banner writes the header line that introduces one artifact in a
+// run's output stream.
+func Banner(w io.Writer, e Experiment) {
+	fmt.Fprintf(w, "\n================ %s — %s ================\n", e.ID, e.Title)
 }
 
 // cdfPoints are the distance probes (km) the textual CDFs print at,
