@@ -90,6 +90,10 @@ func TestMeasureAccuracy(t *testing.T) {
 	if a.ErrorCDF.N() != 2 {
 		t.Errorf("CDF samples = %d", a.ErrorCDF.N())
 	}
+	// Callers query the CDF without a nil check, even over no targets.
+	if e := MeasureAccuracy(context.Background(), db, nil); e.Total != 0 || e.ErrorCDF == nil || e.ErrorCDF.N() != 0 {
+		t.Errorf("empty input = %+v", e)
+	}
 }
 
 func TestAccuracyBreakdowns(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,7 +92,7 @@ type slot[T any] struct {
 // waits for all of them. workers == 1 visits the blocks in index order
 // on the caller's goroutine; otherwise workers goroutines claim blocks
 // off an atomic cursor. process receives the claiming worker's index wi
-// (for per-worker state: resolvers, sample buffers), the block index bi
+// (for per-worker state: resolvers, partials), the block index bi
 // (for order-sensitive merges) and the block's [lo, hi) bounds.
 //
 //geolint:hotpath
@@ -128,13 +129,14 @@ func runBlocks(n, size, workers int, process func(wi, bi, lo, hi int)) {
 // the block engine. It opens the stage's span and progress reporter,
 // offers the whole input once to every provider that prefetches, binds
 // one pooled resolver per (worker, provider), resolves each block in
-// every provider and then calls score with the worker's partial, its
-// pooled sample buffer, the block's index and [lo, hi) bounds, and the
-// resolvers: rs[i] answers dbs[i], and block position k is items[lo+k].
-// It returns the per-worker partials, for the caller to sum, and every
-// worker's samples concatenated.
+// every provider and then calls score with the worker's partial, the
+// block's index and [lo, hi) bounds, and the resolvers: rs[i] answers
+// dbs[i], and block position k is items[lo+k]. It returns the
+// per-worker partials, for the caller to sum; a partial owns whatever
+// it collected, distance samples included, and a worker that claimed
+// no block leaves its partial zero.
 func sweep[T ipx.Addr | Target, P any](ctx context.Context, stage string, dbs []geodb.Provider, items []T,
-	score func(p *P, samples *[]float64, bi, lo, hi int, rs []*resolver)) ([]P, []float64) {
+	score func(p *P, bi, lo, hi int, rs []*resolver)) []P {
 	names := make([]string, len(dbs))
 	for i, db := range dbs {
 		names[i] = db.Name()
@@ -175,15 +177,11 @@ func sweep[T ipx.Addr | Target, P any](ctx context.Context, stage string, dbs []
 
 	parts := make([]slot[P], workers)
 	res := make([][]*resolver, workers)
-	bufs := make([]*[]float64, workers)
 	runBlocks(len(items), blockSize, workers, func(wi, bi, lo, hi int) {
 		rs := res[wi]
 		if rs == nil {
 			rs = bindResolvers(dbs)
 			res[wi] = rs
-			sb := samplePool.Get().(*[]float64)
-			*sb = (*sb)[:0]
-			bufs[wi] = sb
 		}
 		for _, r := range rs {
 			if targets != nil {
@@ -192,7 +190,7 @@ func sweep[T ipx.Addr | Target, P any](ctx context.Context, stage string, dbs []
 				r.resolve(addrs[lo:hi])
 			}
 		}
-		score(&parts[wi].v, bufs[wi], bi, lo, hi, rs)
+		score(&parts[wi].v, bi, lo, hi, rs)
 		prog.Add(int64(hi - lo))
 	})
 	for _, rs := range res {
@@ -202,7 +200,16 @@ func sweep[T ipx.Addr | Target, P any](ctx context.Context, stage string, dbs []
 	for i := range parts {
 		out[i] = parts[i].v
 	}
-	return out, mergeSamples(bufs)
+	return out
+}
+
+// joinSamples joins per-worker sample slices into one CDF backing
+// array. A one-worker sweep's slice is adopted without a copy.
+func joinSamples(parts [][]float64) []float64 {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	return slices.Concat(parts...)
 }
 
 // Each runs fn(i) once for every i in [0, n) on the engine: size-1

@@ -118,6 +118,37 @@ func samePoints(t *testing.T, label string, want, got *stats.ECDF) {
 	}
 }
 
+// perGroup scores each group of targets with its own MeasureAccuracy
+// call: the definition the grouped wrappers' one-pass scorer must
+// reproduce.
+func perGroup[K comparable](ctx context.Context, db geodb.Provider, targets []Target, key func(Target) K) map[K]Accuracy {
+	grouped := map[K][]Target{}
+	for _, t := range targets {
+		grouped[key(t)] = append(grouped[key(t)], t)
+	}
+	out := make(map[K]Accuracy, len(grouped))
+	for k, ts := range grouped {
+		out[k] = MeasureAccuracy(ctx, db, ts)
+	}
+	return out
+}
+
+// sameGroups checks a grouped breakdown group by group against its
+// per-group oracle.
+func sameGroups[K comparable](t *testing.T, label string, want, got map[K]Accuracy) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d groups, want %d", label, len(got), len(want))
+	}
+	for k, w := range want {
+		g, ok := got[k]
+		if !ok {
+			t.Fatalf("%s: group %v missing", label, k)
+		}
+		sameAccuracy(t, fmt.Sprintf("%s[%v]", label, k), w, g)
+	}
+}
+
 func TestParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	dbA := synthDB(t, "a", 1)
@@ -126,13 +157,19 @@ func TestParallelMatchesSerial(t *testing.T) {
 	providers := []geodb.Provider{dbA, dbB, dbC}
 	addrs, targets := synthInputs(5000)
 
-	// Serial oracle first.
+	// Serial oracle first. The grouped wrappers score every group in one
+	// sweep; their oracle is the per-group definition, MeasureAccuracy
+	// over each group's targets alone, and they must match it at one
+	// worker and at several.
 	SetParallelism(1)
 	covS := MeasureCoverage(ctx, dbA, addrs)
 	accS := MeasureAccuracy(ctx, dbA, targets)
-	byRIRS := AccuracyByRIR(ctx, dbA, targets)
-	byCCS := AccuracyByCountry(ctx, dbA, targets)
-	byMS := AccuracyByMethod(ctx, dbA, targets)
+	byRIRS := perGroup(ctx, dbA, targets, func(t Target) geo.RIR { return t.RIR })
+	byCCS := perGroup(ctx, dbA, targets, func(t Target) string { return t.Country })
+	byMS := perGroup(ctx, dbA, targets, func(t Target) groundtruth.Method { return t.Method })
+	sameGroups(t, "byRIR serial", byRIRS, AccuracyByRIR(ctx, dbA, targets))
+	sameGroups(t, "byCountry serial", byCCS, AccuracyByCountry(ctx, dbA, targets))
+	sameGroups(t, "byMethod serial", byMS, AccuracyByMethod(ctx, dbA, targets))
 	agreeS, bothS := CountryAgreement(ctx, dbA, dbB, addrs)
 	allS, totalS := CountryAgreementAll(ctx, providers, addrs)
 	pairS := MeasurePairwiseCity(ctx, dbA, dbB, addrs)
@@ -162,24 +199,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}
 				sameAccuracy(t, "accuracy", accS, MeasureAccuracy(ctx, dbA, targets))
 
-				byRIRP := AccuracyByRIR(ctx, dbA, targets)
-				if len(byRIRP) != len(byRIRS) {
-					t.Fatalf("byRIR sizes: %d vs %d", len(byRIRS), len(byRIRP))
-				}
-				for k, want := range byRIRS {
-					sameAccuracy(t, "byRIR["+k.String()+"]", want, byRIRP[k])
-				}
-				byCCP := AccuracyByCountry(ctx, dbA, targets)
-				if len(byCCP) != len(byCCS) {
-					t.Fatalf("byCountry sizes: %d vs %d", len(byCCS), len(byCCP))
-				}
-				for k, want := range byCCS {
-					sameAccuracy(t, "byCountry["+k+"]", want, byCCP[k])
-				}
-				byMP := AccuracyByMethod(ctx, dbA, targets)
-				for k, want := range byMS {
-					sameAccuracy(t, "byMethod", want, byMP[k])
-				}
+				sameGroups(t, "byRIR", byRIRS, AccuracyByRIR(ctx, dbA, targets))
+				sameGroups(t, "byCountry", byCCS, AccuracyByCountry(ctx, dbA, targets))
+				sameGroups(t, "byMethod", byMS, AccuracyByMethod(ctx, dbA, targets))
 
 				if agreeP, bothP := CountryAgreement(ctx, dbA, dbB, addrs); agreeP != agreeS || bothP != bothS {
 					t.Errorf("agreement: serial %d/%d parallel %d/%d", agreeS, bothS, agreeP, bothP)
@@ -233,7 +255,8 @@ func (p *prefetchCounter) Prefetch(_ context.Context, addrs []ipx.Addr) error {
 // TestSweepContract holds every sweep to the same engine contract on a
 // multi-block, multi-worker schedule: one Prefetch per provider carrying
 // the whole input, and one child span under the caller's, named for the
-// sweep and counting the input.
+// sweep and counting the input. The grouped accuracy wrappers are held
+// to it too: one sweep per call, however many groups.
 func TestSweepContract(t *testing.T) {
 	dbs := []*geodb.DB{synthDB(t, "a", 1), synthDB(t, "b", 2), synthDB(t, "c", 3)}
 	addrs, targets := synthInputs(3000)
@@ -242,34 +265,48 @@ func TestSweepContract(t *testing.T) {
 		targetAddrs[i] = tg.Addr
 	}
 	for _, tc := range []struct {
+		name  string // the subtest's name when it is not the stage's
 		stage string
 		dbs   int
 		input []ipx.Addr // what every provider must be offered
 		run   func(ctx context.Context, ps []geodb.Provider)
 	}{
-		{"core.coverage", 1, addrs, func(ctx context.Context, ps []geodb.Provider) {
+		{"", "core.coverage", 1, addrs, func(ctx context.Context, ps []geodb.Provider) {
 			MeasureCoverage(ctx, ps[0], addrs)
 		}},
-		{"core.accuracy", 1, targetAddrs, func(ctx context.Context, ps []geodb.Provider) {
+		{"", "core.accuracy", 1, targetAddrs, func(ctx context.Context, ps []geodb.Provider) {
 			MeasureAccuracy(ctx, ps[0], targets)
 		}},
-		{"core.shared_incorrect", 3, targetAddrs, func(ctx context.Context, ps []geodb.Provider) {
+		{"AccuracyByRIR", "core.accuracy", 1, targetAddrs, func(ctx context.Context, ps []geodb.Provider) {
+			AccuracyByRIR(ctx, ps[0], targets)
+		}},
+		{"AccuracyByCountry", "core.accuracy", 1, targetAddrs, func(ctx context.Context, ps []geodb.Provider) {
+			AccuracyByCountry(ctx, ps[0], targets)
+		}},
+		{"AccuracyByMethod", "core.accuracy", 1, targetAddrs, func(ctx context.Context, ps []geodb.Provider) {
+			AccuracyByMethod(ctx, ps[0], targets)
+		}},
+		{"", "core.shared_incorrect", 3, targetAddrs, func(ctx context.Context, ps []geodb.Provider) {
 			SharedIncorrect(ctx, ps, targets)
 		}},
-		{"core.country_agreement", 2, addrs, func(ctx context.Context, ps []geodb.Provider) {
+		{"", "core.country_agreement", 2, addrs, func(ctx context.Context, ps []geodb.Provider) {
 			CountryAgreement(ctx, ps[0], ps[1], addrs)
 		}},
-		{"core.country_agreement_all", 3, addrs, func(ctx context.Context, ps []geodb.Provider) {
+		{"", "core.country_agreement_all", 3, addrs, func(ctx context.Context, ps []geodb.Provider) {
 			CountryAgreementAll(ctx, ps, addrs)
 		}},
-		{"core.pairwise_city", 2, addrs, func(ctx context.Context, ps []geodb.Provider) {
+		{"", "core.pairwise_city", 2, addrs, func(ctx context.Context, ps []geodb.Provider) {
 			MeasurePairwiseCity(ctx, ps[0], ps[1], addrs)
 		}},
-		{"core.city_answered_in_all", 3, addrs, func(ctx context.Context, ps []geodb.Provider) {
+		{"", "core.city_answered_in_all", 3, addrs, func(ctx context.Context, ps []geodb.Provider) {
 			CityAnsweredInAll(ctx, ps, addrs)
 		}},
 	} {
-		t.Run(tc.stage, func(t *testing.T) {
+		name := tc.name
+		if name == "" {
+			name = tc.stage
+		}
+		t.Run(name, func(t *testing.T) {
 			forceParallel(t, 2)
 			counters := make([]*prefetchCounter, tc.dbs)
 			ps := make([]geodb.Provider, tc.dbs)

@@ -133,31 +133,3 @@ func (r *resolver) vec(k int, rec *geodb.Record) geo.Vec3 {
 	}
 	return rec.Coord.Vec()
 }
-
-// samplePool recycles per-worker ECDF sample buffers. Workers append
-// raw distance samples during a sweep; mergeSamples concatenates them
-// into the result CDF and puts the buffers back.
-var samplePool = sync.Pool{New: func() any {
-	s := make([]float64, 0, 1<<14)
-	return &s
-}}
-
-// mergeSamples concatenates per-worker sample buffers into one freshly
-// allocated slice (the one allocation that must escape into the result
-// CDF) and recycles the buffers.
-func mergeSamples(bufs []*[]float64) []float64 {
-	total := 0
-	for _, s := range bufs {
-		if s != nil {
-			total += len(*s)
-		}
-	}
-	out := make([]float64, 0, total)
-	for _, s := range bufs {
-		if s != nil {
-			out = append(out, *s...)
-			samplePool.Put(s)
-		}
-	}
-	return out
-}
