@@ -81,29 +81,6 @@ func TestFromSamples(t *testing.T) {
 	}
 }
 
-// BenchmarkECDFMerge locks in the per-worker-CDF fold the accuracy
-// sweep pays: merging unsorted worker sample buffers into one queryable
-// CDF.
-func BenchmarkECDFMerge(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const workers, per = 8, 16_384
-	parts := make([]*ECDF, workers)
-	for i := range parts {
-		xs := make([]float64, per)
-		for j := range xs {
-			xs[j] = rng.Float64() * 20_000
-		}
-		parts[i] = FromSamples(xs)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := Merge(parts...)
-		_ = m.Quantile(0.9)
-	}
-	b.ReportMetric(float64(workers*per)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-}
-
 // BenchmarkECDFSort locks in the lazy query-time sort at sweep size.
 func BenchmarkECDFSort(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))

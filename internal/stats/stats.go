@@ -17,9 +17,9 @@ type ECDF struct {
 	sorted bool
 }
 
-// FromSamples adopts xs — typically the unsorted concatenation of
-// per-worker sample buffers from a parallel sweep — as the ECDF's
-// backing array without copying. The caller must not use xs afterwards.
+// FromSamples adopts xs — typically a sweep's unsorted distance
+// samples, joined across its workers — as the ECDF's backing array
+// without copying. The caller must not use xs afterwards.
 // Queries sort lazily, exactly as if every sample had been Added.
 func FromSamples(xs []float64) *ECDF { return &ECDF{xs: xs} }
 
@@ -80,24 +80,6 @@ func (e *ECDF) Max() float64 {
 	}
 	e.ensure()
 	return e.xs[len(e.xs)-1]
-}
-
-// Merge combines CDFs into one. The inputs need not be sorted and are
-// not modified: the samples are concatenated and sorted in a single
-// pass (the radix sort makes that cheaper than the k-way merge of
-// per-input sorts it replaces). Merge of no inputs returns an empty
-// CDF.
-func Merge(cdfs ...*ECDF) *ECDF {
-	total := 0
-	for _, c := range cdfs {
-		total += len(c.xs)
-	}
-	out := make([]float64, 0, total)
-	for _, c := range cdfs {
-		out = append(out, c.xs...)
-	}
-	sortFloats(out)
-	return &ECDF{xs: out, sorted: true}
 }
 
 // Points returns the sorted samples. Plot exporters turn them into

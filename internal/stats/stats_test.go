@@ -146,56 +146,3 @@ func TestEmptyCDFQuantileMessage(t *testing.T) {
 	}()
 	e.Quantile(0.5)
 }
-
-func TestMerge(t *testing.T) {
-	a := &ECDF{}
-	a.AddAll([]float64{5, 1, 9})
-	b := &ECDF{}
-	b.AddAll([]float64{2, 2, 8})
-	c := &ECDF{} // empty partial: a worker whose chunk had no city answers
-	m := Merge(a, b, c)
-	want := []float64{1, 2, 2, 5, 8, 9}
-	got := m.Points()
-	if len(got) != len(want) {
-		t.Fatalf("Merge yields %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Merge yields %v, want %v", got, want)
-		}
-	}
-	if m.N() != 6 || m.Max() != 9 || m.Median() != 2 {
-		t.Errorf("merged queries: N=%d Max=%v Median=%v", m.N(), m.Max(), m.Median())
-	}
-}
-
-func TestMergeMatchesAddAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	parts := make([]*ECDF, 7)
-	var serial ECDF
-	for i := range parts {
-		parts[i] = &ECDF{}
-		for j := 0; j < rng.Intn(50); j++ {
-			x := rng.Float64() * 1000
-			parts[i].Add(x)
-			serial.Add(x)
-		}
-	}
-	merged := Merge(parts...)
-	ws, gs := serial.Points(), merged.Points()
-	if len(ws) != len(gs) {
-		t.Fatalf("Merge has %d samples, serial %d", len(gs), len(ws))
-	}
-	for i := range ws {
-		if ws[i] != gs[i] {
-			t.Fatalf("points diverge at %d: %v vs %v", i, gs[i], ws[i])
-		}
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	m := Merge()
-	if m.N() != 0 || m.FractionAtOrBelow(10) != 0 {
-		t.Errorf("Merge() = %d samples", m.N())
-	}
-}
