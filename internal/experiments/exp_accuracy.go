@@ -128,8 +128,12 @@ func runFig4(ctx context.Context, w io.Writer, env *Env) error {
 	return nil
 }
 
+// fig5DBs are the databases Figure 5's two panels break down by
+// region; the printed figure and its -plotdir series both read them.
+var fig5DBs = []string{"MaxMind-Paid", "NetAcuity"}
+
 func runFig5(ctx context.Context, w io.Writer, env *Env) error {
-	for _, name := range []string{"MaxMind-Paid", "NetAcuity"} {
+	for _, name := range fig5DBs {
 		db := env.DB(name)
 		overall := core.MeasureAccuracy(ctx, db, env.Targets)
 		fmt.Fprintf(w, "%s — city answers for %s of ground truth (paper: 41.29%% / 99.6%%):\n",

@@ -71,17 +71,20 @@ func runSec51(ctx context.Context, w io.Writer, env *Env) error {
 	return nil
 }
 
+// fig1Pairs are the database pairs Figure 1 compares, in print order;
+// the printed figure and its -plotdir series both read them.
+var fig1Pairs = [][2]string{
+	{"MaxMind-GeoLite", "MaxMind-Paid"},
+	{"IP2Location-Lite", "NetAcuity"},
+	{"MaxMind-Paid", "NetAcuity"},
+	{"IP2Location-Lite", "MaxMind-Paid"},
+}
+
 func runFig1(ctx context.Context, w io.Writer, env *Env) error {
 	subset := core.CityAnsweredInAll(ctx, env.Providers(), env.ArkAddrs)
 	fmt.Fprintf(w, "Addresses with city answers in all four databases: %d (paper: ~692K of 1.64M)\n\n", len(subset))
 
-	pairs := [][2]string{
-		{"MaxMind-GeoLite", "MaxMind-Paid"},
-		{"IP2Location-Lite", "NetAcuity"},
-		{"MaxMind-Paid", "NetAcuity"},
-		{"IP2Location-Lite", "MaxMind-Paid"},
-	}
-	for _, pair := range pairs {
+	for _, pair := range fig1Pairs {
 		p := core.MeasurePairwiseCity(ctx, env.DB(pair[0]), env.DB(pair[1]), subset)
 		fmt.Fprintf(w, "%s vs %s (n=%d):\n", pair[0], pair[1], p.Both)
 		fmt.Fprintf(w, "  identical coordinates: %d (%s)   >40 km apart: %d (%s)\n",

@@ -32,13 +32,7 @@ func WritePlotData(ctx context.Context, dir string, env *Env) error {
 
 	// Figure 1.
 	subset := core.CityAnsweredInAll(ctx, env.Providers(), env.ArkAddrs)
-	pairs := [][2]string{
-		{"MaxMind-GeoLite", "MaxMind-Paid"},
-		{"IP2Location-Lite", "NetAcuity"},
-		{"MaxMind-Paid", "NetAcuity"},
-		{"IP2Location-Lite", "MaxMind-Paid"},
-	}
-	for _, pair := range pairs {
+	for _, pair := range fig1Pairs {
 		p := core.MeasurePairwiseCity(ctx, env.DB(pair[0]), env.DB(pair[1]), subset)
 		name := fmt.Sprintf("fig1_%s_vs_%s.tsv", slug(pair[0]), slug(pair[1]))
 		header := fmt.Sprintf("# pairwise distance CDF; n=%d compared, %d identical pairs excluded",
@@ -113,7 +107,7 @@ func WritePlotData(ctx context.Context, dir string, env *Env) error {
 	}
 
 	// Figure 5 (both panels, all regions).
-	for _, name := range []string{"MaxMind-Paid", "NetAcuity"} {
+	for _, name := range fig5DBs {
 		byRIR := core.AccuracyByRIR(ctx, env.DB(name), env.Targets)
 		for _, r := range geo.RIRs {
 			a := byRIR[r]
