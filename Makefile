@@ -160,10 +160,10 @@ fuzz-formats:
 	$(GO) test -run ^$$ -fuzz FuzzDecode -fuzztime 10s ./internal/geodb/snapshot/
 	$(GO) test -run ^$$ -fuzz FuzzRead -fuzztime 10s ./internal/geodb/dbcsv/
 
-# profile captures pprof profiles of a real sweep — the §4/§5.1
-# consistency passes and the §5.2.1 accuracy sweep, the three loops the
-# parallel engine carries — rather than a microbenchmark: CPU over the
-# whole run, heap at exit. Inspect with `go tool pprof cpu.pprof`
-# (`top`, `list`, `web`).
+# profile captures pprof profiles of a whole default run: the
+# environment build (world, Ark sweep, Atlas fleets, ground truth and
+# vendor databases, about 99% of the CPU) and every paper artifact.
+# CPU covers the whole run, heap is sampled at exit. Inspect with
+# `go tool pprof cpu.pprof` (`top`, `list`, `web`).
 profile:
-	$(GO) run ./cmd/routergeo -run sec4,sec51,sec521 -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/routergeo -cpuprofile cpu.pprof -memprofile mem.pprof
