@@ -6,8 +6,8 @@ import (
 )
 
 // poolEscapePkgs are the packages whose hot paths recycle state through
-// sync.Pool: the measurement engine's per-worker resolvers and sample
-// buffers, and the server's pooled request state.
+// sync.Pool: the measurement engine's per-worker resolvers and the
+// server's pooled request state.
 var poolEscapePkgs = []string{
 	"routergeo/internal/core",
 	"routergeo/internal/geodb/httpapi",
@@ -17,8 +17,8 @@ var poolEscapePkgs = []string{
 // that got them.
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
-	Doc: "An object obtained from a sync.Pool (internal/core's resolvers and " +
-		"sample buffers, httpapi's request state) must not outlive the " +
+	Doc: "An object obtained from a sync.Pool (internal/core's resolvers, " +
+		"httpapi's request state) must not outlive the " +
 		"handler or sweep that called Get: returning it (or a field of it), " +
 		"sending it on a channel, or storing it into a struct field or " +
 		"package variable lets it be read after the next Get reuses the " +
