@@ -1,10 +1,11 @@
 package routergeo
 
-// Golden outputs: the bytes a seed-1 run must keep. testdata/golden
-// holds routergeo's stdout for -ext and -longitudinal, and the SHA-256
-// of the four .rgsnap exports and of one /v2/lookup response body. A
-// change that alters any of them fails here with the first differing
-// line; a change meant to alter them rewrites the files with
+// Golden outputs: the bytes a default run must keep. testdata/golden
+// holds routergeo's seed-1 stdout for -ext and -longitudinal, the
+// SHA-256 of the four seed-1 .rgsnap exports and of one /v2/lookup
+// response body, and the seed-7 stdout for -ext. A change that alters
+// any of them fails here with the first differing line; a change meant
+// to alter them rewrites the files with
 //
 //	go test -run TestGolden . -update
 //
@@ -71,17 +72,7 @@ func TestGolden(t *testing.T) {
 	ctx := context.Background()
 
 	// routergeo -seed 1 -ext
-	var ext bytes.Buffer
-	if err := experiments.RunAll(ctx, &ext, env); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range experiments.Extensions() {
-		experiments.Banner(&ext, e)
-		if err := experiments.RunOne(ctx, e, &ext, env); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkGolden(t, "seed1-ext.txt", ext.Bytes())
+	checkGolden(t, "seed1-ext.txt", extOutput(t, env))
 
 	// routergeo -seed 1 -longitudinal, at its default epochs and interval.
 	var long bytes.Buffer
@@ -125,6 +116,33 @@ func TestGolden(t *testing.T) {
 	}
 	fmt.Fprintf(&sums, "%x  v2-lookup.json\n", sha256.Sum256(rec.Body.Bytes()))
 	checkGolden(t, "seed1.sha256", sums.Bytes())
+
+	// routergeo -seed 7 -ext, on a second default Env.
+	cfg := experiments.DefaultConfig()
+	cfg.World.Seed = 7
+	env7, err := experiments.NewEnv(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "seed7-ext.txt", extOutput(t, env7))
+}
+
+// extOutput returns what routergeo -ext prints for env: every paper
+// artifact, then every extension under its banner.
+func extOutput(t *testing.T, env *experiments.Env) []byte {
+	t.Helper()
+	ctx := context.Background()
+	var out bytes.Buffer
+	if err := experiments.RunAll(ctx, &out, env); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range experiments.Extensions() {
+		experiments.Banner(&out, e)
+		if err := experiments.RunOne(ctx, e, &out, env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out.Bytes()
 }
 
 // checkGolden compares got with the named golden file, reporting the
