@@ -144,15 +144,9 @@ func Deploy(w *netsim.World, cfg Config) *Fleet {
 		if datacenter {
 			// Facility-hosted probe: racked next to a transit router, with a
 			// LAN-grade access link. Relocate the probe's true position to
-			// the facility.
-			if r, ok := w.NearestRouterFunc(trueCoord, func(id netsim.RouterID) bool {
-				rt := &w.Routers[id]
-				as := &w.ASes[rt.AS]
-				c := as.PoPs[rt.PoP].City
-				// Facilities are metro-local: only rack the probe if its own
-				// city has a transit PoP, else it stays residential.
-				return as.Transit && c.Country == city.Country && c.Name == city.Name
-			}); ok {
+			// the facility. Facilities are metro-local: only rack the probe
+			// if its own city has a transit PoP, else it stays residential.
+			if r, ok := w.NearestTransitInCity(trueCoord, city.Country, city.Name); ok {
 				p.Router = r
 				p.TrueCoord = w.Routers[r].Coord.Offset(0.05+rng.Float64()*0.2, rng.Float64()*360)
 				p.LastMileMs = 0.04 + rng.Float64()*0.12
@@ -166,27 +160,22 @@ func Deploy(w *netsim.World, cfg Config) *Fleet {
 		// nearby router. This puts a real access network between the probe
 		// and the transit core, as with real Atlas probes (most proximate
 		// hops are then ≥2 hops out, §2.3.2).
-		r, ok := w.NearestRouterFunc(trueCoord, func(id netsim.RouterID) bool {
-			rt := &w.Routers[id]
-			as := &w.ASes[rt.AS]
-			return !as.Transit && as.PoPs[rt.PoP].City.Country == city.Country
-		})
+		alt, altOK := w.NearestRouter(trueCoord, city.Country)
+		r, ok := w.NearestStubInCountry(trueCoord, city.Country)
 		if ok {
 			// Attach at the access edge of that PoP: the last router of the
 			// stub's aggregation chain, so first hops climb the metro.
 			rt := &w.Routers[r]
 			pop := w.ASes[rt.AS].PoPs[rt.PoP]
 			r = pop.Routers[len(pop.Routers)-1]
-		} else {
-			r, ok = w.NearestRouter(trueCoord, city.Country)
-		}
-		if alt, altOK := w.NearestRouter(trueCoord, city.Country); ok && altOK {
 			// If the nearest stub is much farther than the nearest router
 			// overall, the probe's host is plugged in elsewhere — take the
 			// closer attachment.
-			if w.Routers[alt].Coord.DistanceKm(trueCoord)+60 < w.Routers[r].Coord.DistanceKm(trueCoord) {
+			if altOK && w.Routers[alt].Coord.DistanceKm(trueCoord)+60 < w.Routers[r].Coord.DistanceKm(trueCoord) {
 				r = alt
 			}
+		} else {
+			r, ok = alt, altOK
 		}
 		if ok {
 			p.Router = r
@@ -267,16 +256,26 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 	eng := traceroute.New(f.World)
 	model := eng.Model
 
+	// Each interface's address is formatted once and shared by every
+	// hop that reports it.
+	addrs := make([]string, len(f.World.Interfaces))
+	addr := func(ifc netsim.IfaceID) string {
+		if addrs[ifc] == "" {
+			addrs[ifc] = f.World.Interfaces[ifc].Addr.String()
+		}
+		return addrs[ifc]
+	}
+
 	var out []Measurement
+	var path []netsim.RouterID
 	for _, target := range f.Targets {
 		tree := eng.BuildTree(target)
-		dstAddr := f.World.Interfaces[f.World.Routers[target].Ifaces[0]].Addr.String()
+		dstAddr := addr(f.World.Routers[target].Ifaces[0])
 		for pi := range f.Probes {
 			p := &f.Probes[pi]
 			if !tree.Reachable(p.Router) {
 				continue
 			}
-			m := Measurement{ProbeID: p.ID, Type: "traceroute", DstAddr: dstAddr}
 			total := tree.DistMs(p.Router)
 			// Residential probes burn hop 1 on their home gateway, whose
 			// private address is invisible to public datasets.
@@ -286,11 +285,16 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 			}
 			// Forward path: walk Parent pointers from the probe's router to
 			// the tree root (the target).
-			path := []netsim.RouterID{p.Router}
+			path = append(path[:0], p.Router)
 			for r := p.Router; r != target; {
 				r = tree.Parent(r)
 				path = append(path, r)
 			}
+			m := Measurement{
+				ProbeID: p.ID, Type: "traceroute", DstAddr: dstAddr,
+				Result: make([]HopResult, len(path)),
+			}
+			rtts := make([]float64, 3*len(path))
 			for j, r := range path {
 				var ifc netsim.IfaceID
 				if j == 0 {
@@ -301,15 +305,11 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 					ifc = f.World.PeerIface(tree.ParentIface(path[j-1]))
 				}
 				prop := p.LastMileMs + 2*(total-tree.DistMs(r)) + float64(j)*model.PerHopMs
-				rtts := make([]float64, 3)
-				for k := range rtts {
-					rtts[k] = prop + rng.ExpFloat64()*model.QueueMeanMs
+				hopRTTs := rtts[3*j : 3*j+3 : 3*j+3]
+				for k := range hopRTTs {
+					hopRTTs[k] = prop + rng.ExpFloat64()*model.QueueMeanMs
 				}
-				m.Result = append(m.Result, HopResult{
-					Hop:  hop,
-					From: f.World.Interfaces[ifc].Addr.String(),
-					RTTs: rtts,
-				})
+				m.Result[j] = HopResult{Hop: hop, From: addr(ifc), RTTs: hopRTTs}
 				hop++
 			}
 			out = append(out, m)

@@ -71,6 +71,8 @@ type City struct {
 type Gazetteer struct {
 	countries  []Country
 	cities     []City
+	allCities  []int // 0..len(cities)-1, SampleCity's pool without a country
+	weights    []int // SampleCountry's weight per country, parallel to countries
 	byISO2     map[string]int
 	cityKey    map[string]int // "cc/lowername" -> index into cities
 	byIATA     map[string]int
@@ -92,11 +94,15 @@ func New() *Gazetteer {
 		g.byISO2[c.ISO2] = i
 	}
 	for i, c := range g.cities {
+		g.allCities = append(g.allCities, i)
 		g.cityKey[cityKey(c.Country, c.Name)] = i
 		if c.IATA != "" {
 			g.byIATA[c.IATA] = i
 		}
 		g.citiesByCC[c.Country] = append(g.citiesByCC[c.Country], i)
+	}
+	for _, c := range g.countries {
+		g.weights = append(g.weights, len(g.citiesByCC[c.ISO2])+1)
 	}
 	return g
 }
@@ -213,13 +219,8 @@ func (g *Gazetteer) NearCountryCentroid(p geo.Coordinate, withinKm float64) (Cou
 // restricted to one country (iso2 != ""). It panics if the restriction
 // matches no city, which indicates a programming error in the caller.
 func (g *Gazetteer) SampleCity(rng *rand.Rand, iso2 string) City {
-	var pool []int
-	if iso2 == "" {
-		pool = make([]int, len(g.cities))
-		for i := range pool {
-			pool[i] = i
-		}
-	} else {
+	pool := g.allCities
+	if iso2 != "" {
 		pool = g.citiesByCC[strings.ToUpper(iso2)]
 	}
 	if len(pool) == 0 {
@@ -243,26 +244,23 @@ func (g *Gazetteer) SampleCity(rng *rand.Rand, iso2 string) City {
 // has embedded (a crude but serviceable proxy for Internet footprint),
 // optionally restricted to one registry (r != geo.RIRUnknown).
 func (g *Gazetteer) SampleCountry(rng *rand.Rand, r geo.RIR) Country {
-	var pool []Country
-	for _, c := range g.countries {
-		if r != geo.RIRUnknown && c.RIR != r {
-			continue
+	in := func(i int) bool { return r == geo.RIRUnknown || g.countries[i].RIR == r }
+	total := 0
+	for i := range g.countries {
+		if in(i) {
+			total += g.weights[i]
 		}
-		pool = append(pool, c)
 	}
-	if len(pool) == 0 {
+	if total == 0 {
 		panic(fmt.Sprintf("gazetteer: no countries in RIR %v", r))
 	}
-	total := 0
-	for _, c := range pool {
-		total += len(g.citiesByCC[c.ISO2]) + 1
-	}
 	n := rng.Intn(total)
-	for _, c := range pool {
-		n -= len(g.citiesByCC[c.ISO2]) + 1
-		if n < 0 {
-			return c
+	for i := range g.countries {
+		if in(i) {
+			if n -= g.weights[i]; n < 0 {
+				return g.countries[i]
+			}
 		}
 	}
-	return pool[len(pool)-1]
+	panic("unreachable")
 }

@@ -37,6 +37,7 @@ func Build(cfg Config) (*World, error) {
 		return nil, err
 	}
 	b.createRouters()
+	b.w.idx = newRouterIndex(b.w)
 	if err := b.createLinks(); err != nil {
 		return nil, err
 	}
@@ -53,6 +54,17 @@ type builder struct {
 	w        *World
 	addr     []*addrAssigner // parallel to w.ASes
 	linkSeen map[[2]RouterID]bool
+
+	// Memoized great-circle distances for createLinks, over the router
+	// index's city numbering. popCity[ai][pi] numbers AS ai's PoP pi.
+	// cityDist holds centre-to-centre distances, n×n, negative until
+	// first use. toCity[c] holds c's distance to the point of the current
+	// pickProvider call when toCityStamp[c] equals stamp.
+	popCity     [][]int32
+	cityDist    []float64
+	toCity      []float64
+	toCityStamp []uint32
+	stamp       uint32
 }
 
 // createASes instantiates the seed operators plus synthetic ASes, chooses
@@ -245,6 +257,7 @@ func (b *builder) createRouters() {
 // with chords, a connected transit backbone, stub-to-transit uplinks, and
 // geographically local transit peering.
 func (b *builder) createLinks() error {
+	b.numberPoPCities()
 	// Intra-PoP and intra-AS.
 	for ai := range b.w.ASes {
 		as := &b.w.ASes[ai]
@@ -357,6 +370,7 @@ func (b *builder) createLinks() error {
 		totalWeight += weights[i]
 	}
 	pickProvider := func(coord geo.Coordinate) RouterID {
+		b.stamp++ // a new point: forget the distances to the last one
 		if b.rng.Float64() < 0.5 {
 			best, bestD := RouterID(-1), 0.0
 			for _, ti := range transit {
@@ -412,15 +426,42 @@ func (b *builder) linkASes(ai, aj int) error {
 	return b.link(ra, rb)
 }
 
+// numberPoPCities numbers every PoP's city once, by the router index's
+// city numbering, and sizes the distance memos.
+func (b *builder) numberPoPCities() {
+	b.popCity = make([][]int32, len(b.w.ASes))
+	for ai := range b.w.ASes {
+		pops := b.w.ASes[ai].PoPs
+		b.popCity[ai] = make([]int32, len(pops))
+		for pi := range pops {
+			b.popCity[ai][pi] = b.w.idx.cityOf[pops[pi].Routers[0]]
+		}
+	}
+	n := len(b.w.idx.cities)
+	b.cityDist = make([]float64, n*n)
+	for i := range b.cityDist {
+		b.cityDist[i] = -1
+	}
+	b.toCity = make([]float64, n)
+	b.toCityStamp = make([]uint32, n)
+}
+
 // closestPoPRouters returns the core-router pair minimizing the distance
 // between two ASes' PoPs.
 func (b *builder) closestPoPRouters(ai, aj int) (RouterID, RouterID, float64) {
 	A, B := &b.w.ASes[ai], &b.w.ASes[aj]
+	n := len(b.w.idx.cities)
 	var ra, rb RouterID
 	best := -1.0
-	for _, pa := range A.PoPs {
-		for _, pb := range B.PoPs {
-			d := pa.City.Coord.DistanceKm(pb.City.Coord)
+	for i, pa := range A.PoPs {
+		row := int(b.popCity[ai][i]) * n
+		for j, pb := range B.PoPs {
+			k := row + int(b.popCity[aj][j])
+			d := b.cityDist[k]
+			if d < 0 {
+				d = pa.City.Coord.DistanceKm(pb.City.Coord)
+				b.cityDist[k] = d
+			}
 			if best < 0 || d < best {
 				best = d
 				ra, rb = pa.Routers[0], pb.Routers[0]
@@ -440,7 +481,12 @@ func (b *builder) nearestRouterInAS(ai int, p geo.Coordinate) (RouterID, float64
 	bestPoP := -1
 	best := -1.0
 	for pi, pop := range as.PoPs {
-		d := pop.City.Coord.DistanceKm(p)
+		c := b.popCity[ai][pi]
+		if b.toCityStamp[c] != b.stamp {
+			b.toCityStamp[c] = b.stamp
+			b.toCity[c] = pop.City.Coord.DistanceKm(p)
+		}
+		d := b.toCity[c]
 		if best < 0 || d < best {
 			best, bestPoP = d, pi
 		}

@@ -115,6 +115,7 @@ type World struct {
 	Links      []Link
 
 	adj         [][]Hop
+	idx         *routerIndex // answers NearestRouter and the probe attachments
 	ifaceByAddr map[ipx.Addr]IfaceID
 	blockOwner  map[ipx.Addr]RouterID       // /24 base -> first router numbered from it
 	blockCities map[ipx.Addr]map[string]int // /24 base -> interface count per "cc/city" key
@@ -239,49 +240,6 @@ func (w *World) PeerIface(i IfaceID) IfaceID {
 		return l.BIface
 	}
 	return l.AIface
-}
-
-// NearestRouterFunc returns the router closest to p among those accepted
-// by the predicate. ok is false when no router is accepted.
-func (w *World) NearestRouterFunc(p geo.Coordinate, accept func(RouterID) bool) (RouterID, bool) {
-	best, bestD := RouterID(-1), 0.0
-	for i := range w.Routers {
-		r := &w.Routers[i]
-		if !accept(r.ID) {
-			continue
-		}
-		d := r.Coord.DistanceKm(p)
-		if best < 0 || d < bestD {
-			best, bestD = r.ID, d
-		}
-	}
-	return best, best >= 0
-}
-
-// NearestRouter returns the router closest to p, optionally restricted to
-// a country (iso2 != ""). Used to attach measurement probes to the
-// topology. Falls back to the global nearest if the country has no
-// routers. ok is false only for an empty world.
-func (w *World) NearestRouter(p geo.Coordinate, iso2 string) (RouterID, bool) {
-	best, bestD := RouterID(-1), 0.0
-	bestAny, bestAnyD := RouterID(-1), 0.0
-	for i := range w.Routers {
-		r := &w.Routers[i]
-		d := r.Coord.DistanceKm(p)
-		if bestAny < 0 || d < bestAnyD {
-			bestAny, bestAnyD = r.ID, d
-		}
-		if iso2 != "" && w.ASes[r.AS].PoPs[r.PoP].City.Country != iso2 {
-			continue
-		}
-		if best < 0 || d < bestD {
-			best, bestD = r.ID, d
-		}
-	}
-	if best >= 0 {
-		return best, true
-	}
-	return bestAny, bestAny >= 0
 }
 
 // Validate performs internal consistency checks and returns the first

@@ -20,7 +20,7 @@ func smallConfig(seed int64) Config {
 // buildSmall caches one small world per seed across tests in this package.
 var worldCache = map[int64]*World{}
 
-func buildSmall(t *testing.T, seed int64) *World {
+func buildSmall(t testing.TB, seed int64) *World {
 	t.Helper()
 	if w, ok := worldCache[seed]; ok {
 		return w
@@ -409,13 +409,6 @@ func TestBlockCitiesConsistent(t *testing.T) {
 	}
 	if cities := w.BlockCities(ipx.MustParseAddr("203.0.113.0")); len(cities) != 0 {
 		t.Errorf("unrouted block has cities: %v", cities)
-	}
-}
-
-func TestNearestRouterFuncNoneAccepted(t *testing.T) {
-	w := buildSmall(t, 1)
-	if _, ok := w.NearestRouterFunc(w.Routers[0].Coord, func(RouterID) bool { return false }); ok {
-		t.Error("rejecting predicate should find nothing")
 	}
 }
 
