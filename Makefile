@@ -162,7 +162,8 @@ fuzz-formats:
 
 # profile captures pprof profiles of a whole default run: the
 # environment build (world, Ark sweep, Atlas fleets, ground truth and
-# vendor databases, about 99% of the CPU) and every paper artifact.
+# vendor databases, about 98% of the wall time) and every paper
+# artifact.
 # CPU covers the whole run, heap is sampled at exit. Inspect with
 # `go tool pprof cpu.pprof` (`top`, `list`, `web`).
 profile:
