@@ -570,7 +570,13 @@ func (c *Client) once(ctx context.Context, path string, body []byte, out interfa
 		}
 		return resp.StatusCode, parseRetryAfter(resp.Header.Get("Retry-After")), nil
 	}
-	if out != nil {
+	switch out := out.(type) {
+	case nil:
+	case *lookupAnswer:
+		if err := out.read(resp.Body); err != nil {
+			return 0, 0, err
+		}
+	default:
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return 0, 0, err
 		}
@@ -622,67 +628,81 @@ func (c *Client) BatchLookup(ctx context.Context, ips []string) ([]BatchEntry, e
 	if len(ips) == 0 {
 		return nil, nil
 	}
-	size := c.batchSize()
-	type chunk struct{ lo, hi int }
-	var chunks []chunk
-	for lo := 0; lo < len(ips); lo += size {
-		hi := lo + size
-		if hi > len(ips) {
-			hi = len(ips)
-		}
-		chunks = append(chunks, chunk{lo, hi})
-	}
-
 	entries := make([]BatchEntry, len(ips))
+	err := c.lookupChunks(ctx, len(ips), func(lo, hi int) []byte {
+		// Marshaled, not appendLookupRequest: a caller's string may need
+		// escaping.
+		return mustJSON(BatchRequest{IPs: ips[lo:hi], DB: c.DB})
+	}, func(lo, hi int, a *lookupAnswer, err error) {
+		if err != nil {
+			return
+		}
+		for i := lo; i < hi; i++ {
+			entries[i] = a.entry(i-lo, ips[i])
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return entries, nil
+}
+
+// lookupChunks posts n addresses to /v2/lookup in chunks of at most
+// maxBatch, fanned out over the worker pool. body builds chunk [lo, hi)'s
+// request. done sees every chunk once, with its answer or the error that
+// stopped it (ctx's, for a chunk never sent), on the worker that ran it;
+// the worker reuses the answer after done returns. It returns the first
+// error.
+func (c *Client) lookupChunks(ctx context.Context, n int,
+	body func(lo, hi int) []byte,
+	done func(lo, hi int, a *lookupAnswer, err error)) error {
+	size := c.batchSize()
+	chunks := (n + size - 1) / size
 	var firstErr error
 	var errMu sync.Mutex
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	workers := c.workers()
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	for w := 0; w < workers; w++ {
+	for w := min(c.workers(), chunks); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			a := lookupAnswerPool.Get().(*lookupAnswer)
+			defer lookupAnswerPool.Put(a)
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) || ctx.Err() != nil {
+				k := int(next.Add(1)) - 1
+				if k >= chunks {
 					return
 				}
-				ck := chunks[i]
-				body, err := json.Marshal(BatchRequest{IPs: ips[ck.lo:ck.hi], DB: c.DB})
+				lo := k * size
+				hi := min(lo+size, n)
+				err := ctx.Err()
 				if err == nil {
-					var resp BatchResponse
-					err = c.do(ctx, c.v2LookupPath(), body, &resp)
-					if err == nil && len(resp.Entries) != ck.hi-ck.lo {
-						err = fmt.Errorf("httpapi: batch answer has %d entries, want %d",
-							len(resp.Entries), ck.hi-ck.lo)
-					}
-					if err == nil {
-						copy(entries[ck.lo:ck.hi], resp.Entries)
-						continue
-					}
+					err = c.lookupChunk(ctx, a, body, lo, hi)
 				}
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
+				if err != nil {
+					errMu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					errMu.Unlock()
 				}
-				errMu.Unlock()
+				done(lo, hi, a, err)
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr == nil {
-		if err := ctx.Err(); err != nil {
-			firstErr = err
-		}
+	return firstErr
+}
+
+// lookupChunk sends chunk [lo, hi) and decodes its answer into a.
+func (c *Client) lookupChunk(ctx context.Context, a *lookupAnswer, body func(lo, hi int) []byte, lo, hi int) error {
+	if err := c.do(ctx, c.v2LookupPath(), body(lo, hi), a); err != nil {
+		return err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if a.n != hi-lo {
+		return fmt.Errorf("httpapi: batch answer has %d entries, want %d", a.n, hi-lo)
 	}
-	return entries, nil
+	return nil
 }
 
 // v2LookupPath is the batch endpoint, with the asof pin attached when
@@ -700,21 +720,28 @@ func (c *Client) Name() string { return c.DB }
 // TryLookup resolves one address in the pinned database, distinguishing
 // a transport failure (err != nil) from a genuine database miss
 // (ok == false, err == nil) — the distinction Lookup's Provider
-// signature cannot express. It is a one-address BatchLookup, so the
+// signature cannot express. It is a one-address batch lookup, so the
 // WithAsOf pin applies. ctx bounds the attempt and its retries.
 func (c *Client) TryLookup(ctx context.Context, a ipx.Addr) (geodb.Record, bool, error) {
 	if c.DB == "" {
 		return geodb.Record{}, false, errors.New("httpapi: no database pinned (set Client.DB or WithDatabase)")
 	}
-	entries, err := c.BatchLookup(ctx, []string{a.String()})
+	var rj RecordJSON
+	var errText string
+	err := c.lookupChunks(ctx, 1, func(int, int) []byte {
+		return appendLookupRequest(nil, []ipx.Addr{a}, c.DB)
+	}, func(_, _ int, ans *lookupAnswer, err error) {
+		if err == nil {
+			rj, errText = ans.result(0, c.DB)
+		}
+	})
 	if err != nil {
 		return geodb.Record{}, false, err
 	}
-	e := entries[0]
-	if e.Error != "" {
-		return geodb.Record{}, false, fmt.Errorf("httpapi: lookup %s: %s", a, e.Error)
+	if errText != "" {
+		return geodb.Record{}, false, fmt.Errorf("httpapi: lookup %s: %s", a, errText)
 	}
-	rec, found := toRecord(e.Results[c.DB])
+	rec, found := toRecord(rj)
 	return rec, found, nil
 }
 

@@ -11,7 +11,7 @@ import (
 	"routergeo/internal/ipx"
 )
 
-func testDBs(t *testing.T) []*geodb.DB {
+func testDBs(t testing.TB) []*geodb.DB {
 	t.Helper()
 	mk := func(name, cc, city string) *geodb.DB {
 		b := geodb.NewBuilder(name)

@@ -80,22 +80,21 @@ func (p *RemoteProvider) Name() string { return p.c.DB }
 // concurrent /v2/lookup requests, bounded by ctx. It is idempotent and
 // cheap to call repeatedly with overlapping address sets (per-RIR and
 // per-country evaluation slices re-prefetch subsets of the same
-// targets). When the remote cannot serve the batch and a fallback is
-// armed, the whole missing set is resolved locally instead — degraded
-// but correct.
+// targets). Every chunk the remote answers is cached. A chunk it cannot
+// serve is resolved locally when a fallback is armed — degraded but
+// correct. Without one the chunk stays uncached, so a later Lookup asks
+// again, and Prefetch returns the first error.
 func (p *RemoteProvider) Prefetch(ctx context.Context, addrs []ipx.Addr) error {
 	p.mu.RLock()
-	missing := make([]string, 0, len(addrs))
+	missing := make([]ipx.Addr, 0, len(addrs))
 	seen := make(map[ipx.Addr]bool, len(addrs))
-	order := make([]ipx.Addr, 0, len(addrs))
 	for _, a := range addrs {
 		if seen[a] {
 			continue
 		}
 		seen[a] = true
 		if _, ok := p.cache[a]; !ok {
-			missing = append(missing, a.String())
-			order = append(order, a)
+			missing = append(missing, a)
 		}
 	}
 	p.mu.RUnlock()
@@ -103,30 +102,38 @@ func (p *RemoteProvider) Prefetch(ctx context.Context, addrs []ipx.Addr) error {
 		return nil
 	}
 
-	entries, err := p.c.BatchLookup(ctx, missing)
-	if err != nil {
-		if p.fallback == nil {
-			return err
+	db := p.c.DB
+	err := p.c.lookupChunks(ctx, len(missing), func(lo, hi int) []byte {
+		return appendLookupRequest(make([]byte, 0, 18*(hi-lo)+len(db)+16), missing[lo:hi], db)
+	}, func(lo, hi int, ans *lookupAnswer, err error) {
+		if err != nil {
+			if p.fallback == nil {
+				return
+			}
+			for _, a := range missing[lo:hi] {
+				rec, found := p.fallback.Lookup(a)
+				p.mu.Lock()
+				p.cache[a] = cachedRecord{rec: rec, found: found}
+				p.mu.Unlock()
+			}
+			p.countDegraded(int64(hi - lo))
+			return
 		}
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		for _, a := range order {
-			rec, found := p.fallback.Lookup(a)
+		for i, a := range missing[lo:hi] {
+			rj, errText := ans.result(i, db)
+			if errText != "" {
+				continue
+			}
+			rec, found := toRecord(rj)
 			p.cache[a] = cachedRecord{rec: rec, found: found}
 		}
-		p.countDegraded(int64(len(order)))
+	})
+	if p.fallback != nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, e := range entries {
-		if e.Error != "" {
-			continue
-		}
-		rec, found := toRecord(e.Results[p.c.DB])
-		p.cache[order[i]] = cachedRecord{rec: rec, found: found}
-	}
-	return nil
+	return err
 }
 
 // Lookup implements geodb.Provider: cached answers are served locally;

@@ -1,8 +1,11 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -228,5 +231,83 @@ func TestRemoteProviderTaintsWithoutFallback(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["client.outage.tainted_lookups"]; got != 1 {
 		t.Errorf("tainted_lookups counter = %d, want 1", got)
+	}
+}
+
+// failAddrTransport fails every request whose body carries addr and
+// counts the round trips it lets through.
+type failAddrTransport struct {
+	addr  string
+	calls atomic.Int64
+}
+
+func (f *failAddrTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	b, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	if bytes.Contains(b, []byte(`"`+f.addr+`"`)) {
+		return nil, errors.New("injected failure for the chunk carrying " + f.addr)
+	}
+	f.calls.Add(1)
+	req.Body = io.NopCloser(bytes.NewReader(b))
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRemoteProviderPrefetchKeepsAnsweredChunks fails the one chunk of
+// ten that carries a chosen address: the nine answered chunks must be
+// cached whatever happened to the tenth, and only the failed chunk's
+// addresses may reach the fallback.
+func TestRemoteProviderPrefetchKeepsAnsweredChunks(t *testing.T) {
+	srv := testServer(t)
+	local := testDBs(t)[0] // alpha
+	addrs := make([]ipx.Addr, 500)
+	for i := range addrs {
+		addrs[i] = ipx.MustParseAddr(fmt.Sprintf("10.0.%d.%d", i/200, i%200+1))
+	}
+	const bad = 137 // in chunk [100, 150)
+	newProvider := func(ft *failAddrTransport, opts ...RemoteOption) *RemoteProvider {
+		p, err := NewRemoteProvider(NewClient(srv.URL,
+			WithDatabase("alpha"),
+			WithRetries(0),
+			WithClientMaxBatch(50),
+			WithHTTPClient(&http.Client{Transport: ft})), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	ft := &failAddrTransport{addr: addrs[bad].String()}
+	p := newProvider(ft)
+	if err := p.Prefetch(context.Background(), addrs); err == nil {
+		t.Fatal("prefetch with a failed chunk and no fallback must return its error")
+	}
+	if got := p.Cached(); got != 450 {
+		t.Errorf("Cached = %d, want 450 (every answered chunk)", got)
+	}
+	before := ft.calls.Load()
+	for i, a := range addrs {
+		if i/50 == bad/50 {
+			continue
+		}
+		lr, lok := local.Lookup(a)
+		if rr, rok := p.Lookup(a); lok != rok || lr != rr {
+			t.Fatalf("%s: cached (%+v,%v) != local (%+v,%v)", a, rr, rok, lr, lok)
+		}
+	}
+	if got := ft.calls.Load(); got != before {
+		t.Errorf("lookups of answered addresses made %d requests, want 0", got-before)
+	}
+
+	p = newProvider(&failAddrTransport{addr: addrs[bad].String()}, WithFallback(local))
+	if err := p.Prefetch(context.Background(), addrs); err != nil {
+		t.Fatalf("prefetch with a fallback must degrade, not fail: %v", err)
+	}
+	if got := p.Degraded(); got != 50 {
+		t.Errorf("Degraded = %d, want 50 (the failed chunk only)", got)
+	}
+	if got := p.Cached(); got != len(addrs) {
+		t.Errorf("Cached = %d, want %d", got, len(addrs))
 	}
 }
