@@ -74,32 +74,37 @@ func TestRemoteProviderMatchesLocalEvaluation(t *testing.T) {
 	// The issue's acceptance bar: RemoteProvider with WithConcurrency(8)
 	// evaluates the full Quick-study ground truth against a local
 	// httptest server with results identical to local geodb.DB lookups.
+	// Identical means every observable: the accuracy fingerprint with its
+	// error-CDF samples, and coverage over the Ark addresses, at a chunk
+	// size that splits the sweep and at the default one.
 	s := testStudy(t)
 	srv := httptest.NewServer(httpapi.NewHandler(s.env.DBs))
 	defer srv.Close()
 
-	for _, db := range s.env.DBs {
-		remote, err := httpapi.NewRemoteProvider(httpapi.NewClient(srv.URL,
-			httpapi.WithDatabase(db.Name()),
-			httpapi.WithConcurrency(8),
-			httpapi.WithClientMaxBatch(500)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		local := core.MeasureAccuracy(context.Background(), db, s.env.Targets)
-		got := core.MeasureAccuracy(context.Background(), remote, s.env.Targets)
-		if local.Total != got.Total ||
-			local.CountryAnswered != got.CountryAnswered ||
-			local.CountryCorrect != got.CountryCorrect ||
-			local.CityAnswered != got.CityAnswered ||
-			local.Within40Km != got.Within40Km {
-			t.Errorf("%s: remote accuracy %+v != local %+v", db.Name(), got, local)
-		}
-		if remote.Cached() == 0 {
-			t.Errorf("%s: prefetch hook never fired; evaluation fell back to per-address lookups", db.Name())
-		}
-		if err := remote.Err(); err != nil {
-			t.Errorf("%s: transport errors during evaluation: %v", db.Name(), err)
+	for _, batch := range []int{500, httpapi.DefaultClientMaxBatch} {
+		for _, db := range s.env.DBs {
+			remote, err := httpapi.NewRemoteProvider(httpapi.NewClient(srv.URL,
+				httpapi.WithDatabase(db.Name()),
+				httpapi.WithConcurrency(8),
+				httpapi.WithClientMaxBatch(batch)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			want := accuracyFingerprint(t, core.MeasureAccuracy(ctx, db, s.env.Targets))
+			if got := accuracyFingerprint(t, core.MeasureAccuracy(ctx, remote, s.env.Targets)); string(got) != string(want) {
+				t.Errorf("%s, batch %d: remote accuracy\n %s\n!= local\n %s", db.Name(), batch, got, want)
+			}
+			wantCov := core.MeasureCoverage(ctx, db, s.env.ArkAddrs)
+			if got := core.MeasureCoverage(ctx, remote, s.env.ArkAddrs); got != wantCov {
+				t.Errorf("%s, batch %d: remote coverage %+v != local %+v", db.Name(), batch, got, wantCov)
+			}
+			if remote.Cached() == 0 {
+				t.Errorf("%s: prefetch hook never fired; evaluation fell back to per-address lookups", db.Name())
+			}
+			if err := remote.Err(); err != nil {
+				t.Errorf("%s: transport errors during evaluation: %v", db.Name(), err)
+			}
 		}
 	}
 }
