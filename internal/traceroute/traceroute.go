@@ -12,7 +12,6 @@
 package traceroute
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 
@@ -70,9 +69,10 @@ func (e *Engine) BuildTree(src netsim.RouterID) *Tree {
 	}
 	t.distMs[src] = 0
 
-	pq := &nodeQueue{{router: src, dist: 0}}
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(node)
+	pq := make(nodeQueue, 0, 64)
+	pq.push(node{router: src, dist: 0})
+	for len(pq) > 0 {
+		cur := pq.pop()
 		if cur.dist > t.distMs[cur.router] {
 			continue // stale entry
 		}
@@ -83,7 +83,7 @@ func (e *Engine) BuildTree(src netsim.RouterID) *Tree {
 				t.parent[h.Peer] = cur.router
 				t.parentIface[h.Peer] = h.PeerIface
 				t.hops[h.Peer] = t.hops[cur.router] + 1
-				heap.Push(pq, node{router: h.Peer, dist: nd})
+				pq.push(node{router: h.Peer, dist: nd})
 			}
 		}
 	}
@@ -113,26 +113,6 @@ func (t *Tree) DistMs(dst netsim.RouterID) float64 { return t.distMs[dst] }
 // HopCount returns the number of links on the path to dst.
 func (t *Tree) HopCount(dst netsim.RouterID) int { return int(t.hops[dst]) }
 
-// Path returns the router sequence from the source to dst, inclusive.
-// It returns nil when dst is unreachable.
-func (t *Tree) Path(dst netsim.RouterID) []netsim.RouterID {
-	if !t.Reachable(dst) {
-		return nil
-	}
-	out := make([]netsim.RouterID, 0, t.hops[dst]+1)
-	for r := dst; ; r = t.parent[r] {
-		out = append(out, r)
-		if r == t.Src {
-			break
-		}
-	}
-	// Reverse into source-to-destination order.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
-}
-
 // Trace produces the hop list a traceroute from the tree's source to dst
 // would report. baseMs is added to every RTT (the source's access-link
 // delay — zero for Ark monitors colocated with their first router,
@@ -141,24 +121,37 @@ func (t *Tree) Path(dst netsim.RouterID) []netsim.RouterID {
 // component, so RTTs increase (almost) monotonically along the path like
 // real traceroutes. Returns nil when dst is unreachable.
 func (e *Engine) Trace(rng *rand.Rand, t *Tree, dst netsim.RouterID, baseMs float64) []Hop {
-	routers := t.Path(dst)
-	if routers == nil {
+	if !t.Reachable(dst) {
 		return nil
 	}
-	out := make([]Hop, 0, len(routers))
-	for i, r := range routers {
-		var iface netsim.IfaceID = -1
+	// Walk the parent pointers from dst back to the source, writing the
+	// routers in source-to-destination order, then sample the RTTs front
+	// to back so the rng draws stay in hop order.
+	out := make([]Hop, t.hops[dst]+1)
+	r := dst
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i].Router = r
+		r = t.parent[r]
+	}
+	for i := range out {
+		h := &out[i]
+		h.Iface = -1
 		if i > 0 {
-			iface = t.parentIface[r]
+			h.Iface = t.parentIface[h.Router]
 		}
-		prop := 2*t.distMs[r] + float64(i)*e.Model.PerHopMs
-		rtt := baseMs + prop + rng.ExpFloat64()*e.Model.QueueMeanMs
-		out = append(out, Hop{Router: r, Iface: iface, RTTMs: rtt})
+		prop := 2*t.distMs[h.Router] + float64(i)*e.Model.PerHopMs
+		h.RTTMs = baseMs + prop + rng.ExpFloat64()*e.Model.QueueMeanMs
 	}
 	return out
 }
 
-// node and nodeQueue implement the Dijkstra priority queue.
+// node and nodeQueue implement the Dijkstra priority queue: a binary
+// min-heap on dist, typed so no entry is boxed into an interface. push
+// and pop perform container/heap's Push and Pop step for step (the same
+// comparisons, the same child choice, the swap with the last element
+// before sifting down), so entries with equal dist pop in the order
+// container/heap would pop them and every tree, ties included, matches
+// a container/heap Dijkstra.
 type node struct {
 	router netsim.RouterID
 	dist   float64
@@ -166,14 +159,44 @@ type node struct {
 
 type nodeQueue []node
 
-func (q nodeQueue) Len() int            { return len(q) }
-func (q nodeQueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q nodeQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x interface{}) { *q = append(*q, x.(node)) }
-func (q *nodeQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+// push appends x and sifts it up, as container/heap's up does.
+func (q *nodeQueue) push(x node) {
+	*q = append(*q, x)
+	h := *q
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop swaps the root with the last entry, sifts the new root down over
+// the first n-1 entries, as container/heap's down does, and removes and
+// returns the old root.
+func (q *nodeQueue) pop() node {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].dist < h[j1].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }

@@ -44,25 +44,25 @@ func TestPathEndpointsAndContinuity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		dst := netsim.RouterID(rng.Intn(w.NumRouters()))
-		path := tree.Path(dst)
-		if path[0] != 0 || path[len(path)-1] != dst {
-			t.Fatalf("path endpoints wrong: %v -> %v", path[0], path[len(path)-1])
+		hops := e.Trace(rng, tree, dst, 0)
+		if hops[0].Router != 0 || hops[len(hops)-1].Router != dst {
+			t.Fatalf("path endpoints wrong: %v -> %v", hops[0].Router, hops[len(hops)-1].Router)
 		}
 		// Every consecutive pair must share a link.
-		for i := 1; i < len(path); i++ {
+		for i := 1; i < len(hops); i++ {
 			found := false
-			for _, h := range w.Neighbors(path[i-1]) {
-				if h.Peer == path[i] {
+			for _, h := range w.Neighbors(hops[i-1].Router) {
+				if h.Peer == hops[i].Router {
 					found = true
 					break
 				}
 			}
 			if !found {
-				t.Fatalf("path step %v->%v is not a link", path[i-1], path[i])
+				t.Fatalf("path step %v->%v is not a link", hops[i-1].Router, hops[i].Router)
 			}
 		}
-		if len(path) != tree.HopCount(dst)+1 {
-			t.Fatalf("HopCount %d inconsistent with path length %d", tree.HopCount(dst), len(path))
+		if len(hops) != tree.HopCount(dst)+1 {
+			t.Fatalf("HopCount %d inconsistent with path length %d", tree.HopCount(dst), len(hops))
 		}
 	}
 }
