@@ -81,7 +81,7 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 	}
 
 	c := &Collection{Monitors: monitors, addrs: make(map[ipx.Addr]bool)}
-	seen := make(map[netsim.IfaceID]bool)
+	seen := make([]bool, len(w.Interfaces))
 
 	// RoutedSlash24s is already in ascending address order, so the seeded
 	// per-block sampling below replays identically run to run.

@@ -266,11 +266,22 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 		return addrs[ifc]
 	}
 
-	var out []Measurement
-	var path []netsim.RouterID
+	out := make([]Measurement, 0, len(f.Targets)*len(f.Probes))
 	for _, target := range f.Targets {
 		tree := eng.BuildTree(target)
 		dstAddr := addr(f.World.Routers[target].Ifaces[0])
+		// One backing array of hops and one of RTTs serve every probe's
+		// result toward this target; each measurement gets a
+		// capacity-capped window, so appending to one copies instead of
+		// overwriting its neighbour.
+		hopsTotal := 0
+		for pi := range f.Probes {
+			if r := f.Probes[pi].Router; tree.Reachable(r) {
+				hopsTotal += tree.HopCount(r) + 1
+			}
+		}
+		results := make([]HopResult, hopsTotal)
+		rtts := make([]float64, 3*hopsTotal)
 		for pi := range f.Probes {
 			p := &f.Probes[pi]
 			if !tree.Reachable(p.Router) {
@@ -283,34 +294,30 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 			if !p.Datacenter {
 				hop = 2
 			}
-			// Forward path: walk Parent pointers from the probe's router to
-			// the tree root (the target).
-			path = append(path[:0], p.Router)
-			for r := p.Router; r != target; {
-				r = tree.Parent(r)
-				path = append(path, r)
-			}
+			n := tree.HopCount(p.Router) + 1
 			m := Measurement{
 				ProbeID: p.ID, Type: "traceroute", DstAddr: dstAddr,
-				Result: make([]HopResult, len(path)),
+				Result: results[:n:n],
 			}
-			rtts := make([]float64, 3*len(path))
-			for j, r := range path {
-				var ifc netsim.IfaceID
-				if j == 0 {
-					ifc = f.World.Routers[r].Ifaces[0]
-				} else {
-					// tree.ParentIface(path[j-1]) is the interface at
-					// path[j-1] on the link to r; its peer is r's ingress.
-					ifc = f.World.PeerIface(tree.ParentIface(path[j-1]))
-				}
+			results = results[n:]
+			// Forward path: walk Parent pointers from the probe's router to
+			// the tree root (the target).
+			r, ifc := p.Router, f.World.Routers[p.Router].Ifaces[0]
+			for j := range m.Result {
 				prop := p.LastMileMs + 2*(total-tree.DistMs(r)) + float64(j)*model.PerHopMs
-				hopRTTs := rtts[3*j : 3*j+3 : 3*j+3]
+				hopRTTs := rtts[:3:3]
+				rtts = rtts[3:]
 				for k := range hopRTTs {
 					hopRTTs[k] = prop + rng.ExpFloat64()*model.QueueMeanMs
 				}
 				m.Result[j] = HopResult{Hop: hop, From: addr(ifc), RTTs: hopRTTs}
 				hop++
+				if r != target {
+					// tree.ParentIface(r) is the interface at r on the link
+					// to its parent; its peer is the parent's ingress.
+					ifc = f.World.PeerIface(tree.ParentIface(r))
+					r = tree.Parent(r)
+				}
 			}
 			out = append(out, m)
 		}

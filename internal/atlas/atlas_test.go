@@ -254,3 +254,53 @@ func TestMinRTT(t *testing.T) {
 		t.Errorf("MinRTT = %v", h.MinRTT())
 	}
 }
+
+// TestBuiltinsAllocateLessThanOncePerMeasurement runs the default fleet
+// on the default world. RunBuiltins allocates one hop array and one RTT
+// array per target and formats each reported address once, so it must
+// allocate fewer times than it returns measurements.
+func TestBuiltinsAllocateLessThanOncePerMeasurement(t *testing.T) {
+	w, err := netsim.Build(netsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Deploy(w, DefaultConfig())
+	var ms []Measurement
+	allocs := testing.AllocsPerRun(1, func() { ms = f.RunBuiltins(1) })
+	if allocs >= float64(len(ms)) {
+		t.Fatalf("RunBuiltins made %.0f allocations for %d measurements", allocs, len(ms))
+	}
+}
+
+// TestBuiltinsResultsAreIsolated checks that the measurements sharing a
+// target's backing arrays cannot write into one another: every Result
+// and every hop's RTTs is capacity-capped, so an append copies.
+func TestBuiltinsResultsAreIsolated(t *testing.T) {
+	_, f, _ := setup(t)
+	ms := f.RunBuiltins(2)
+	for i, m := range ms {
+		if cap(m.Result) != len(m.Result) {
+			t.Fatalf("measurement %d: Result len %d cap %d", i, len(m.Result), cap(m.Result))
+		}
+		for j, h := range m.Result {
+			if cap(h.RTTs) != len(h.RTTs) {
+				t.Fatalf("measurement %d hop %d: RTTs len %d cap %d", i, j, len(h.RTTs), cap(h.RTTs))
+			}
+		}
+	}
+	// The first measurement's last hop and RTTs sit right before the
+	// second's first ones.
+	second := ms[1].Result[0]
+	secondRTTs := append([]float64(nil), second.RTTs...)
+	first := ms[0].Result
+	_ = append(first, HopResult{Hop: -1, From: "0.0.0.0", RTTs: []float64{-1}})
+	_ = append(first[len(first)-1].RTTs, -1)
+	if got := ms[1].Result[0]; got.Hop != second.Hop || got.From != second.From {
+		t.Fatalf("appending to the first Result rewrote the second's first hop: %+v", got)
+	}
+	for k, v := range ms[1].Result[0].RTTs {
+		if v != secondRTTs[k] {
+			t.Fatalf("appending to the first RTTs rewrote the second's: %v, want %v", ms[1].Result[0].RTTs, secondRTTs)
+		}
+	}
+}

@@ -103,17 +103,31 @@ func (w *World) Evolve(rng *rand.Rand, p EvolutionParams) *Evolution {
 		// Destination if this interface ever moves: another PoP of the same
 		// AS when one exists (the paper's NTT example moved Dallas → Miami
 		// within ntt.net), otherwise another city in the same country.
+		// The k-th PoP in another city is drawn by counting those PoPs,
+		// then walking to the one rng.Intn picked.
 		as := w.ASOfIface(IfaceID(i))
 		cur := w.CityOf(IfaceID(i))
-		var candidates []gazetteer.City
-		for _, p := range as.PoPs {
-			if p.City.Country != cur.Country || p.City.Name != cur.Name {
-				candidates = append(candidates, p.City)
+		elsewhere := func(c *gazetteer.City) bool {
+			return c.Country != cur.Country || c.Name != cur.Name
+		}
+		candidates := 0
+		for pi := range as.PoPs {
+			if elsewhere(&as.PoPs[pi].City) {
+				candidates++
 			}
 		}
 		var dest gazetteer.City
-		if len(candidates) > 0 {
-			dest = candidates[rng.Intn(len(candidates))]
+		if candidates > 0 {
+			k := rng.Intn(candidates)
+			for pi := range as.PoPs {
+				if c := &as.PoPs[pi].City; elsewhere(c) {
+					if k == 0 {
+						dest = *c
+						break
+					}
+					k--
+				}
+			}
 		} else {
 			// Single-PoP operator: relocate within the country, or anywhere
 			// if the country has only this one city embedded.
