@@ -108,7 +108,7 @@ type BatchIndexer interface {
 // two-level layout vendor snapshot files (MaxMind's mmdb, IP2Location's
 // BIN) ship, and the exact layout the snapshot subpackage memory-maps,
 // so a loaded snapshot and a freshly built database serve through
-// identical code. The layered range map survives only inside Build.
+// identical code.
 type DB struct {
 	name string
 	idx  *ipx.FlatIndex[uint32]
@@ -305,7 +305,11 @@ func (b *Builder) AddPrefix(layer int, p ipx.Prefix, rec Record) {
 	b.Add(layer, ipx.RangeOf(p), rec)
 }
 
-// Build flattens the layers into a queryable database.
+// Build flattens the layers into a queryable database. Layers are laid
+// down highest first, and each merges in one pass into the sorted,
+// disjoint fragments laid down above it: every fragment passes through
+// unchanged, and each entry adds the gaps between the fragments inside
+// it.
 func (b *Builder) Build() (*DB, error) {
 	var order []int
 	for l := range b.layers {
@@ -316,7 +320,9 @@ func (b *Builder) Build() (*DB, error) {
 	db := &DB{name: b.name}
 	// Records dedup into a table as they are laid down; the interning
 	// order is deterministic (layer order, sorted entries, fragment
-	// order), so identical builds yield identical tables.
+	// order), so identical builds yield identical tables. An entry
+	// interns its record at its first gap, so one that higher layers
+	// shadow completely adds no record.
 	recIdx := map[Record]uint32{}
 	intern := func(rec Record) uint32 {
 		if i, ok := recIdx[rec]; ok {
@@ -327,8 +333,8 @@ func (b *Builder) Build() (*DB, error) {
 		db.recs = append(db.recs, rec)
 		return i
 	}
-	var m ipx.RangeMap[uint32]
-	var covered coverage
+	var los, his []ipx.Addr
+	var vals []uint32
 	for _, l := range order {
 		entries := b.layers[l]
 		sort.Slice(entries, func(i, j int) bool { return entries[i].r.Lo < entries[j].r.Lo })
@@ -338,66 +344,45 @@ func (b *Builder) Build() (*DB, error) {
 					b.name, l, entries[i-1].r, entries[i].r)
 			}
 		}
-		for _, e := range entries {
-			frags := covered.subtract(e.r)
-			if len(frags) > 0 {
-				ri := intern(e.rec)
-				for _, frag := range frags {
-					m.Add(frag, ri)
-				}
-			}
-			covered.insert(e.r)
+		n := len(los) + len(entries)
+		nlos, nhis, nvals := make([]ipx.Addr, 0, n), make([]ipx.Addr, 0, n), make([]uint32, 0, n)
+		add := func(lo, hi ipx.Addr, v uint32) {
+			nlos, nhis, nvals = append(nlos, lo), append(nhis, hi), append(nvals, v)
 		}
+		f := 0 // the next fragment from the layers above
+		for _, e := range entries {
+			// cur is the first address of e not yet accounted for; a
+			// uint64, so stepping past 255.255.255.255 cannot wrap.
+			cur, ri := uint64(e.r.Lo), int64(-1)
+			gap := func(end uint64) {
+				if ri < 0 {
+					ri = int64(intern(e.rec))
+				}
+				add(ipx.Addr(cur), ipx.Addr(end), uint32(ri))
+			}
+			for ; f < len(los) && los[f] <= e.r.Hi; f++ {
+				if uint64(los[f]) > cur {
+					gap(uint64(los[f]) - 1)
+				}
+				cur = max(cur, uint64(his[f])+1)
+				if cur > uint64(e.r.Hi) {
+					break // f reaches e's end; the next entry must see it too
+				}
+				add(los[f], his[f], vals[f])
+			}
+			if cur <= uint64(e.r.Hi) {
+				gap(uint64(e.r.Hi))
+			}
+		}
+		for ; f < len(los); f++ {
+			add(los[f], his[f], vals[f])
+		}
+		los, his, vals = nlos, nhis, nvals
 	}
-	if err := m.Build(); err != nil {
+	idx, err := ipx.NewFlatIndex(los, his, vals)
+	if err != nil {
 		return nil, fmt.Errorf("geodb: %s: %w", b.name, err)
 	}
-	db.idx = ipx.NewFlatIndex(&m)
+	db.idx = idx
 	return db, nil
-}
-
-// coverage tracks the union of inserted ranges as a sorted, merged list.
-type coverage struct {
-	rs []ipx.Range
-}
-
-// subtract returns the parts of r not yet covered.
-func (c *coverage) subtract(r ipx.Range) []ipx.Range {
-	var out []ipx.Range
-	lo := r.Lo
-	i := sort.Search(len(c.rs), func(i int) bool { return c.rs[i].Hi >= r.Lo })
-	for ; i < len(c.rs) && c.rs[i].Lo <= r.Hi; i++ {
-		if c.rs[i].Lo > lo {
-			out = append(out, ipx.Range{Lo: lo, Hi: c.rs[i].Lo - 1})
-		}
-		if c.rs[i].Hi >= r.Hi {
-			return out
-		}
-		lo = c.rs[i].Hi + 1
-	}
-	if lo <= r.Hi {
-		out = append(out, ipx.Range{Lo: lo, Hi: r.Hi})
-	}
-	return out
-}
-
-// insert adds r to the covered set, merging neighbours.
-func (c *coverage) insert(r ipx.Range) {
-	i := sort.Search(len(c.rs), func(i int) bool { return c.rs[i].Lo > r.Lo })
-	c.rs = append(c.rs, ipx.Range{})
-	copy(c.rs[i+1:], c.rs[i:])
-	c.rs[i] = r
-	// Merge around i.
-	merged := c.rs[:0]
-	for _, cur := range c.rs {
-		n := len(merged)
-		if n > 0 && (cur.Lo <= merged[n-1].Hi || (merged[n-1].Hi != ^ipx.Addr(0) && cur.Lo == merged[n-1].Hi+1)) {
-			if cur.Hi > merged[n-1].Hi {
-				merged[n-1].Hi = cur.Hi
-			}
-			continue
-		}
-		merged = append(merged, cur)
-	}
-	c.rs = merged
 }

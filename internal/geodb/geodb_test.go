@@ -152,15 +152,17 @@ func TestLayeringRandomizedProperty(t *testing.T) {
 	}
 	var ents []ent
 	for layer := 0; layer < 3; layer++ {
-		used := &coverage{}
+		var placed []ipx.Range
+	draw:
 		for i := 0; i < 40; i++ {
 			lo := ipx.Addr(rng.Intn(5000))
 			hi := lo + ipx.Addr(rng.Intn(200))
-			frags := used.subtract(ipx.Range{Lo: lo, Hi: hi})
-			if len(frags) == 0 || frags[0].Lo != lo || frags[0].Hi != hi {
-				continue // would overlap within the layer; skip
+			for _, p := range placed {
+				if lo <= p.Hi && p.Lo <= hi {
+					continue draw // would overlap within the layer; skip
+				}
 			}
-			used.insert(ipx.Range{Lo: lo, Hi: hi})
+			placed = append(placed, ipx.Range{Lo: lo, Hi: hi})
 			cc := string([]byte{byte('A' + layer), byte('A' + i%26)})
 			b.Add(layer, ipx.Range{Lo: lo, Hi: hi}, rec(cc, "", ResolutionCountry))
 			ents = append(ents, ent{layer: layer, r: ipx.Range{Lo: lo, Hi: hi}, cc: cc})
@@ -185,42 +187,5 @@ func TestLayeringRandomizedProperty(t *testing.T) {
 		if ok != wantOK || (ok && got.Country != want) {
 			t.Fatalf("Lookup(%d) = %q,%v; oracle %q,%v", a, got.Country, ok, want, wantOK)
 		}
-	}
-}
-
-func TestCoverageSubtractInsert(t *testing.T) {
-	var c coverage
-	c.insert(ipx.Range{Lo: 10, Hi: 20})
-	c.insert(ipx.Range{Lo: 30, Hi: 40})
-	frags := c.subtract(ipx.Range{Lo: 5, Hi: 45})
-	want := []ipx.Range{{Lo: 5, Hi: 9}, {Lo: 21, Hi: 29}, {Lo: 41, Hi: 45}}
-	if len(frags) != len(want) {
-		t.Fatalf("subtract = %v, want %v", frags, want)
-	}
-	for i := range want {
-		if frags[i] != want[i] {
-			t.Fatalf("subtract[%d] = %v, want %v", i, frags[i], want[i])
-		}
-	}
-	// Adjacent ranges merge.
-	c.insert(ipx.Range{Lo: 21, Hi: 29})
-	if len(c.rs) != 1 || c.rs[0].Lo != 10 || c.rs[0].Hi != 40 {
-		t.Fatalf("merge failed: %v", c.rs)
-	}
-	// Fully covered subtraction yields nothing.
-	if got := c.subtract(ipx.Range{Lo: 15, Hi: 35}); len(got) != 0 {
-		t.Fatalf("covered subtract = %v", got)
-	}
-}
-
-func TestCoverageInsertAtTopOfSpace(t *testing.T) {
-	var c coverage
-	c.insert(ipx.Range{Lo: 0xfffffffe, Hi: 0xffffffff})
-	c.insert(ipx.Range{Lo: 0xfffffff0, Hi: 0xfffffffd})
-	if len(c.rs) != 1 {
-		t.Fatalf("top-of-space merge failed: %v", c.rs)
-	}
-	if got := c.subtract(ipx.Range{Lo: 0xffffffff, Hi: 0xffffffff}); len(got) != 0 {
-		t.Fatalf("top address should be covered, got %v", got)
 	}
 }

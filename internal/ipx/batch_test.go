@@ -30,7 +30,7 @@ func batchTestIndex(t testing.TB) *FlatIndex[uint32] {
 	if err := m.Build(); err != nil {
 		t.Fatal(err)
 	}
-	return NewFlatIndex(m)
+	return flatIndexOf(t, m)
 }
 
 // checkBatchMatchesLookup pins FindBatch to the per-address oracle: the

@@ -2,12 +2,13 @@ package ipx
 
 import "fmt"
 
-// FlatIndex is an immutable, cache-friendly view of a built RangeMap:
-// the interval bounds live in two parallel slices (structure-of-arrays,
-// so a binary search touches only the 4-byte lower bounds, not whole
-// records), and a /16 jump table narrows every search to the handful of
-// intervals that can cover the address's top half. Lookup is safe for
-// concurrent use; FindBatch resolves whole address blocks at once.
+// FlatIndex is an immutable, cache-friendly index of sorted, disjoint
+// address intervals: the bounds live in two parallel slices
+// (structure-of-arrays, so a binary search touches only the 4-byte lower
+// bounds, not whole records), and a /16 jump table narrows every search
+// to the handful of intervals that can cover the address's top half.
+// Lookup is safe for concurrent use; FindBatch resolves whole address
+// blocks at once.
 type FlatIndex[V any] struct {
 	los  []Addr
 	his  []Addr
@@ -19,36 +20,25 @@ type FlatIndex[V any] struct {
 	jump []int32
 }
 
-// NewFlatIndex flattens a built RangeMap. It panics if m has not been
-// built, mirroring RangeMap.Lookup.
-func NewFlatIndex[V any](m *RangeMap[V]) *FlatIndex[V] {
-	if !m.built {
-		panic("ipx: NewFlatIndex before Build")
-	}
-	x := &FlatIndex[V]{
-		los:  make([]Addr, len(m.ranges)),
-		his:  make([]Addr, len(m.ranges)),
-		vals: make([]V, len(m.ranges)),
-		jump: make([]int32, 1<<16+1),
-	}
-	for i, r := range m.ranges {
-		x.los[i] = r.Lo
-		x.his[i] = r.Hi
-		x.vals[i] = m.values[i]
-	}
-	// One pass over the sorted lower bounds fills the jump table: walk
-	// the /16 buckets and record where each bucket's intervals start.
+// NewFlatIndex adopts the intervals [los[i], his[i]] -> vals[i] without
+// copying them, fills the /16 jump table and validates the whole through
+// FlatIndexFromSoA. The intervals must be sorted and disjoint (abutting
+// is fine); anything else is an error naming the first violation.
+func NewFlatIndex[V any](los, his []Addr, vals []V) (*FlatIndex[V], error) {
+	// One pass over the lower bounds fills the jump table: walk the /16
+	// buckets and record where each bucket's intervals start.
+	jump := make([]int32, 1<<16+1)
 	k := 0
-	for i, lo := range x.los {
+	for i, lo := range los {
 		for k <= int(lo>>16) {
-			x.jump[k] = int32(i)
+			jump[k] = int32(i)
 			k++
 		}
 	}
 	for ; k <= 1<<16; k++ {
-		x.jump[k] = int32(len(x.los))
+		jump[k] = int32(len(los))
 	}
-	return x
+	return FlatIndexFromSoA(los, his, vals, jump)
 }
 
 // Len returns the number of intervals.
@@ -134,8 +124,7 @@ func (x *FlatIndex[V]) find(a Addr) (int, bool) {
 	return 0, false
 }
 
-// Lookup returns the value covering a. It is equivalent to the source
-// RangeMap's Lookup and safe for concurrent use.
+// Lookup returns the value covering a. It is safe for concurrent use.
 func (x *FlatIndex[V]) Lookup(a Addr) (V, bool) {
 	if i, ok := x.find(a); ok {
 		return x.vals[i], true

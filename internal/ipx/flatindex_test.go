@@ -34,7 +34,7 @@ func TestFlatIndexMatchesRangeMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 2, 17, 300, 4000} {
 		m := buildRandomMap(t, rng, n)
-		x := NewFlatIndex(m)
+		x := flatIndexOf(t, m)
 		if x.Len() != m.Len() {
 			t.Fatalf("n=%d: Len %d != %d", n, x.Len(), m.Len())
 		}
@@ -73,7 +73,7 @@ func TestFlatIndexCrossBoundaryRange(t *testing.T) {
 	m.Add(Range{Lo: MustParseAddr("10.0.0.0"), Hi: MustParseAddr("10.200.0.0")}, "wide")
 	m.Add(Range{Lo: MustParseAddr("10.200.0.2"), Hi: MustParseAddr("10.200.0.2")}, "point")
 	m.MustBuild()
-	x := NewFlatIndex(m)
+	x := flatIndexOf(t, m)
 	for _, tc := range []struct {
 		addr string
 		want string
@@ -95,13 +95,60 @@ func TestFlatIndexCrossBoundaryRange(t *testing.T) {
 	}
 }
 
-func TestFlatIndexBeforeBuildPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewFlatIndex on an unbuilt map did not panic")
+func TestNewFlatIndexRejectsBadIntervals(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		los, his []Addr
+		vals     []int
+	}{
+		{"out of order", []Addr{100, 0}, []Addr{199, 99}, []int{1, 2}},
+		{"overlapping", []Addr{0, 99}, []Addr{99, 199}, []int{1, 2}},
+		{"nested", []Addr{0, 10}, []Addr{99, 20}, []int{1, 2}},
+		{"inverted", []Addr{0, 200}, []Addr{99, 150}, []int{1, 2}},
+		{"short his", []Addr{0, 100}, []Addr{99}, []int{1, 2}},
+		{"short vals", []Addr{0, 100}, []Addr{99, 199}, []int{1}},
+	} {
+		if _, err := NewFlatIndex(tc.los, tc.his, tc.vals); err == nil {
+			t.Errorf("%s: NewFlatIndex accepted %v-%v", tc.name, tc.los, tc.his)
 		}
-	}()
-	NewFlatIndex(&RangeMap[int]{})
+	}
+}
+
+func TestNewFlatIndexAbuttingOK(t *testing.T) {
+	x, err := NewFlatIndex([]Addr{0, 100, 0xffffff00}, []Addr{99, 199, 0xffffffff}, []int{1, 2, 3})
+	if err != nil {
+		t.Fatalf("abutting intervals rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		a    Addr
+		want int
+		ok   bool
+	}{{0, 1, true}, {99, 1, true}, {100, 2, true}, {199, 2, true}, {200, 0, false},
+		{0xfffffeff, 0, false}, {0xffffff00, 3, true}, {0xffffffff, 3, true}} {
+		if v, ok := x.Lookup(tc.a); v != tc.want || ok != tc.ok {
+			t.Errorf("Lookup(%v) = %v,%v want %v,%v", tc.a, v, ok, tc.want, tc.ok)
+		}
+	}
+}
+
+func TestNewFlatIndexEmpty(t *testing.T) {
+	x, err := NewFlatIndex[int](nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []Addr{0, 42, 1 << 16, MustParseAddr("10.0.0.1"), ^Addr(0)}
+	for _, a := range addrs {
+		if _, ok := x.Lookup(a); ok {
+			t.Errorf("empty index found %v", a)
+		}
+	}
+	out := make([]int32, len(addrs))
+	x.FindBatch(addrs, out, &BatchScratch{})
+	for i, iv := range out {
+		if iv != -1 {
+			t.Errorf("empty index FindBatch(%v) = %d", addrs[i], iv)
+		}
+	}
 }
 
 func BenchmarkRangeMapLookup(b *testing.B) {
@@ -120,7 +167,7 @@ func BenchmarkRangeMapLookup(b *testing.B) {
 
 func BenchmarkFlatIndexLookup(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	x := NewFlatIndex(buildRandomMap(b, rng, 20000))
+	x := flatIndexOf(b, buildRandomMap(b, rng, 20000))
 	addrs := make([]Addr, 4096)
 	for i := range addrs {
 		addrs[i] = Addr(rng.Uint32())

@@ -90,7 +90,7 @@ func FuzzFlatIndexEquivalence(f *testing.F) {
 		if err := m.Build(); err != nil {
 			t.Fatalf("disjoint construction still overlapped: %v", err)
 		}
-		x := NewFlatIndex(m)
+		x := flatIndexOf(t, m)
 		check := func(a Addr) {
 			wantV, wantOK := m.Lookup(a)
 			if gotV, gotOK := x.Lookup(a); gotV != wantV || gotOK != wantOK {
@@ -144,7 +144,7 @@ func FuzzFindBatchEquivalence(f *testing.F) {
 		if err := m.Build(); err != nil {
 			t.Fatalf("disjoint construction still overlapped: %v", err)
 		}
-		x := NewFlatIndex(m)
+		x := flatIndexOf(t, m)
 		var addrs []Addr
 		for ; i+4 <= len(data); i += 4 {
 			addrs = append(addrs, Addr(binary.BigEndian.Uint32(data[i:])))

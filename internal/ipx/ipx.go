@@ -1,8 +1,8 @@
 // Package ipx provides the IPv4 machinery the reproduction is built on:
-// a compact address type, CIDR prefixes, a sorted range map with
-// longest-prefix-style lookup (the same access pattern commercial
-// geolocation databases serve), and a sequential prefix allocator used to
-// model RIR address delegation.
+// a compact address type, CIDR prefixes, a flat index of sorted address
+// intervals (the same access pattern commercial geolocation databases
+// serve), and a sequential prefix allocator used to model RIR address
+// delegation.
 //
 // Everything is IPv4-only, as is the paper (its Ark dataset is IPv4 /24
 // probing). Addresses are uint32s in host order; conversion to and from

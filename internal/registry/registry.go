@@ -52,7 +52,7 @@ type Registry struct {
 	asOrg   map[ASN]OrgID
 	transit map[ASN]bool
 	allocs  []Allocation
-	whois   ipx.RangeMap[int] // index into allocs
+	whois   *ipx.FlatIndex[Allocation]
 	frozen  bool
 	nextOrg OrgID
 }
@@ -150,18 +150,23 @@ func (r *Registry) Allocate(org OrgID, asn ASN, bits uint8) (ipx.Prefix, error) 
 	return ipx.Prefix{}, fmt.Errorf("registry: %v pools exhausted for /%d", o.RIR, bits)
 }
 
-// Freeze builds the whois index. No mutation is allowed afterwards.
+// Freeze builds the whois index over the allocations, sorted by base. No
+// mutation is allowed afterwards; overlapping allocations are an error.
 func (r *Registry) Freeze() error {
 	if r.frozen {
 		return nil
 	}
-	for i, a := range r.allocs {
-		r.whois.AddPrefix(a.Prefix, i)
+	allocs := r.Allocations()
+	los := make([]ipx.Addr, len(allocs))
+	his := make([]ipx.Addr, len(allocs))
+	for i, a := range allocs {
+		los[i], his[i] = a.Prefix.First(), a.Prefix.Last()
 	}
-	if err := r.whois.Build(); err != nil {
+	idx, err := ipx.NewFlatIndex(los, his, allocs)
+	if err != nil {
 		return fmt.Errorf("registry: %w", err)
 	}
-	r.frozen = true
+	r.whois, r.frozen = idx, true
 	return nil
 }
 
@@ -171,11 +176,10 @@ func (r *Registry) Whois(a ipx.Addr) (Allocation, Org, bool) {
 	if !r.frozen {
 		panic("registry: Whois before Freeze")
 	}
-	i, ok := r.whois.Lookup(a)
+	alloc, ok := r.whois.Lookup(a)
 	if !ok {
 		return Allocation{}, Org{}, false
 	}
-	alloc := r.allocs[i]
 	return alloc, r.orgs[alloc.Org], true
 }
 

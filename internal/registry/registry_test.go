@@ -83,8 +83,8 @@ func TestAllocationsDisjoint(t *testing.T) {
 		}
 		prefixes = append(prefixes, p)
 	}
-	// Freeze builds a RangeMap, which itself rejects overlaps; reaching
-	// here without error proves disjointness.
+	// Freeze indexes the allocations with ipx.NewFlatIndex, which
+	// rejects overlaps; reaching here without error proves disjointness.
 	if err := r.Freeze(); err != nil {
 		t.Fatal(err)
 	}
