@@ -453,9 +453,11 @@ func (b *builder) closestPoPRouters(ai, aj int) (RouterID, RouterID, float64) {
 	n := len(b.w.idx.cities)
 	var ra, rb RouterID
 	best := -1.0
-	for i, pa := range A.PoPs {
+	for i := range A.PoPs {
+		pa := &A.PoPs[i]
 		row := int(b.popCity[ai][i]) * n
-		for j, pb := range B.PoPs {
+		for j := range B.PoPs {
+			pb := &B.PoPs[j]
 			k := row + int(b.popCity[aj][j])
 			d := b.cityDist[k]
 			if d < 0 {
@@ -480,11 +482,11 @@ func (b *builder) nearestRouterInAS(ai int, p geo.Coordinate) (RouterID, float64
 	as := &b.w.ASes[ai]
 	bestPoP := -1
 	best := -1.0
-	for pi, pop := range as.PoPs {
+	for pi := range as.PoPs {
 		c := b.popCity[ai][pi]
 		if b.toCityStamp[c] != b.stamp {
 			b.toCityStamp[c] = b.stamp
-			b.toCity[c] = pop.City.Coord.DistanceKm(p)
+			b.toCity[c] = as.PoPs[pi].City.Coord.DistanceKm(p)
 		}
 		d := b.toCity[c]
 		if best < 0 || d < best {
