@@ -80,7 +80,7 @@ chaos:
 
 # Observability acceptance suite: boots the real geoserve binary against
 # a CSV fixture, scrapes GET /metrics, and validates the exposition with
-# the in-repo parser (internal/obs.LintExposition), then watches
+# the in-repo parser (internal/obs/promlint.LintExposition), then watches
 # GET /v2/events live through a sweep, a hot reload and a breaker trip —
 # see metrics_verify_test.go.
 metrics-verify:

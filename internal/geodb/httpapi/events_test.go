@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"routergeo/internal/obs"
+	"routergeo/internal/obs/promlint"
 )
 
 // sseClient opens GET /v2/events against srv and returns a line scanner
@@ -223,7 +224,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fams, err := obs.LintExposition(strings.NewReader(string(body)))
+	fams, err := promlint.LintExposition(strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatalf("/metrics fails exposition lint: %v\n%s", err, body)
 	}

@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"routergeo/internal/obs/promlint"
 )
 
 func TestPromSanitize(t *testing.T) {
@@ -82,7 +84,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 
-	fams, err := LintExposition(strings.NewReader(want))
+	fams, err := promlint.LintExposition(strings.NewReader(want))
 	if err != nil {
 		t.Fatalf("golden output fails lint: %v", err)
 	}
@@ -127,7 +129,7 @@ func TestWritePrometheusEmptyRegistry(t *testing.T) {
 	if buf.Len() != 0 {
 		t.Errorf("empty registry rendered %q, want no output", buf.String())
 	}
-	fams, err := LintExposition(&buf)
+	fams, err := promlint.LintExposition(&buf)
 	if err != nil || len(fams) != 0 {
 		t.Errorf("lint of empty exposition: fams=%v err=%v", fams, err)
 	}
@@ -154,7 +156,7 @@ func TestWritePrometheusZeroObservationHistogram(t *testing.T) {
 	if got := buf.String(); got != want {
 		t.Errorf("zero-observation histogram:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if _, err := LintExposition(strings.NewReader(want)); err != nil {
+	if _, err := promlint.LintExposition(strings.NewReader(want)); err != nil {
 		t.Errorf("zero-observation histogram fails lint: %v", err)
 	}
 }
@@ -197,7 +199,7 @@ func TestWritePrometheusCollision(t *testing.T) {
 	if !strings.Contains(out, "routergeo_a_b_total_2 2\n") {
 		t.Errorf(`want "a.b" renamed to routergeo_a_b_total_2:\n%s`, out)
 	}
-	if _, err := LintExposition(strings.NewReader(out)); err != nil {
+	if _, err := promlint.LintExposition(strings.NewReader(out)); err != nil {
 		t.Errorf("collision output fails lint: %v", err)
 	}
 }
@@ -209,7 +211,7 @@ func TestWriteProcessMetricsLint(t *testing.T) {
 	if err := WriteProcessMetrics(&buf); err != nil {
 		t.Fatalf("WriteProcessMetrics: %v", err)
 	}
-	fams, err := LintExposition(bytes.NewReader(buf.Bytes()))
+	fams, err := promlint.LintExposition(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("process metrics fail lint: %v\n%s", err, buf.String())
 	}
@@ -242,7 +244,7 @@ func TestPromHandlerNegotiation(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != PromContentType {
 		t.Errorf("default Content-Type = %q, want %q", ct, PromContentType)
 	}
-	fams, err := LintExposition(rec.Body)
+	fams, err := promlint.LintExposition(rec.Body)
 	if err != nil {
 		t.Fatalf("default exposition fails lint: %v", err)
 	}
@@ -276,7 +278,7 @@ func TestPromHandlerNegotiation(t *testing.T) {
 	}
 }
 
-func famNames(fams map[string]*ExpositionMetric) []string {
+func famNames(fams map[string]*promlint.ExpositionMetric) []string {
 	out := make([]string, 0, len(fams))
 	for n := range fams {
 		out = append(out, n)

@@ -31,6 +31,7 @@ import (
 	"routergeo/internal/geodb/snapshot"
 	"routergeo/internal/ipx"
 	"routergeo/internal/obs"
+	"routergeo/internal/obs/promlint"
 )
 
 // verifyFixtureCSV is the database geoserve serves during the scrape
@@ -137,7 +138,7 @@ func TestMetricsVerifyExposition(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
 		t.Errorf("Content-Type = %q, want %q", ct, obs.PromContentType)
 	}
-	fams, err := obs.LintExposition(bytes.NewReader(body))
+	fams, err := promlint.LintExposition(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("exposition failed lint: %v\n%s", err, body)
 	}
