@@ -108,6 +108,12 @@ func main() {
 
 	rec := obs.NewRun("routergeo")
 	rec.SetSeed(*seed)
+	if err := rec.SetConfig(cfg); err != nil {
+		// Without its config the manifest cannot reproduce the run.
+		fmt.Fprintln(os.Stderr, "routergeo:", err)
+		stopProfiles() // os.Exit skips the deferred stop
+		os.Exit(1)
+	}
 	if *debugAddr != "" {
 		// The sweep's progress ticks, span boundaries and client breaker
 		// transitions stream live from this listener's /v2/events.
@@ -115,9 +121,6 @@ func main() {
 			slog.Error("debug listener failed", "error", err)
 		})
 		slog.Info("debug listener up", "addr", *debugAddr)
-	}
-	if err := rec.SetConfig(cfg); err != nil {
-		slog.Warn("run config not recorded", "error", err)
 	}
 	ctx := rec.Context(context.Background())
 	writeManifest := func() {

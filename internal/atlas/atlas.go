@@ -19,6 +19,7 @@ import (
 
 	"routergeo/internal/gazetteer"
 	"routergeo/internal/geo"
+	"routergeo/internal/ipx"
 	"routergeo/internal/netsim"
 	"routergeo/internal/rtt"
 	"routergeo/internal/traceroute"
@@ -220,11 +221,46 @@ func pickTargets(w *netsim.World, rng *rand.Rand, n int) []netsim.RouterID {
 	return out
 }
 
-// HopResult is one traceroute hop in the measurement wire format.
+// HopResult is one traceroute hop; a built-in sends three packets per
+// hop. It holds no pointers, so a campaign's hop arrays give the garbage
+// collector nothing to mark. On the wire it is {"hop","from","rtt"} with
+// a dotted-quad address, the shape RIPE Atlas publishes.
 type HopResult struct {
+	Hop  int
+	From ipx.Addr
+	RTTs [3]float64
+}
+
+// hopWire is HopResult's JSON form.
+type hopWire struct {
 	Hop  int       `json:"hop"`
 	From string    `json:"from"`
 	RTTs []float64 `json:"rtt"`
+}
+
+// MarshalJSON writes the hop in the wire format.
+func (h HopResult) MarshalJSON() ([]byte, error) {
+	return json.Marshal(hopWire{Hop: h.Hop, From: h.From.String(), RTTs: h.RTTs[:]})
+}
+
+// UnmarshalJSON reads a hop in the wire format. It rejects a hop whose
+// address is not a dotted-quad IPv4 address or that does not carry
+// exactly three RTT samples, since neither can be scored.
+func (h *HopResult) UnmarshalJSON(data []byte) error {
+	var w hopWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	a, err := ipx.ParseAddr(w.From)
+	if err != nil {
+		return fmt.Errorf("hop %d: %w", w.Hop, err)
+	}
+	if len(w.RTTs) != len(h.RTTs) {
+		return fmt.Errorf("hop %d from %s: %d RTT samples, want %d", w.Hop, w.From, len(w.RTTs), len(h.RTTs))
+	}
+	*h = HopResult{Hop: w.Hop, From: a}
+	copy(h.RTTs[:], w.RTTs)
+	return nil
 }
 
 // Measurement is one built-in traceroute result.
@@ -248,32 +284,21 @@ func (h HopResult) MinRTT() float64 {
 }
 
 // RunBuiltins runs every probe's built-in traceroutes to every target and
-// returns the results in wire form. One shortest-path tree per *target*
-// serves the entire fleet: links are symmetric, so the tree rooted at the
-// target is every probe's reverse-path table.
+// returns their results. One shortest-path tree per *target* serves the
+// entire fleet: links are symmetric, so the tree rooted at the target is
+// every probe's reverse-path table.
 func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 	rng := rand.New(rand.NewSource(seed))
 	eng := traceroute.New(f.World)
 	model := eng.Model
 
-	// Each interface's address is formatted once and shared by every
-	// hop that reports it.
-	addrs := make([]string, len(f.World.Interfaces))
-	addr := func(ifc netsim.IfaceID) string {
-		if addrs[ifc] == "" {
-			addrs[ifc] = f.World.Interfaces[ifc].Addr.String()
-		}
-		return addrs[ifc]
-	}
-
 	out := make([]Measurement, 0, len(f.Targets)*len(f.Probes))
 	for _, target := range f.Targets {
 		tree := eng.BuildTree(target)
-		dstAddr := addr(f.World.Routers[target].Ifaces[0])
-		// One backing array of hops and one of RTTs serve every probe's
-		// result toward this target; each measurement gets a
-		// capacity-capped window, so appending to one copies instead of
-		// overwriting its neighbour.
+		dstAddr := f.World.Interfaces[f.World.Routers[target].Ifaces[0]].Addr.String()
+		// One backing array of hops serves every probe's result toward
+		// this target; each measurement gets a capacity-capped window, so
+		// appending to one copies instead of overwriting its neighbour.
 		hopsTotal := 0
 		for pi := range f.Probes {
 			if r := f.Probes[pi].Router; tree.Reachable(r) {
@@ -281,7 +306,6 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 			}
 		}
 		results := make([]HopResult, hopsTotal)
-		rtts := make([]float64, 3*hopsTotal)
 		for pi := range f.Probes {
 			p := &f.Probes[pi]
 			if !tree.Reachable(p.Router) {
@@ -305,12 +329,11 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 			r, ifc := p.Router, f.World.Routers[p.Router].Ifaces[0]
 			for j := range m.Result {
 				prop := p.LastMileMs + 2*(total-tree.DistMs(r)) + float64(j)*model.PerHopMs
-				hopRTTs := rtts[:3:3]
-				rtts = rtts[3:]
-				for k := range hopRTTs {
-					hopRTTs[k] = prop + rng.ExpFloat64()*model.QueueMeanMs
+				h := &m.Result[j]
+				h.Hop, h.From = hop, f.World.Interfaces[ifc].Addr
+				for k := range h.RTTs {
+					h.RTTs[k] = prop + rng.ExpFloat64()*model.QueueMeanMs
 				}
-				m.Result[j] = HopResult{Hop: hop, From: addr(ifc), RTTs: hopRTTs}
 				hop++
 				if r != target {
 					// tree.ParentIface(r) is the interface at r on the link

@@ -110,8 +110,7 @@ func (e *Env) Providers() []geodb.Provider {
 	return out
 }
 
-// NewEnv builds the environment. With the default configuration this
-// takes a few seconds on one core; everything downstream is cheap. The
+// NewEnv builds the environment; everything downstream is cheap. The
 // context carries the run's trace span (if any); every build stage
 // attaches its own child span under "env.build".
 func NewEnv(ctx context.Context, cfg Config) (*Env, error) {
@@ -134,39 +133,67 @@ func NewEnv(ctx context.Context, cfg Config) (*Env, error) {
 	e.Zone = rdns.Synthesize(w, e.Dict, cfg.RDNS)
 	zSpan.End()
 
-	// The three measurement campaigns are independent of one another (each
-	// owns its RNG), so they run concurrently; their consumers join below.
-	// Their spans all attach under env.build — children append under the
-	// parent's lock, so concurrent Starts are safe.
+	// Four chains of stages start once the world and the zone exist, and
+	// each stage starts as soon as its inputs do: the Ark sweep and the
+	// DNS ground truth; each Atlas campaign and its RTT ground truth; the
+	// churn timeline and the vendor databases. Each chain owns its RNGs
+	// and only reads the world, the zone and the decoder, so no byte
+	// depends on the schedule. Their spans all attach under env.build —
+	// children append under the parent's lock, so concurrent Starts are
+	// safe.
 	var (
-		wg     sync.WaitGroup
-		fleet2 *atlas.Fleet
-		ms2    []atlas.Measurement
+		wg        sync.WaitGroup
+		oneMsBase *groundtruth.Dataset
+		oneMsSpan *obs.Span
+		vendorErr error
 	)
-	wg.Add(3)
+	wg.Add(4)
 	go func() {
 		defer wg.Done()
 		e.Coll = ark.Collect(ctx, w, cfg.Ark)
+		e.DNS, e.DNSStats = groundtruth.BuildDNS(ctx, w, e.Coll, e.Zone, e.Dec)
 	}()
 	go func() {
 		defer wg.Done()
 		_, sp := obs.Start(ctx, "atlas.deploy")
-		defer sp.End()
 		e.Fleet = atlas.Deploy(w, cfg.Atlas)
 		e.Measurements = e.Fleet.RunBuiltins(cfg.Atlas.Seed + 1)
 		sp.SetItems(int64(len(e.Measurements)))
+		sp.End()
+		e.RTTDS, e.RTTStats = groundtruth.BuildRTT(ctx, w, e.Fleet, e.Measurements, cfg.RTT)
 	}()
 	go func() {
 		defer wg.Done()
 		// The Giotsas-style comparison fleet: larger, later, 1 ms rule.
+		// Its measurements are dropped once its ground truth is built.
 		_, sp := obs.Start(ctx, "atlas.deploy_1ms")
-		defer sp.End()
 		fleet2Cfg := cfg.Atlas
 		fleet2Cfg.Probes = cfg.OneMsProbes
 		fleet2Cfg.Seed = cfg.Atlas.Seed + 1000
-		fleet2 = atlas.Deploy(w, fleet2Cfg)
-		ms2 = fleet2.RunBuiltins(fleet2Cfg.Seed + 1)
+		fleet2 := atlas.Deploy(w, fleet2Cfg)
+		ms2 := fleet2.RunBuiltins(fleet2Cfg.Seed + 1)
 		sp.SetItems(int64(len(ms2)))
+		sp.End()
+		var oneMsCtx context.Context
+		oneMsCtx, oneMsSpan = obs.Start(ctx, "groundtruth.1ms")
+		oneMsCfg := groundtruth.RTTConfig{ThresholdMs: 1.0, CentroidKm: cfg.RTT.CentroidKm, NearbyMaxKm: 200}
+		oneMsBase, _ = groundtruth.BuildRTT(oneMsCtx, w, fleet2, ms2, oneMsCfg)
+		oneMsSpan.End()
+	}()
+	go func() {
+		defer wg.Done()
+		_, evoSpan := obs.Start(ctx, "netsim.evolve")
+		e.Evo = w.Evolve(rand.New(rand.NewSource(cfg.EvolutionSeed)), netsim.DefaultEvolutionParams())
+		evoSpan.End()
+		vCtx, vSpan := obs.Start(ctx, "vendors.build")
+		defer vSpan.End()
+		e.Feed = vendors.BuildFeed(w, vendors.DefaultFeedConfig())
+		e.DBs, vendorErr = buildVendors(vCtx, "vendors.build", vendors.Inputs{
+			World:   w,
+			Feed:    e.Feed,
+			Zone:    e.Zone,
+			Decoder: e.Dec,
+		})
 	}()
 	wg.Wait()
 
@@ -174,37 +201,20 @@ func NewEnv(ctx context.Context, cfg Config) (*Env, error) {
 		e.ArkAddrs = append(e.ArkAddrs, w.Interfaces[id].Addr)
 	}
 
-	e.DNS, e.DNSStats = groundtruth.BuildDNS(ctx, w, e.Coll, e.Zone, e.Dec)
-	e.RTTDS, e.RTTStats = groundtruth.BuildRTT(ctx, w, e.Fleet, e.Measurements, cfg.RTT)
-
 	_, mSpan := obs.Start(ctx, "groundtruth.merge")
 	e.GT = groundtruth.Merge(e.DNS, e.RTTDS)
 	e.Targets = core.TargetsFromDataset(w, e.GT)
 	mSpan.SetItems(int64(len(e.Targets)))
 	mSpan.End()
 
-	_, evoSpan := obs.Start(ctx, "netsim.evolve")
-	e.Evo = w.Evolve(rand.New(rand.NewSource(cfg.EvolutionSeed)), netsim.DefaultEvolutionParams())
-	evoSpan.End()
-
-	oneMsCtx, oneMsSpan := obs.Start(ctx, "groundtruth.1ms")
-	oneMsCfg := groundtruth.RTTConfig{ThresholdMs: 1.0, CentroidKm: cfg.RTT.CentroidKm, NearbyMaxKm: 200}
-	oneMsBase, _ := groundtruth.BuildRTT(oneMsCtx, w, fleet2, ms2, oneMsCfg)
+	// The 1 ms dataset moves its entries along the churn timeline, which
+	// only exists after the join. This step is cheap, so its span covers
+	// the 1 ms RTT ground truth alone and takes the dataset's size here.
 	e.OneMs = groundtruth.Build1ms(w, oneMsBase, e.Evo, 10, 0.7, cfg.EvolutionSeed+1)
 	oneMsSpan.SetItems(int64(e.OneMs.Len()))
-	oneMsSpan.End()
 
-	vCtx, vSpan := obs.Start(ctx, "vendors.build")
-	defer vSpan.End()
-	e.Feed = vendors.BuildFeed(w, vendors.DefaultFeedConfig())
-	e.DBs, err = buildVendors(vCtx, "vendors.build", vendors.Inputs{
-		World:   w,
-		Feed:    e.Feed,
-		Zone:    e.Zone,
-		Decoder: e.Dec,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: build vendors: %w", err)
+	if vendorErr != nil {
+		return nil, fmt.Errorf("experiments: build vendors: %w", vendorErr)
 	}
 	return e, nil
 }

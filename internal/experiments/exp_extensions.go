@@ -62,11 +62,7 @@ func runExtCBG(ctx context.Context, w io.Writer, env *Env) error {
 			continue
 		}
 		for _, h := range m.Result {
-			a, err := ipx.ParseAddr(h.From)
-			if err != nil {
-				continue
-			}
-			obsByAddr[a] = append(obsByAddr[a], cbg.Observation{
+			obsByAddr[h.From] = append(obsByAddr[h.From], cbg.Observation{
 				From:  pc,
 				RTTMs: h.MinRTT(),
 			})

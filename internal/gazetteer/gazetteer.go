@@ -12,6 +12,7 @@ package gazetteer
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -205,11 +206,21 @@ func (g *Gazetteer) Nearest(p geo.Coordinate) (City, float64) {
 
 // NearCountryCentroid reports whether p lies within withinKm of any
 // country's default coordinates — the check the paper uses to disqualify
-// probes parked on default country coordinates (§3.2).
+// probes parked on default country coordinates (§3.2). The first match in
+// table order wins.
 func (g *Gazetteer) NearCountryCentroid(p geo.Coordinate, withinKm float64) (Country, bool) {
-	for _, c := range g.countries {
+	// A great-circle distance is at least the latitude arc between its
+	// ends, so a centroid whose latitude alone is farther than withinKm
+	// cannot match. The 1 km slack covers the haversine's rounding.
+	const kmPerDegLat = math.Pi / 180 * geo.EarthRadiusKm
+	maxDLat := (withinKm + 1) / kmPerDegLat
+	for i := range g.countries {
+		c := &g.countries[i]
+		if math.Abs(c.Centroid.Lat-p.Lat) > maxDLat {
+			continue
+		}
 		if c.Centroid.WithinKm(p, withinKm) {
-			return c, true
+			return *c, true
 		}
 	}
 	return Country{}, false

@@ -184,6 +184,63 @@ func TestNearCountryCentroid(t *testing.T) {
 	}
 }
 
+// nearCountryCentroidScan is the plain scan NearCountryCentroid must
+// agree with: a full haversine to every centroid, in table order.
+func nearCountryCentroidScan(g *Gazetteer, p geo.Coordinate, withinKm float64) (Country, bool) {
+	for _, c := range g.countries {
+		if c.Centroid.WithinKm(p, withinKm) {
+			return c, true
+		}
+	}
+	return Country{}, false
+}
+
+// TestNearCountryCentroidMatchesScan checks that the latitude pre-filter
+// never changes the answer: on random points, and on points 1 m inside
+// and 1 m outside each centroid's radius. The second gazetteer adds
+// centroids at the poles and on both sides of the antimeridian, where
+// longitude degrees shrink to nothing or wrap.
+func TestNearCountryCentroidMatchesScan(t *testing.T) {
+	real := New()
+	edge := &Gazetteer{countries: append([]Country{
+		{ISO2: "N1", Centroid: geo.Coordinate{Lat: 89.999, Lon: 10}},
+		{ISO2: "N2", Centroid: geo.Coordinate{Lat: 90, Lon: 0}},
+		{ISO2: "S1", Centroid: geo.Coordinate{Lat: -89.98, Lon: -170}},
+		{ISO2: "E1", Centroid: geo.Coordinate{Lat: -16.5, Lon: 179.999}},
+		{ISO2: "W1", Centroid: geo.Coordinate{Lat: -16.52, Lon: -180}},
+		{ISO2: "W2", Centroid: geo.Coordinate{Lat: 65, Lon: -179.99}},
+	}, countryTable...)}
+	rng := rand.New(rand.NewSource(5))
+	checked := 0
+	check := func(g *Gazetteer, p geo.Coordinate, km float64) {
+		t.Helper()
+		got, gotOK := g.NearCountryCentroid(p, km)
+		want, wantOK := nearCountryCentroidScan(g, p, km)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("NearCountryCentroid(%v, %v) = %s %v, scan says %s %v", p, km, got.ISO2, gotOK, want.ISO2, wantOK)
+		}
+		checked++
+	}
+	for _, g := range []*Gazetteer{real, edge} {
+		for _, km := range []float64{0.5, 5, 50, 500} {
+			for i := 0; i < 2000; i++ {
+				p := geo.Coordinate{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180}
+				check(g, p, km)
+			}
+			for _, c := range g.countries {
+				for _, d := range []float64{km - 0.001, km + 0.001} {
+					for _, bearing := range []float64{0, 45, 90, 180, 270, 359.9} {
+						check(g, c.Centroid.Offset(d, bearing), km)
+					}
+				}
+			}
+		}
+	}
+	if checked < 20000 {
+		t.Fatalf("checked only %d points", checked)
+	}
+}
+
 func TestSampleCityRespectsCountry(t *testing.T) {
 	g := New()
 	rng := rand.New(rand.NewSource(7))

@@ -88,11 +88,7 @@ func BuildRTT(ctx context.Context, w *netsim.World, fleet *atlas.Fleet, ms []atl
 			if min > cfg.ThresholdMs {
 				continue
 			}
-			a, err := ipx.ParseAddr(h.From)
-			if err != nil {
-				continue
-			}
-			cur := byAddr[a]
+			cur := byAddr[h.From]
 			found := false
 			for i := range cur {
 				if cur[i].probe == m.ProbeID {
@@ -105,7 +101,7 @@ func BuildRTT(ctx context.Context, w *netsim.World, fleet *atlas.Fleet, ms []atl
 				}
 			}
 			if !found {
-				byAddr[a] = append(cur, sighting{probe: m.ProbeID, rtt: min, hops: h.Hop})
+				byAddr[h.From] = append(cur, sighting{probe: m.ProbeID, rtt: min, hops: h.Hop})
 			}
 			probeSet[m.ProbeID] = true
 		}

@@ -19,7 +19,8 @@ import (
 // TestManifestReproducesRun builds a non-default environment (seed 7,
 // 1,200 ASes) under obs.NewRun, writes the manifest, and rebuilds from
 // the manifest's config alone: the sizes and the RunAll output must
-// match.
+// match. The manifest's env.build tree must hold every build stage once,
+// under the same parent, however NewEnv schedules them.
 func TestManifestReproducesRun(t *testing.T) {
 	ctx := context.Background()
 	cfg := experiments.DefaultConfig()
@@ -48,6 +49,7 @@ func TestManifestReproducesRun(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
+	checkEnvBuildSpans(t, m.Stages)
 	var back experiments.Config
 	if err := json.Unmarshal(m.Config, &back); err != nil {
 		t.Fatalf("manifest config does not decode: %v", err)
@@ -72,5 +74,60 @@ func TestManifestReproducesRun(t *testing.T) {
 	}
 	if got, want := digest(again), digest(env); got != want {
 		t.Errorf("RunAll output of the rebuilt run: sha256 %x, want %x", got, want)
+	}
+}
+
+// envBuildSpans is every span path under env.build, each naming its
+// parent before a slash.
+var envBuildSpans = []string{
+	"netsim.build",
+	"rdns.synthesize",
+	"ark.collect",
+	"groundtruth.dns",
+	"atlas.deploy",
+	"groundtruth.rtt",
+	"atlas.deploy_1ms",
+	"groundtruth.1ms",
+	"groundtruth.1ms/groundtruth.rtt",
+	"netsim.evolve",
+	"vendors.build",
+	"vendors.build/vendors.build.IP2Location-Lite",
+	"vendors.build/vendors.build.MaxMind-GeoLite",
+	"vendors.build/vendors.build.MaxMind-Paid",
+	"vendors.build/vendors.build.NetAcuity",
+	"groundtruth.merge",
+}
+
+// checkEnvBuildSpans asserts that the one env.build span under root has
+// exactly the paths in envBuildSpans, each once.
+func checkEnvBuildSpans(t *testing.T, root obs.SpanSnapshot) {
+	t.Helper()
+	var builds []obs.SpanSnapshot
+	for _, c := range root.Children {
+		if c.Name == "env.build" {
+			builds = append(builds, c)
+		}
+	}
+	if len(builds) != 1 {
+		t.Fatalf("manifest has %d env.build spans, want 1", len(builds))
+	}
+	seen := map[string]int{}
+	var walk func(prefix string, s obs.SpanSnapshot)
+	walk = func(prefix string, s obs.SpanSnapshot) {
+		for _, c := range s.Children {
+			path := prefix + c.Name
+			seen[path]++
+			walk(path+"/", c)
+		}
+	}
+	walk("", builds[0])
+	for _, p := range envBuildSpans {
+		if seen[p] != 1 {
+			t.Errorf("env.build span %s appears %d times, want once", p, seen[p])
+		}
+		delete(seen, p)
+	}
+	for p, n := range seen {
+		t.Errorf("unexpected env.build span %s (%d times)", p, n)
 	}
 }
