@@ -55,16 +55,13 @@ type builder struct {
 	addr     []*addrAssigner // parallel to w.ASes
 	linkSeen map[[2]RouterID]bool
 
-	// Memoized great-circle distances for createLinks, over the router
-	// index's city numbering. popCity[ai][pi] numbers AS ai's PoP pi.
-	// cityDist holds centre-to-centre distances, n×n, negative until
-	// first use. toCity[c] holds c's distance to the point of the current
-	// pickProvider call when toCityStamp[c] equals stamp.
-	popCity     [][]int32
-	cityDist    []float64
-	toCity      []float64
-	toCityStamp []uint32
-	stamp       uint32
+	// Per-city tables over the router index's city numbering.
+	// popCity[ai][pi] numbers AS ai's PoP pi. cityDist memoizes
+	// closestPoPRouters' centre-to-centre distances, n×n, negative until
+	// first use. cityKey holds each city's "cc/city" blockCities key.
+	popCity  [][]int32
+	cityDist []float64
+	cityKey  []string
 }
 
 // createASes instantiates the seed operators plus synthetic ASes, chooses
@@ -323,12 +320,8 @@ func (b *builder) createLinks() error {
 		}
 	}
 
-	var transit []int
-	for ai := range b.w.ASes {
-		if b.w.ASes[ai].Transit {
-			transit = append(transit, ai)
-		}
-	}
+	tx := newTransitIndex(b.w, b.popCity, b.cfg.PeeringRadiusKm)
+	transit := tx.transit
 	if len(transit) == 0 {
 		return fmt.Errorf("netsim: no transit ASes; cannot build a connected world")
 	}
@@ -340,9 +333,13 @@ func (b *builder) createLinks() error {
 			return err
 		}
 	}
-	// Local peering: transit pairs with PoPs in the same metro.
-	for i := 0; i < len(transit); i++ {
-		for j := i + 1; j < len(transit); j++ {
+	// Local peering: transit pairs with PoPs in the same metro. Only the
+	// pairs the index lists can pass the radius test; the others never
+	// drew.
+	var peers []int
+	for i := range transit {
+		peers = tx.peers(i, peers[:0])
+		for _, j := range peers {
 			ra, rb, d := b.closestPoPRouters(transit[i], transit[j])
 			if d <= b.cfg.PeeringRadiusKm && b.rng.Float64() < b.cfg.PeeringProb {
 				if err := b.link(ra, rb); err != nil {
@@ -370,27 +367,17 @@ func (b *builder) createLinks() error {
 		totalWeight += weights[i]
 	}
 	pickProvider := func(coord geo.Coordinate) RouterID {
-		b.stamp++ // a new point: forget the distances to the last one
 		if b.rng.Float64() < 0.5 {
-			best, bestD := RouterID(-1), 0.0
-			for _, ti := range transit {
-				r, d := b.nearestRouterInAS(ti, coord)
-				if best < 0 || d < bestD {
-					best, bestD = r, d
-				}
-			}
-			return best
+			return tx.nearestRouter(b.w, b.rng, coord)
 		}
 		x := b.rng.Intn(totalWeight)
 		for i, ti := range transit {
 			x -= weights[i]
 			if x < 0 {
-				r, _ := b.nearestRouterInAS(ti, coord)
-				return r
+				return b.nearestRouterInAS(ti, coord)
 			}
 		}
-		r, _ := b.nearestRouterInAS(transit[len(transit)-1], coord)
-		return r
+		return b.nearestRouterInAS(transit[len(transit)-1], coord)
 	}
 	for ai := range b.w.ASes {
 		as := &b.w.ASes[ai]
@@ -426,24 +413,38 @@ func (b *builder) linkASes(ai, aj int) error {
 	return b.link(ra, rb)
 }
 
-// numberPoPCities numbers every PoP's city once, by the router index's
-// city numbering, and sizes the distance memos.
+// numberPoPCities numbers every PoP's city once, keys each city once
+// and sizes the distance memo.
 func (b *builder) numberPoPCities() {
-	b.popCity = make([][]int32, len(b.w.ASes))
-	for ai := range b.w.ASes {
-		pops := b.w.ASes[ai].PoPs
-		b.popCity[ai] = make([]int32, len(pops))
-		for pi := range pops {
-			b.popCity[ai][pi] = b.w.idx.cityOf[pops[pi].Routers[0]]
+	b.popCity = popCities(b.w)
+	n := len(b.w.idx.cities)
+	b.cityKey = make([]string, n)
+	for ai, cities := range b.popCity {
+		for pi, c := range cities {
+			if b.cityKey[c] == "" {
+				city := b.w.ASes[ai].PoPs[pi].City
+				b.cityKey[c] = city.Country + "/" + city.Name
+			}
 		}
 	}
-	n := len(b.w.idx.cities)
 	b.cityDist = make([]float64, n*n)
 	for i := range b.cityDist {
 		b.cityDist[i] = -1
 	}
-	b.toCity = make([]float64, n)
-	b.toCityStamp = make([]uint32, n)
+}
+
+// popCities numbers every PoP's city by the router index's city
+// numbering: the result's [ai][pi] is AS ai's PoP pi.
+func popCities(w *World) [][]int32 {
+	out := make([][]int32, len(w.ASes))
+	for ai := range w.ASes {
+		pops := w.ASes[ai].PoPs
+		out[ai] = make([]int32, len(pops))
+		for pi := range pops {
+			out[ai][pi] = w.idx.cityOf[pops[pi].Routers[0]]
+		}
+	}
+	return out
 }
 
 // closestPoPRouters returns the core-router pair minimizing the distance
@@ -478,23 +479,10 @@ func (b *builder) closestPoPRouters(ai, aj int) (RouterID, RouterID, float64) {
 // core: real PoPs land customers on edge routers, and the resulting path
 // diversity is what lets an Ark-style sweep observe a transit operator's
 // many per-customer interfaces (the bulk of the paper's DNS ground truth).
-func (b *builder) nearestRouterInAS(ai int, p geo.Coordinate) (RouterID, float64) {
+func (b *builder) nearestRouterInAS(ai int, p geo.Coordinate) RouterID {
 	as := &b.w.ASes[ai]
-	bestPoP := -1
-	best := -1.0
-	for pi := range as.PoPs {
-		c := b.popCity[ai][pi]
-		if b.toCityStamp[c] != b.stamp {
-			b.toCityStamp[c] = b.stamp
-			b.toCity[c] = as.PoPs[pi].City.Coord.DistanceKm(p)
-		}
-		d := b.toCity[c]
-		if best < 0 || d < best {
-			best, bestPoP = d, pi
-		}
-	}
-	rs := as.PoPs[bestPoP].Routers
-	return rs[b.rng.Intn(len(rs))], best
+	rs := as.PoPs[nearestPoP(as, p)].Routers
+	return rs[b.rng.Intn(len(rs))]
 }
 
 // link installs an undirected link between two routers, numbering one new
@@ -552,13 +540,12 @@ func (b *builder) newIface(a ipx.Addr, r RouterID, link int32) IfaceID {
 	if _, ok := b.w.blockOwner[base]; !ok {
 		b.w.blockOwner[base] = r
 	}
-	city := b.w.CityOf(id)
 	set := b.w.blockCities[base]
 	if set == nil {
 		set = make(map[string]int, 1)
 		b.w.blockCities[base] = set
 	}
-	set[city.Country+"/"+city.Name]++
+	set[b.cityKey[b.w.idx.cityOf[r]]]++
 	return id
 }
 
