@@ -45,10 +45,10 @@ test:
 	$(GO) test ./...
 
 # cores re-runs the packages whose README guarantees depend on the core
-# count — serial ≡ parallel byte identity (core, experiments) and the
-# zero-alloc /v2/lookup steady state (httpapi) — at 1, 2 and 4 procs,
-# so a single-core runner cannot hide a multi-core failure.
-CORES_PKGS = ./internal/core/ ./internal/experiments/ ./internal/geodb/httpapi/
+# count — serial ≡ parallel byte identity (par, core, ark, experiments)
+# and the zero-alloc /v2/lookup steady state (httpapi) — at 1, 2 and 4
+# procs, so a single-core runner cannot hide a multi-core failure.
+CORES_PKGS = ./internal/par/ ./internal/core/ ./internal/ark/ ./internal/experiments/ ./internal/geodb/httpapi/
 
 cores:
 	$(GO) test -count=1 -cpu 1,2,4 $(CORES_PKGS)

@@ -16,6 +16,7 @@ import (
 	"routergeo/internal/ipx"
 	"routergeo/internal/netsim"
 	"routergeo/internal/obs"
+	"routergeo/internal/par"
 	"routergeo/internal/traceroute"
 )
 
@@ -75,10 +76,10 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 	eng := traceroute.New(w)
 
 	monitors := placeMonitors(w, rng, cfg.Monitors)
+	// The trees are independent and draw nothing, so they build on the
+	// engine's workers.
 	trees := make([]*traceroute.Tree, len(monitors))
-	for i, m := range monitors {
-		trees[i] = eng.BuildTree(m.Router)
-	}
+	par.Each(len(monitors), func(i int) { trees[i] = eng.BuildTree(monitors[i].Router) })
 
 	c := &Collection{Monitors: monitors, addrs: make(map[ipx.Addr]bool)}
 	seen := make([]bool, len(w.Interfaces))

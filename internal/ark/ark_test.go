@@ -2,9 +2,11 @@ package ark
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"routergeo/internal/netsim"
+	"routergeo/internal/par"
 )
 
 var (
@@ -134,5 +136,21 @@ func TestSmallerSweepSeesLess(t *testing.T) {
 	if len(small.Interfaces) >= len(c.Interfaces) {
 		t.Errorf("3-monitor sweep (%d) saw at least as much as 60-monitor sweep (%d)",
 			len(small.Interfaces), len(c.Interfaces))
+	}
+}
+
+// TestCollectSameAtAnyWorkerCount builds the monitor trees on one worker
+// and on four and requires the same collection.
+func TestCollectSameAtAnyWorkerCount(t *testing.T) {
+	w, _ := testSetup(t)
+	collect := func(workers int) *Collection {
+		par.SetParallelism(workers)
+		defer par.SetParallelism(0)
+		return Collect(context.Background(), w, DefaultConfig())
+	}
+	serial, parallel := collect(1), collect(4)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("Collect differs between 1 and 4 workers: %d and %d interfaces, %d and %d traces",
+			len(serial.Interfaces), len(parallel.Interfaces), serial.Traces, parallel.Traces)
 	}
 }

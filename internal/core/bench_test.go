@@ -19,6 +19,7 @@ import (
 
 	"routergeo/internal/geodb"
 	"routergeo/internal/ipx"
+	"routergeo/internal/par"
 )
 
 const benchAddrs = 200_000
@@ -68,8 +69,8 @@ func benchModes(b *testing.B, items int, sweep func()) {
 		{"workers=8", 8},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			SetParallelism(mode.workers)
-			defer SetParallelism(0)
+			par.SetParallelism(mode.workers)
+			defer par.SetParallelism(0)
 			sweep() // warm the pools under this mode's worker count
 			b.ReportAllocs()
 			b.ResetTimer()

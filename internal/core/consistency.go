@@ -6,6 +6,7 @@ import (
 	"routergeo/internal/geo"
 	"routergeo/internal/geodb"
 	"routergeo/internal/ipx"
+	"routergeo/internal/par"
 	"routergeo/internal/stats"
 )
 
@@ -128,7 +129,7 @@ func (p PairwiseCity) DisagreeOver40Pct() float64 {
 // Per-block survivor lists concatenate in block order, so the output
 // preserves input order exactly as the serial loop does.
 func CityAnsweredInAll(ctx context.Context, dbs []geodb.Provider, addrs []ipx.Addr) []ipx.Addr {
-	parts := make([][]ipx.Addr, numBlocks(len(addrs), blockSize))
+	parts := make([][]ipx.Addr, par.NumBlocks(len(addrs), blockSize))
 	sweep(ctx, "core.city_answered_in_all", dbs, addrs,
 		func(_ *struct{}, bi, lo, hi int, rs []*resolver) {
 			var keep []ipx.Addr

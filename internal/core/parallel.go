@@ -2,23 +2,19 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"routergeo/internal/geodb"
 	"routergeo/internal/ipx"
 	"routergeo/internal/obs"
+	"routergeo/internal/par"
 )
 
 // The parallel measurement engine. Every measurement in this package is
 // embarrassingly parallel — no cross-address state — so each one runs
-// as a block map-reduce: the input is cut into fixed-size blocks, the
-// workers claim blocks off a shared atomic cursor (work stealing: a
-// worker stalled on a page miss or a slow remote batch cannot idle the
-// others, unlike the one-big-chunk-per-worker split this replaced), and
+// as a block map-reduce on internal/par's scheduler: the input is cut
+// into fixed-size blocks the workers steal off a shared cursor, and
 // per-worker partials merge after the last block. Two properties keep
 // the result byte-identical to the serial loop's, whatever the
 // goroutine schedule: counter sums and ECDF sample multisets are
@@ -33,24 +29,6 @@ import (
 // block through geodb.BatchIndexer (sort-and-walk, see ipx.FindBatch)
 // before scoring it, and per-block obs.Progress updates replace the
 // per-address ones that used to dominate sweep profiles.
-
-// parallelismSetting holds the configured worker count; <= 0 means "use
-// GOMAXPROCS".
-var parallelismSetting atomic.Int64
-
-// SetParallelism fixes the engine's worker count. n <= 0 restores the
-// default of GOMAXPROCS; n == 1 forces the serial path everywhere.
-// routergeo wires its -parallelism flag here.
-func SetParallelism(n int) { parallelismSetting.Store(int64(n)) }
-
-// parallelism returns the resolved worker count the engine will use for
-// large inputs.
-func parallelism() int {
-	if n := parallelismSetting.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // serialCutoff is the input size below which measurements take the
 // serial fast path whatever the worker count: goroutine startup costs
@@ -67,7 +45,7 @@ var blockSize = 8192
 
 // workersFor resolves how many workers an input of n items gets.
 func workersFor(n int) int {
-	w := parallelism()
+	w := par.Workers()
 	if w <= 1 || n < serialCutoff {
 		return 1
 	}
@@ -77,52 +55,11 @@ func workersFor(n int) int {
 	return w
 }
 
-// numBlocks returns how many blocks of the given size [0, n) splits
-// into.
-func numBlocks(n, size int) int { return (n + size - 1) / size }
-
 // slot pads a per-worker partial to its own cache line, so workers
 // tallying into parts[wi] never false-share with their neighbours.
 type slot[T any] struct {
 	v T
 	_ [64]byte
-}
-
-// runBlocks executes process once per size-item block of [0, n) and
-// waits for all of them. workers == 1 visits the blocks in index order
-// on the caller's goroutine; otherwise workers goroutines claim blocks
-// off an atomic cursor. process receives the claiming worker's index wi
-// (for per-worker state: resolvers, partials), the block index bi
-// (for order-sensitive merges) and the block's [lo, hi) bounds.
-//
-//geolint:hotpath
-func runBlocks(n, size, workers int, process func(wi, bi, lo, hi int)) {
-	nb := numBlocks(n, size)
-	if workers <= 1 {
-		for bi := 0; bi < nb; bi++ {
-			lo := bi * size
-			process(0, bi, lo, min(lo+size, n))
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wi := 0; wi < workers; wi++ {
-		//lint:ignore hotalloc the bound is one closure per worker per call, whatever n is: at the default scale nothing amortizes it (the 9,575-address Ark sweep is 2 blocks, Each claims 3-14 items); BenchmarkAccuracy/workers=N allocs/op in BENCH_core.json checks it
-		go func(wi int) {
-			defer wg.Done()
-			for {
-				bi := int(cursor.Add(1)) - 1
-				if bi >= nb {
-					return
-				}
-				lo := bi * size
-				process(wi, bi, lo, min(lo+size, n))
-			}
-		}(wi)
-	}
-	wg.Wait()
 }
 
 // sweep runs one measurement over items — addresses or targets — on
@@ -177,7 +114,7 @@ func sweep[T ipx.Addr | Target, P any](ctx context.Context, stage string, dbs []
 
 	parts := make([]slot[P], workers)
 	res := make([][]*resolver, workers)
-	runBlocks(len(items), blockSize, workers, func(wi, bi, lo, hi int) {
+	par.RunBlocks(len(items), blockSize, workers, func(wi, bi, lo, hi int) {
 		rs := res[wi]
 		if rs == nil {
 			rs = bindResolvers(dbs)
@@ -210,15 +147,4 @@ func joinSamples(parts [][]float64) []float64 {
 		return parts[0]
 	}
 	return slices.Concat(parts...)
-}
-
-// Each runs fn(i) once for every i in [0, n) on the engine: size-1
-// blocks claimed off the same cursor by as many workers as the engine
-// has (see SetParallelism), but never more than n. At one worker it
-// runs in index order on the caller's goroutine. It fans out a handful
-// of independent, coarse tasks (paper artifacts, drift epochs, vendor
-// builds); a caller that needs ordered output buffers per item and
-// writes after Each returns.
-func Each(n int, fn func(i int)) {
-	runBlocks(n, 1, min(parallelism(), n), func(_, i, _, _ int) { fn(i) })
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"routergeo/internal/geo"
@@ -13,6 +12,7 @@ import (
 	"routergeo/internal/groundtruth"
 	"routergeo/internal/ipx"
 	"routergeo/internal/obs"
+	"routergeo/internal/par"
 	"routergeo/internal/stats"
 )
 
@@ -24,10 +24,10 @@ func forceParallel(t *testing.T, workers int) {
 	oldCutoff, oldBlock := serialCutoff, blockSize
 	serialCutoff = 1
 	blockSize = 512
-	SetParallelism(workers)
+	par.SetParallelism(workers)
 	t.Cleanup(func() {
 		serialCutoff, blockSize = oldCutoff, oldBlock
-		SetParallelism(0)
+		par.SetParallelism(0)
 	})
 }
 
@@ -161,7 +161,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	// sweep; their oracle is the per-group definition, MeasureAccuracy
 	// over each group's targets alone, and they must match it at one
 	// worker and at several.
-	SetParallelism(1)
+	par.SetParallelism(1)
 	covS := MeasureCoverage(ctx, dbA, addrs)
 	accS := MeasureAccuracy(ctx, dbA, targets)
 	byRIRS := perGroup(ctx, dbA, targets, func(t Target) geo.RIR { return t.RIR })
@@ -361,7 +361,7 @@ func TestParallelMatchesSerialAdversarial(t *testing.T) {
 			for i := range addrs {
 				addrs[i] = gen(i)
 			}
-			SetParallelism(1)
+			par.SetParallelism(1)
 			covS := MeasureCoverage(ctx, dbA, addrs)
 			agreeS, bothS := CountryAgreement(ctx, dbA, dbB, addrs)
 			pairS := MeasurePairwiseCity(ctx, dbA, dbB, addrs)
@@ -382,58 +382,16 @@ func TestParallelMatchesSerialAdversarial(t *testing.T) {
 	}
 }
 
-// TestRunBlocks checks the block engine's contract: every index in
-// [0, n) is processed exactly once, block bounds match the block index,
-// and the serial path visits blocks in order. The size-1 cases are
-// Each's path.
-func TestRunBlocks(t *testing.T) {
-	for _, tc := range []struct{ n, size, workers int }{
-		{0, 64, 1}, {0, 64, 4}, {1, 64, 1}, {63, 64, 2}, {64, 64, 3}, {65, 64, 7},
-		{1000, 64, 1}, {1000, 64, 4}, {4096, 64, 8}, {100, 64, 100},
-		{14, 1, 1}, {14, 1, 2}, {14, 1, 3}, {14, 1, 7},
-	} {
-		var mu sync.Mutex
-		seen := make([]int, tc.n)
-		var serialOrder []int
-		runBlocks(tc.n, tc.size, tc.workers, func(wi, bi, lo, hi int) {
-			if lo != bi*tc.size || hi != min(lo+tc.size, tc.n) || lo >= hi {
-				t.Errorf("runBlocks(%d,%d,%d): block %d has bounds [%d,%d)", tc.n, tc.size, tc.workers, bi, lo, hi)
-			}
-			mu.Lock()
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-			if tc.workers == 1 {
-				serialOrder = append(serialOrder, bi)
-			}
-			mu.Unlock()
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("runBlocks(%d,%d,%d): index %d processed %d times", tc.n, tc.size, tc.workers, i, c)
-			}
-		}
-		for i := 1; i < len(serialOrder); i++ {
-			if serialOrder[i] != serialOrder[i-1]+1 {
-				t.Fatalf("serial path visited blocks out of order: %v", serialOrder)
-			}
-		}
-		if want := numBlocks(tc.n, tc.size); tc.workers == 1 && len(serialOrder) != want {
-			t.Fatalf("runBlocks(%d,%d,1): %d blocks visited, want %d", tc.n, tc.size, len(serialOrder), want)
-		}
-	}
-}
-
 func TestWorkersFor(t *testing.T) {
-	SetParallelism(8)
-	defer SetParallelism(0)
+	par.SetParallelism(8)
+	defer par.SetParallelism(0)
 	if w := workersFor(10); w != 1 {
 		t.Errorf("small input got %d workers", w)
 	}
 	if w := workersFor(serialCutoff); w != 8 {
 		t.Errorf("large input got %d workers, want 8", w)
 	}
-	SetParallelism(1)
+	par.SetParallelism(1)
 	if w := workersFor(1 << 20); w != 1 {
 		t.Errorf("parallelism=1 got %d workers", w)
 	}

@@ -20,6 +20,7 @@ import (
 	"routergeo/internal/ipx"
 	"routergeo/internal/netsim"
 	"routergeo/internal/obs"
+	"routergeo/internal/par"
 	"routergeo/internal/rdns"
 	"routergeo/internal/vendors"
 )
@@ -251,7 +252,7 @@ func buildVendors(ctx context.Context, span string, in vendors.Inputs) ([]*geodb
 	params := vendors.AllParams()
 	dbs := make([]*geodb.DB, len(params))
 	errs := make([]error, len(params))
-	core.Each(len(params), func(j int) {
+	par.Each(len(params), func(j int) {
 		// Claim from the end: NetAcuity, last in presentation order and
 		// the only pipeline that decodes rDNS hints, takes about 60% of
 		// the build, so it starts first instead of after two others.

@@ -7,8 +7,8 @@ import (
 	"io"
 	"sort"
 
-	"routergeo/internal/core"
 	"routergeo/internal/obs"
+	"routergeo/internal/par"
 )
 
 // Experiment is one reproducible artifact of the paper's evaluation.
@@ -89,7 +89,7 @@ func RunAll(ctx context.Context, w io.Writer, env *Env) error {
 	exps := All()
 	bufs := make([]bytes.Buffer, len(exps))
 	errs := make([]error, len(exps))
-	core.Each(len(exps), func(i int) {
+	par.Each(len(exps), func(i int) {
 		errs[i] = RunOne(ctx, exps[i], &bufs[i], env)
 	})
 	for i, e := range exps {

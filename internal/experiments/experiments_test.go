@@ -10,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"routergeo/internal/core"
 	"routergeo/internal/geo"
+	"routergeo/internal/par"
 )
 
 var cachedEnv *Env
@@ -360,14 +360,14 @@ func TestRunAllConcurrentMatchesSequential(t *testing.T) {
 	env := testEnv(t)
 	ctx := context.Background()
 
-	core.SetParallelism(1)
+	par.SetParallelism(1)
 	var serial bytes.Buffer
 	if err := RunAll(ctx, &serial, env); err != nil {
 		t.Fatal(err)
 	}
 
-	core.SetParallelism(4)
-	defer core.SetParallelism(0)
+	par.SetParallelism(4)
+	defer par.SetParallelism(0)
 	var parallel bytes.Buffer
 	if err := RunAll(ctx, &parallel, env); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"routergeo/internal/geodb"
 	"routergeo/internal/geodb/snapshot"
 	"routergeo/internal/obs"
+	"routergeo/internal/par"
 	"routergeo/internal/stats"
 )
 
@@ -117,7 +118,7 @@ func Longitudinal(ctx context.Context, w io.Writer, env *Env, epochs int, interv
 	}
 
 	reports := make([]epochReport, epochs)
-	core.Each(epochs, func(k int) {
+	par.Each(epochs, func(k int) {
 		reports[k].err = runEpoch(ctx, k, &reports[k].rows)
 	})
 	for k := range reports {

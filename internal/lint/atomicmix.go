@@ -7,7 +7,7 @@ import (
 
 // atomicMixPkgs are the packages whose structs carry atomic fields on
 // purpose: the serving tier's generation refcounts and drain flags, the
-// observability registry's counters, and the measurement engine's
+// observability registry's counters, and the parallel engine's
 // work-stealing cursor. Everything in them that is touched through
 // sync/atomic must be touched through sync/atomic ONLY — one plain read
 // beside an atomic write is a data race the race detector only catches
@@ -16,13 +16,14 @@ var atomicMixPkgs = []string{
 	"routergeo/internal/core",
 	"routergeo/internal/geodb/httpapi",
 	"routergeo/internal/obs",
+	"routergeo/internal/par",
 }
 
 // AtomicMix flags struct fields that mix atomic and plain access.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc: "In the concurrency packages (internal/core, internal/geodb/httpapi, " +
-		"internal/obs) a struct field accessed through sync/atomic — either a " +
+		"internal/obs, internal/par) a struct field accessed through sync/atomic — either a " +
 		"typed atomic (atomic.Int64, atomic.Bool, atomic.Pointer, ...) or a " +
 		"plain integer passed to atomic.AddInt64/LoadInt64/... — must never " +
 		"be read or written plainly outside its type's constructor: the " +

@@ -5,13 +5,15 @@ import (
 )
 
 // deterministicPkgs are the packages whose outputs must be a pure
-// function of their inputs and seeds: the measurement engine, the
-// statistics under it, the lookup index, and the experiment runners.
+// function of their inputs and seeds: the measurement engine and the
+// scheduler under it, the statistics, the lookup index, and the
+// experiment runners.
 // The parallel/serial byte-identity guarantee (TestParallelMatchesSerial)
 // holds only while nothing in them reads the wall clock or an unseeded
 // global RNG.
 var deterministicPkgs = []string{
 	"routergeo/internal/core",
+	"routergeo/internal/par",
 	"routergeo/internal/stats",
 	"routergeo/internal/ipx",
 	"routergeo/internal/experiments",
@@ -37,8 +39,8 @@ var seededRandFuncs = map[string]bool{
 // inside the measurement packages.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "Measurement code (internal/core, internal/stats, internal/ipx, " +
-		"internal/experiments) must be deterministic for a given seed: no " +
+	Doc: "Measurement code (internal/core, internal/par, internal/stats, " +
+		"internal/ipx, internal/experiments) must be deterministic for a given seed: no " +
 		"time.Now/time.Since/timers, and math/rand only through explicitly " +
 		"seeded constructors (rand.New(rand.NewSource(seed))). This is the " +
 		"invariant behind the byte-identical parallel/serial guarantee.",

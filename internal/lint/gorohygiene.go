@@ -13,8 +13,8 @@ var goroPkgs = atomicMixPkgs
 // GoroHygiene vets every `go` statement in the concurrency packages.
 var GoroHygiene = &Analyzer{
 	Name: "gorohygiene",
-	Doc: "Goroutines launched in internal/core, internal/geodb/httpapi and " +
-		"internal/obs must have a visible termination edge — a " +
+	Doc: "Goroutines launched in internal/core, internal/geodb/httpapi, " +
+		"internal/obs and internal/par must have a visible termination edge — a " +
 		"context.Context they observe, a channel receive/range/select that " +
 		"ends when the sender closes, or a sync.WaitGroup they signal — so " +
 		"no sweep or request leaves an orphan running. Goroutine closures " +

@@ -10,7 +10,7 @@ import (
 // HotAlloc flags allocation-introducing constructs inside functions
 // annotated //geolint:hotpath. The annotation marks the zero-alloc
 // serving path (the /v2/lookup fast handler chain) and the sweep kernel
-// (runBlocks, the batch resolver): code whose benchmarks assert 0
+// (par.RunBlocks, the batch resolver): code whose benchmarks assert 0
 // allocs/op, where one innocent-looking fmt call or un-presized append
 // silently reintroduces GC pressure that benchcompare only catches
 // after the fact.

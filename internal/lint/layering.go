@@ -16,8 +16,9 @@ type layerRule struct {
 
 // layerRules is the explicit import DAG. The leaves (stats, ipx) stay
 // free of observability and database concerns so they can be reasoned
-// about — and benchmarked — in isolation; obs sits outside the domain
-// entirely; and cmd binaries are composition roots, never libraries.
+// about — and benchmarked — in isolation; obs and the par engine sit
+// outside the domain entirely; and cmd binaries are composition roots,
+// never libraries.
 var layerRules = []layerRule{
 	{
 		from: "routergeo/internal/stats",
@@ -34,6 +35,12 @@ var layerRules = []layerRule{
 		to:    []string{"routergeo/internal"},
 		allow: []string{"routergeo/internal/obs"},
 		why:   "obs is infrastructure: it imports nothing internal so every package can import it",
+	},
+	{
+		from:  "routergeo/internal/par",
+		to:    []string{"routergeo/internal"},
+		allow: []string{"routergeo/internal/par"},
+		why:   "par is the one parallel engine: it imports nothing internal so every layer, ark and core included, can fan out on it",
 	},
 	{
 		from: "routergeo/internal/geodb/snapshot",
@@ -56,7 +63,7 @@ var Layering = &Analyzer{
 	Name: "layering",
 	Doc: "Enforces the module's import DAG: internal/stats and " +
 		"internal/ipx may not import internal/obs or internal/geodb, " +
-		"internal/obs imports nothing internal, " +
+		"internal/obs and internal/par import nothing internal, " +
 		"internal/geodb/snapshot may not import internal/obs or the " +
 		"httpapi serving layer, and no package may import anything " +
 		"under cmd/.",

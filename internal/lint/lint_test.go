@@ -222,3 +222,17 @@ func TestAnalyzersHaveDocs(t *testing.T) {
 		seen[a.Name] = true
 	}
 }
+
+// TestParScope pins that the rules guarding the parallel engine follow
+// it into internal/par: determinism and atomicmix fire there as they do
+// in core, and the layering rule flags every internal import outside
+// par's own subtree.
+func TestParScope(t *testing.T) {
+	l := newTestLoader(t)
+	checkFixture(t, l, "fixdet", "routergeo/internal/par/fixdet", []*Analyzer{Determinism})
+	checkFixture(t, l, "fixatomic", "routergeo/internal/par/fixatomic", []*Analyzer{AtomicMix})
+	pkg := loadFixture(t, l, "layerobs", "routergeo/internal/par/layerobs")
+	if fs := Run([]*Package{pkg}, l.Fset, []*Analyzer{Layering}); len(fs) != 2 {
+		t.Fatalf("want the geodb and obs imports flagged, got %v", fs)
+	}
+}

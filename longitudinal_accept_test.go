@@ -23,11 +23,11 @@ import (
 	"strings"
 	"testing"
 
-	"routergeo/internal/core"
 	"routergeo/internal/experiments"
 	"routergeo/internal/geodb"
 	"routergeo/internal/geodb/httpapi"
 	"routergeo/internal/geodb/snapshot"
+	"routergeo/internal/par"
 )
 
 const (
@@ -219,10 +219,10 @@ func TestLongitudinalAsOfMatchesDirectSnapshotLoads(t *testing.T) {
 
 func TestLongitudinalDriftTableByteIdentical(t *testing.T) {
 	s := testStudy(t)
-	run := func(env *experiments.Env, par int) []byte {
+	run := func(env *experiments.Env, workers int) []byte {
 		t.Helper()
-		core.SetParallelism(par)
-		defer core.SetParallelism(0)
+		par.SetParallelism(workers)
+		defer par.SetParallelism(0)
 		var buf bytes.Buffer
 		if err := experiments.Longitudinal(context.Background(), &buf, env,
 			longitudinalEpochs, longitudinalInterval); err != nil {
