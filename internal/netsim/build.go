@@ -334,8 +334,8 @@ func (b *builder) createLinks() error {
 		}
 	}
 	// Local peering: transit pairs with PoPs in the same metro. Only the
-	// pairs the index lists can pass the radius test; the others never
-	// drew.
+	// pairs the index lists can pass the radius test; the others would
+	// fail it without drawing.
 	var peers []int
 	for i := range transit {
 		peers = tx.peers(i, peers[:0])

@@ -78,15 +78,15 @@ func newTransitIndex(w *World, popCity [][]int32, radiusKm float64) *transitInde
 	// EarthRadiusKm times the latitude difference.
 	tx.near = make([][]int32, len(w.idx.cities))
 	limit := radiusKm + boundSlackKm
-	for a, ca := range cities {
-		for b := a; b < len(cities) && geo.EarthRadiusKm*(tx.lats[b]-tx.lats[a])*degToRad <= limit; b++ {
-			if tx.coords[a].DistanceKm(tx.coords[b]) > limit {
+	for i, ci := range cities {
+		for j := i; j < len(cities) && geo.EarthRadiusKm*(tx.lats[j]-tx.lats[i])*degToRad <= limit; j++ {
+			if tx.coords[i].DistanceKm(tx.coords[j]) > limit {
 				continue
 			}
-			cb := cities[b]
-			tx.near[ca] = append(tx.near[ca], cb)
-			if b != a {
-				tx.near[cb] = append(tx.near[cb], ca)
+			cj := cities[j]
+			tx.near[ci] = append(tx.near[ci], cj)
+			if j != i {
+				tx.near[cj] = append(tx.near[cj], ci)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
-// Package par is the project's one parallel engine: a configured worker
-// count and a block scheduler that fans a range of indexes out over that
-// many goroutines. It imports nothing internal, so every layer can fan
-// out on it: core's measurement sweeps, ark's monitor trees and the
-// experiment runners.
+// Package par is the block engine the measurement and build layers fan
+// out on: a configured worker count and a block scheduler that spreads
+// a range of indexes over that many goroutines. It imports nothing
+// internal, so every layer can use it: core's measurement sweeps, ark's
+// monitor trees and the experiment runners.
 //
 // The scheduler cuts the input into fixed-size blocks, and the workers
 // claim blocks off a shared atomic cursor (work stealing: a worker
