@@ -2,8 +2,9 @@ package routergeo
 
 // Golden outputs: the bytes a default run must keep. testdata/golden
 // holds routergeo's seed-1 stdout for -ext and -longitudinal, the
-// SHA-256 of the four seed-1 .rgsnap exports and of one /v2/lookup
-// response body, and the seed-7 stdout for -ext. A change that alters
+// SHA-256 of the four seed-1 .rgsnap exports, of one /v2/lookup
+// response body and of the four databases the drift sweep rebuilds at
+// months 4 and 8, and the seed-7 stdout for -ext. A change that alters
 // any of them fails here with the first differing line; a change meant
 // to alter them rewrites the files with
 //
@@ -29,6 +30,7 @@ import (
 	"testing"
 
 	"routergeo/internal/experiments"
+	"routergeo/internal/geodb"
 	"routergeo/internal/geodb/httpapi"
 	"routergeo/internal/geodb/snapshot"
 )
@@ -85,17 +87,7 @@ func TestGolden(t *testing.T) {
 	var sums bytes.Buffer
 	fmt.Fprintf(&sums, "# SHA-256 of the seed-1 snapshot exports and of one /v2/lookup answer\n# %s\n", target)
 	meta := snapshot.Meta{BuildEpoch: experiments.SnapshotEpoch(1), SourceFormat: "study"}
-	paths, err := experiments.WriteSnapshots(t.TempDir(), env.DBs, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range paths {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&sums, "%x  %s\n", sha256.Sum256(b), filepath.Base(path))
-	}
+	sumSnapshots(t, &sums, "", env.DBs, meta)
 
 	// POST /v2/lookup over every database: the first 1,000 Ark addresses
 	// and two malformed entries.
@@ -115,6 +107,16 @@ func TestGolden(t *testing.T) {
 		t.Fatalf("/v2/lookup: status %d: %s", rec.Code, rec.Body.Bytes())
 	}
 	fmt.Fprintf(&sums, "%x  v2-lookup.json\n", sha256.Sum256(rec.Body.Bytes()))
+
+	// The drift sweep's later epochs: the four databases rebuilt at
+	// months 4 and 8 of the churn timeline.
+	for _, months := range []int{4, 8} {
+		dbs, err := env.BuildDBsAt(ctx, float64(months))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sumSnapshots(t, &sums, fmt.Sprintf("month-%d/", months), dbs, meta)
+	}
 	checkGolden(t, "seed1.sha256", sums.Bytes())
 
 	// routergeo -seed 7 -ext, on a second default Env.
@@ -125,6 +127,24 @@ func TestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "seed7-ext.txt", extOutput(t, env7))
+}
+
+// sumSnapshots writes each database as an RGSP snapshot stamped with
+// meta and appends the SHA-256 of the file's bytes to sums, under the
+// file's name after prefix.
+func sumSnapshots(t *testing.T, sums *bytes.Buffer, prefix string, dbs []*geodb.DB, meta snapshot.Meta) {
+	t.Helper()
+	paths, err := experiments.WriteSnapshots(t.TempDir(), dbs, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(sums, "%x  %s%s\n", sha256.Sum256(b), prefix, filepath.Base(path))
+	}
 }
 
 // extOutput returns what routergeo -ext prints for env: every paper
