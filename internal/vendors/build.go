@@ -201,7 +201,7 @@ func Build(in Inputs, p Params) (*geodb.DB, error) {
 		var buf [4]byte
 		buf[0], buf[1], buf[2], buf[3] = byte(base>>24), byte(base>>16), byte(base>>8), byte(base)
 		h.Write(buf[:])
-		return rand.New(rand.NewSource(int64(h.Sum64())))
+		return newKeyedRand(int64(h.Sum64()))
 	}
 
 	const (
@@ -298,42 +298,32 @@ func Build(in Inputs, p Params) (*geodb.DB, error) {
 	return b.Build()
 }
 
-// BuildAll runs every vendor pipeline.
-func BuildAll(in Inputs) ([]*geodb.DB, error) {
-	var out []*geodb.DB
-	for _, p := range AllParams() {
-		db, err := Build(in, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, db)
-	}
-	return out, nil
-}
-
 // coordTable assigns each (vendor family, city) pair a stable coordinate:
 // the gazetteer position plus a small deterministic offset, with rare
 // large outliers. Families, not vendors, key the table so MaxMind's two
 // products answer with identical coordinates (Figure 1's 68%).
 type coordTable struct {
 	p     Params
-	cache map[string]geo.Coordinate
+	cache map[cityKey]geo.Coordinate
 }
 
+type cityKey struct{ country, name string }
+
 func newCoordTable(p Params) *coordTable {
-	return &coordTable{p: p, cache: make(map[string]geo.Coordinate)}
+	return &coordTable{p: p, cache: make(map[cityKey]geo.Coordinate)}
 }
 
 func (t *coordTable) coordFor(c gazetteer.City) geo.Coordinate {
-	key := c.Country + "/" + c.Name
+	key := cityKey{c.Country, c.Name}
 	if v, ok := t.cache[key]; ok {
 		return v
 	}
+	ccCity := []byte(c.Country + "/" + c.Name)
 	h := fnv.New64a()
 	h.Write([]byte(t.p.CoordFamily))
 	h.Write([]byte{0})
-	h.Write([]byte(key))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	h.Write(ccCity)
+	rng := newKeyedRand(int64(h.Sum64()))
 
 	dist := rng.Float64() * t.p.CityCoordJitterKm
 	if rng.Float64() < t.p.CityCoordOutlierProb {
@@ -347,8 +337,8 @@ func (t *coordTable) coordFor(c gazetteer.City) geo.Coordinate {
 		hs := fnv.New64a()
 		hs.Write([]byte(t.p.Name))
 		hs.Write([]byte{2})
-		hs.Write([]byte(key))
-		srng := rand.New(rand.NewSource(int64(hs.Sum64())))
+		hs.Write(ccCity)
+		srng := newKeyedRand(int64(hs.Sum64()))
 		if srng.Float64() < t.p.CoordStaleProb {
 			v = v.Offset(6+srng.Float64()*22, srng.Float64()*360)
 		}

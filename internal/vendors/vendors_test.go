@@ -36,15 +36,15 @@ func setup(t *testing.T) (*netsim.World, map[string]*geodb.DB) {
 			Zone:    rdns.Synthesize(w, dict, rdns.DefaultConfig()),
 			Decoder: hints.NewDecoder(dict),
 		}
-		dbs, err := BuildAll(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cachedWorld = w
 		cachedDBs = map[string]*geodb.DB{}
-		for _, db := range dbs {
+		for _, p := range AllParams() {
+			db, err := Build(in, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			cachedDBs[db.Name()] = db
 		}
+		cachedWorld = w
 	}
 	return cachedWorld, cachedDBs
 }
