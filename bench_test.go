@@ -58,6 +58,19 @@ func benchExperiment(b *testing.B, id string) {
 	}
 }
 
+// BenchmarkVendorBuilds measures the four vendor pipelines on the
+// default world, as BuildDBsAt runs them for month 0 of the drift sweep.
+func BenchmarkVendorBuilds(b *testing.B) {
+	env := benchEnvironment(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := env.BuildDBsAt(context.Background(), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuildEnvironment measures the full pipeline: world, Ark sweep,
 // Atlas fleets, ground truth and all four vendor databases.
 func BenchmarkBuildEnvironment(b *testing.B) {
