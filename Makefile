@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt lint lint-json lint-diff build test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-formats profile
+.PHONY: check vet fmt lint lint-json lint-diff deadcode build test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-formats profile
 
 check: vet fmt lint build race metrics-verify
 
@@ -37,6 +37,15 @@ lint-json:
 DIFF_REF ?= origin/main
 lint-diff:
 	$(GO) run ./cmd/geolint -diff $(DIFF_REF) ./cmd/... ./internal/...
+
+# deadcode lists, as file:line symbol, each top-level func in internal/
+# that none of the binaries (cmd/*, examples/*, perfbench) links, and
+# tees the list into deadcode.txt, which CI uploads beside the lint
+# findings. It is a report, not a gate: it fails only when a binary does
+# not build. See scripts/deadcode.sh for the method.
+deadcode:
+	sh scripts/deadcode.sh >deadcode.txt
+	@cat deadcode.txt
 
 build:
 	$(GO) build ./...
