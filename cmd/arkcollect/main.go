@@ -17,11 +17,8 @@ import (
 	"os"
 
 	"routergeo/internal/ark"
-	"routergeo/internal/ark/wartslite"
-	"routergeo/internal/ipx"
 	"routergeo/internal/netsim"
 	"routergeo/internal/obs"
-	"routergeo/internal/traceroute"
 )
 
 func main() {
@@ -31,7 +28,6 @@ func main() {
 		monitors  = flag.Int("monitors", 0, "number of monitors (0 = default)")
 		cycles    = flag.Int("cycles", 0, "probing cycles (0 = default)")
 		out       = flag.String("out", "", "write one observed address per line to this file ('-' = stdout)")
-		warts     = flag.String("warts", "", "archive every raw trace to this file in the wartslite container")
 		debugAddr = flag.String("debug-addr", "", "optional debug listener serving pprof, /metrics and the /v2/events stream")
 	)
 	lf := obs.AddLogFlags(flag.CommandLine)
@@ -65,57 +61,7 @@ func main() {
 		acfg.Cycles = *cycles
 	}
 
-	// With -warts, buffer every raw trace and write the archive once the
-	// sweep finishes (the monitor table is only known after placement).
-	var buffered []wartslite.Trace
-	if *warts != "" {
-		acfg.Sink = func(monitor string, dst ipx.Addr, hops []traceroute.Hop) {
-			t := wartslite.Trace{Monitor: monitor, Dst: dst}
-			for _, h := range hops {
-				if h.Iface < 0 {
-					continue
-				}
-				t.Hops = append(t.Hops, wartslite.Hop{
-					Addr:  w.Interfaces[h.Iface].Addr,
-					RTTMs: h.RTTMs,
-				})
-			}
-			buffered = append(buffered, t)
-		}
-	}
-
 	coll := ark.Collect(context.Background(), w, acfg)
-
-	if *warts != "" {
-		f, err := os.Create(*warts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "arkcollect:", err)
-			os.Exit(1)
-		}
-		names := make([]string, len(coll.Monitors))
-		for i, m := range coll.Monitors {
-			names[i] = m.Name
-		}
-		ww, err := wartslite.NewWriter(f, names)
-		if err == nil {
-			for _, t := range buffered {
-				if err = ww.WriteTrace(t); err != nil {
-					break
-				}
-			}
-		}
-		if err == nil {
-			err = ww.Flush()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "arkcollect:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "archived %d traces to %s\n", len(buffered), *warts)
-	}
 
 	aliases := ark.AliasSets(w, coll)
 	fmt.Fprintf(os.Stderr, "world: %d routers, %d interfaces\n", w.NumRouters(), w.NumInterfaces())
@@ -126,16 +72,13 @@ func main() {
 	if *out == "" {
 		return
 	}
-	var f *os.File
-	if *out == "-" {
-		f = os.Stdout
-	} else {
+	f := os.Stdout
+	if *out != "-" {
 		f, err = os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "arkcollect:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
 	}
 	bw := bufio.NewWriter(f)
 	for _, id := range coll.Interfaces {
@@ -144,5 +87,11 @@ func main() {
 	if err := bw.Flush(); err != nil {
 		fmt.Fprintln(os.Stderr, "arkcollect:", err)
 		os.Exit(1)
+	}
+	if f != os.Stdout {
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "arkcollect:", err)
+			os.Exit(1)
+		}
 	}
 }

@@ -35,10 +35,6 @@ type Config struct {
 	Cycles int
 	// Seed drives monitor placement and target selection.
 	Seed int64
-	// Sink, when non-nil, receives every raw trace as it is collected —
-	// the hook cmd/arkcollect uses to archive the sweep in the wartslite
-	// container, the way real Ark stores warts files.
-	Sink func(monitor string, dst ipx.Addr, hops []traceroute.Hop) `json:"-"`
 }
 
 // DefaultConfig returns the sweep parameters the experiments use.
@@ -64,8 +60,6 @@ type Collection struct {
 	Interfaces []netsim.IfaceID
 	// Traces is the number of traceroutes run.
 	Traces int
-
-	addrs map[ipx.Addr]bool
 }
 
 // Collect runs one full sweep over every routed /24 in the world.
@@ -81,7 +75,7 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 	trees := make([]*traceroute.Tree, len(monitors))
 	par.Each(len(monitors), func(i int) { trees[i] = eng.BuildTree(monitors[i].Router) })
 
-	c := &Collection{Monitors: monitors, addrs: make(map[ipx.Addr]bool)}
+	c := &Collection{Monitors: monitors}
 	seen := make([]bool, len(w.Interfaces))
 
 	// RoutedSlash24s is already in ascending address order, so the seeded
@@ -109,9 +103,6 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 				mi := rng.Intn(len(monitors))
 				hops := eng.Trace(rng, trees[mi], dst, 0)
 				c.Traces++
-				if cfg.Sink != nil {
-					cfg.Sink(monitors[mi].Name, target, hops)
-				}
 				for _, h := range hops {
 					if h.Iface < 0 {
 						continue
@@ -119,7 +110,6 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 					if !seen[h.Iface] {
 						seen[h.Iface] = true
 						c.Interfaces = append(c.Interfaces, h.Iface)
-						c.addrs[w.Interfaces[h.Iface].Addr] = true
 					}
 				}
 			}
@@ -132,9 +122,6 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 	sp.SetAttr("traces", c.Traces)
 	return c
 }
-
-// Contains reports whether an address was observed during the sweep.
-func (c *Collection) Contains(a ipx.Addr) bool { return c.addrs[a] }
 
 // AliasSets groups the collected interfaces by router, as ITDK alias
 // resolution does, returning the per-router interface groups (routers with

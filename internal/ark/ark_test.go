@@ -45,16 +45,13 @@ func TestCollectCoversSubstantialFraction(t *testing.T) {
 }
 
 func TestCollectedInterfacesAreDeduplicated(t *testing.T) {
-	w, c := testSetup(t)
+	_, c := testSetup(t)
 	seen := map[netsim.IfaceID]bool{}
 	for _, id := range c.Interfaces {
 		if seen[id] {
 			t.Fatalf("interface %d appears twice", id)
 		}
 		seen[id] = true
-		if !c.Contains(w.Interfaces[id].Addr) {
-			t.Fatalf("Contains misses a collected address")
-		}
 	}
 }
 
