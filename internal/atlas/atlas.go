@@ -7,14 +7,11 @@
 // The location-error model plants exactly the two failure modes the
 // paper's §3.2 filters hunt: probes parked on default country coordinates,
 // and probes that moved without their public location being updated.
-// Measurement results round-trip through the same JSON shape RIPE Atlas
-// publishes (probe id, destination, per-hop addresses and RTT triples).
+// A measurement carries what RIPE Atlas publishes for a traceroute: probe
+// id, destination, and per-hop addresses and RTT triples.
 package atlas
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/rand"
 
 	"routergeo/internal/gazetteer"
@@ -223,52 +220,18 @@ func pickTargets(w *netsim.World, rng *rand.Rand, n int) []netsim.RouterID {
 
 // HopResult is one traceroute hop; a built-in sends three packets per
 // hop. It holds no pointers, so a campaign's hop arrays give the garbage
-// collector nothing to mark. On the wire it is {"hop","from","rtt"} with
-// a dotted-quad address, the shape RIPE Atlas publishes.
+// collector nothing to mark.
 type HopResult struct {
 	Hop  int
 	From ipx.Addr
 	RTTs [3]float64
 }
 
-// hopWire is HopResult's JSON form.
-type hopWire struct {
-	Hop  int       `json:"hop"`
-	From string    `json:"from"`
-	RTTs []float64 `json:"rtt"`
-}
-
-// MarshalJSON writes the hop in the wire format.
-func (h HopResult) MarshalJSON() ([]byte, error) {
-	return json.Marshal(hopWire{Hop: h.Hop, From: h.From.String(), RTTs: h.RTTs[:]})
-}
-
-// UnmarshalJSON reads a hop in the wire format. It rejects a hop whose
-// address is not a dotted-quad IPv4 address or that does not carry
-// exactly three RTT samples, since neither can be scored.
-func (h *HopResult) UnmarshalJSON(data []byte) error {
-	var w hopWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	a, err := ipx.ParseAddr(w.From)
-	if err != nil {
-		return fmt.Errorf("hop %d: %w", w.Hop, err)
-	}
-	if len(w.RTTs) != len(h.RTTs) {
-		return fmt.Errorf("hop %d from %s: %d RTT samples, want %d", w.Hop, w.From, len(w.RTTs), len(h.RTTs))
-	}
-	*h = HopResult{Hop: w.Hop, From: a}
-	copy(h.RTTs[:], w.RTTs)
-	return nil
-}
-
 // Measurement is one built-in traceroute result.
 type Measurement struct {
-	ProbeID int         `json:"prb_id"`
-	Type    string      `json:"type"`
-	DstAddr string      `json:"dst_addr"`
-	Result  []HopResult `json:"result"`
+	ProbeID int
+	DstAddr string
+	Result  []HopResult
 }
 
 // MinRTT returns the smallest of a hop's RTT samples, the value the
@@ -320,7 +283,7 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 			}
 			n := tree.HopCount(p.Router) + 1
 			m := Measurement{
-				ProbeID: p.ID, Type: "traceroute", DstAddr: dstAddr,
+				ProbeID: p.ID, DstAddr: dstAddr,
 				Result: results[:n:n],
 			}
 			results = results[n:]
@@ -346,22 +309,6 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 		}
 	}
 	return out
-}
-
-// EncodeJSON writes measurements as a JSON array, the format RIPE Atlas
-// serves its results in.
-func EncodeJSON(w io.Writer, ms []Measurement) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(ms)
-}
-
-// DecodeJSON reads a measurement array written by EncodeJSON.
-func DecodeJSON(r io.Reader) ([]Measurement, error) {
-	var ms []Measurement
-	if err := json.NewDecoder(r).Decode(&ms); err != nil {
-		return nil, fmt.Errorf("atlas: decode: %w", err)
-	}
-	return ms, nil
 }
 
 func sampleRIR(rng *rand.Rand, weights map[geo.RIR]float64) geo.RIR {

@@ -1,9 +1,7 @@
 package atlas
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"routergeo/internal/geo"
@@ -105,9 +103,6 @@ func TestBuiltinsShape(t *testing.T) {
 		t.Fatalf("more measurements (%d) than probe-target pairs", len(ms))
 	}
 	for _, m := range ms {
-		if m.Type != "traceroute" {
-			t.Fatalf("bad type %q", m.Type)
-		}
 		if len(m.Result) == 0 {
 			t.Fatal("empty result")
 		}
@@ -214,112 +209,6 @@ func TestTargetsDistinctCities(t *testing.T) {
 			t.Error("target not in a transit AS")
 		}
 	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	_, _, ms := setup(t)
-	var buf bytes.Buffer
-	if err := EncodeJSON(&buf, ms); err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(ms) {
-		t.Fatalf("decoded %d measurements, want %d", len(back), len(ms))
-	}
-	for i := range back {
-		b, m := back[i], ms[i]
-		if b.ProbeID != m.ProbeID || b.Type != m.Type || b.DstAddr != m.DstAddr || len(b.Result) != len(m.Result) {
-			t.Fatalf("measurement %d mismatched after round trip", i)
-		}
-		for j := range b.Result {
-			if b.Result[j] != m.Result[j] {
-				t.Fatalf("measurement %d hop %d: %+v after round trip, want %+v", i, j, b.Result[j], m.Result[j])
-			}
-		}
-	}
-}
-
-// goldenJSON is one measurement as EncodeJSON writes it. Its floats take
-// both of encoding/json's forms: fixed-point, and exponent form below
-// 1e-6 and from 1e21.
-const goldenJSON = `[{"prb_id":7,"type":"traceroute","dst_addr":"10.0.0.1","result":[` +
-	`{"hop":2,"from":"192.0.2.33","rtt":[0.3120736,0.25,12.125]},` +
-	`{"hop":3,"from":"10.0.0.1","rtt":[1e-7,3,1e+21]}]}]` + "\n"
-
-func TestJSONGoldenReencodes(t *testing.T) {
-	ms, err := DecodeJSON(strings.NewReader(goldenJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := HopResult{Hop: 2, From: ipx.MustParseAddr("192.0.2.33"), RTTs: [3]float64{0.3120736, 0.25, 12.125}}
-	if len(ms) != 1 || len(ms[0].Result) != 2 || ms[0].Result[0] != want {
-		t.Fatalf("decoded %+v", ms)
-	}
-	var buf bytes.Buffer
-	if err := EncodeJSON(&buf, ms); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != goldenJSON {
-		t.Fatalf("re-encoded\n%s\nwant\n%s", got, goldenJSON)
-	}
-}
-
-// TestDecodeJSONRejectsUnscorableHops feeds hops that MinRTT or the
-// ground truth could not use: each must fail to decode, naming its hop.
-func TestDecodeJSONRejectsUnscorableHops(t *testing.T) {
-	for _, tc := range []struct{ name, hop string }{
-		{"no rtts", `{"hop":4,"from":"10.0.0.1","rtt":[]}`},
-		{"missing rtts", `{"hop":4,"from":"10.0.0.1"}`},
-		{"two rtts", `{"hop":4,"from":"10.0.0.1","rtt":[1,2]}`},
-		{"four rtts", `{"hop":4,"from":"10.0.0.1","rtt":[1,2,3,4]}`},
-		{"bad address", `{"hop":4,"from":"banana","rtt":[1,2,3]}`},
-		{"ipv6 address", `{"hop":4,"from":"2001:db8::1","rtt":[1,2,3]}`},
-		{"no address", `{"hop":4,"rtt":[1,2,3]}`},
-	} {
-		in := `[{"prb_id":1,"type":"traceroute","dst_addr":"10.0.0.1","result":[` +
-			`{"hop":3,"from":"10.0.0.2","rtt":[1,2,3]},` + tc.hop + `]}]`
-		_, err := DecodeJSON(strings.NewReader(in))
-		if err == nil {
-			t.Errorf("%s: decoded without error", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "hop 4") {
-			t.Errorf("%s: error %q does not name hop 4", tc.name, err)
-		}
-	}
-}
-
-// FuzzDecodeJSON feeds DecodeJSON arbitrary bytes. It must never panic,
-// and whatever it accepts must re-encode to bytes that decode to the
-// same measurements.
-func FuzzDecodeJSON(f *testing.F) {
-	f.Add([]byte(goldenJSON))
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`[null]`))
-	f.Add([]byte(`[{"result":[null]}]`))
-	f.Add([]byte(`[{"prb_id":1,"result":[{"hop":1,"from":"10.0.0.1","rtt":[]}]}]`))
-	f.Add([]byte(`[{"prb_id":1,"result":[{"hop":1,"from":"banana","rtt":[1,2,3]}]}]`))
-	f.Add([]byte(`[{"prb_id":-3,"type":"\u003c","result":[{"HOP":1,"from":"0.0.0.0","rtt":[-0,1e308,5e-324]}]}]`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ms, err := DecodeJSON(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := EncodeJSON(&buf, ms); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		back, err := DecodeJSON(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded bytes do not decode: %v\n%s", err, buf.Bytes())
-		}
-		if !reflect.DeepEqual(back, ms) {
-			t.Fatalf("round trip changed the measurements:\n%+v\nwant\n%+v", back, ms)
-		}
-	})
 }
 
 func TestDeployDeterministic(t *testing.T) {
