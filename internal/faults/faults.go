@@ -6,12 +6,10 @@
 // Injector draws from the policy's own seeded RNG to decide, request by
 // request, which fault (if any) to apply.
 //
-// The same Injector plugs into both sides of the wire: Middleware wraps
-// an http.Handler (geoserve -chaos), RoundTripper wraps an
-// http.RoundTripper inside a client. Either way the decision schedule is
-// a pure function of the policy seed and the arrival order of requests:
-// the i-th request to reach the injector always receives the i-th
-// decision. Under concurrency the goroutine interleaving decides which
+// Middleware wraps an http.Handler (geoserve -chaos) in the schedule.
+// The decision schedule is a pure function of the policy seed and the
+// arrival order of requests: the i-th request to reach the injector
+// always receives the i-th decision. Under concurrency the goroutine interleaving decides which
 // request is "i-th", but the decision sequence itself never changes —
 // that is the property the chaos acceptance suite leans on when it
 // asserts that a faulted sweep still produces byte-identical output.
@@ -30,13 +28,13 @@ const (
 	// KindLatency delays the request by Rule.Delay before serving it.
 	KindLatency Kind = "latency"
 	// KindError answers with Rule.Status (a 5xx) without touching the
-	// wrapped handler or transport.
+	// wrapped handler.
 	KindError Kind = "error"
 	// KindRateLimit answers 429 with a Retry-After header derived from
 	// Rule.RetryAfter.
 	KindRateLimit Kind = "rate-limit"
 	// KindReset kills the connection: the server aborts the response
-	// mid-flight, the client transport returns a reset error.
+	// mid-flight.
 	KindReset Kind = "reset"
 	// KindTruncate serves the real response but cuts the body off after
 	// Rule.TruncateAt bytes, leaving unparseable JSON.
@@ -87,15 +85,12 @@ type Decision struct {
 	ChunkBytes int
 }
 
-// Faulted reports whether the decision injects anything.
-func (d Decision) Faulted() bool { return d.Kind != "" }
-
 // Option configures an Injector.
 type Option func(*Injector)
 
 // WithSleep replaces the injector's sleep function (latency and
-// slow-loris pauses); tests use it to run fault schedules without real
-// waiting.
+// slow-loris pauses); TestMiddlewareSlowLoris counts its pauses through
+// it, and the chaos sweeps run their schedules without real waiting.
 func WithSleep(fn func(time.Duration)) Option {
 	return func(in *Injector) { in.sleep = fn }
 }
@@ -130,11 +125,9 @@ type Injector struct {
 	observe func(Kind)
 	exempt  map[string]bool
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	burst  []int
-	n      int64
-	counts map[Kind]int64
+	mu    sync.Mutex
+	rng   *rand.Rand
+	burst []int
 }
 
 // New builds an Injector for the policy, normalizing zero rule fields to
@@ -181,16 +174,12 @@ func New(p Policy, opts ...Option) *Injector {
 		sleep:  time.Sleep,
 		rng:    rand.New(rand.NewSource(seed)),
 		burst:  make([]int, len(rules)),
-		counts: make(map[Kind]int64, len(rules)),
 	}
 	for _, o := range opts {
 		o(in)
 	}
 	return in
 }
-
-// Policy returns the injector's normalized policy.
-func (in *Injector) Policy() Policy { return in.policy }
 
 // Next takes the decision for the next request. Every rule draws from
 // the RNG on every call, in rule order, so each rule's trigger schedule
@@ -200,7 +189,6 @@ func (in *Injector) Policy() Policy { return in.policy }
 func (in *Injector) Next() Decision {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.n++
 	decided := -1
 	for i := range in.policy.Rules {
 		r := &in.policy.Rules[i]
@@ -222,7 +210,6 @@ func (in *Injector) Next() Decision {
 		return Decision{}
 	}
 	r := in.policy.Rules[decided]
-	in.counts[r.Kind]++
 	if in.observe != nil {
 		in.observe(r.Kind)
 	}
@@ -234,22 +221,4 @@ func (in *Injector) Next() Decision {
 		TruncateAt: r.TruncateAt,
 		ChunkBytes: r.ChunkBytes,
 	}
-}
-
-// Requests reports how many decisions the injector has taken.
-func (in *Injector) Requests() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.n
-}
-
-// Counts returns a copy of the injected-fault tally per kind.
-func (in *Injector) Counts() map[Kind]int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[Kind]int64, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
 }

@@ -1,13 +1,9 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -119,123 +115,3 @@ func (d *dripWriter) Write(b []byte) (int, error) {
 	}
 	return total, nil
 }
-
-// RoundTripper wraps a transport in the injector's fault schedule — the
-// client side of chaos testing. nil next means http.DefaultTransport.
-func (in *Injector) RoundTripper(next http.RoundTripper) http.RoundTripper {
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return &roundTripper{in: in, next: next}
-}
-
-type roundTripper struct {
-	in   *Injector
-	next http.RoundTripper
-}
-
-func (rt *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	in := rt.in
-	if in.exempt[req.URL.Path] {
-		return rt.next.RoundTrip(req)
-	}
-	d := in.Next()
-	switch d.Kind {
-	case KindLatency:
-		in.sleep(d.Delay)
-		return rt.next.RoundTrip(req)
-	case KindError:
-		return syntheticResponse(req, d.Status, nil,
-			fmt.Sprintf(`{"error":"chaos: injected %d"}`+"\n", d.Status)), nil
-	case KindRateLimit:
-		hdr := http.Header{"Retry-After": []string{strconv.Itoa(retryAfterSeconds(d.RetryAfter))}}
-		return syntheticResponse(req, http.StatusTooManyRequests, hdr,
-			`{"error":"chaos: injected throttle"}`+"\n"), nil
-	case KindReset:
-		return nil, &net.OpError{Op: "read", Net: "tcp",
-			Err: errors.New("faults: injected connection reset")}
-	case KindTruncate:
-		resp, err := rt.next.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Body = &truncatedBody{rc: resp.Body, remaining: d.TruncateAt}
-		return resp, nil
-	case KindSlowLoris:
-		resp, err := rt.next.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Body = &slowBody{rc: resp.Body, chunk: d.ChunkBytes, delay: d.Delay, sleep: in.sleep}
-		return resp, nil
-	default:
-		return rt.next.RoundTrip(req)
-	}
-}
-
-// syntheticResponse fabricates an HTTP answer without touching the
-// wrapped transport.
-func syntheticResponse(req *http.Request, status int, hdr http.Header, body string) *http.Response {
-	if hdr == nil {
-		hdr = http.Header{}
-	}
-	hdr.Set("Content-Type", "application/json")
-	return &http.Response{
-		Status:        fmt.Sprintf("%d %s", status, http.StatusText(status)),
-		StatusCode:    status,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        hdr,
-		Body:          io.NopCloser(strings.NewReader(body)),
-		ContentLength: int64(len(body)),
-		Request:       req,
-	}
-}
-
-// truncatedBody serves the first remaining bytes of the real body and
-// then reports an unexpected EOF, as a connection dying mid-body would.
-type truncatedBody struct {
-	rc        io.ReadCloser
-	remaining int
-}
-
-func (t *truncatedBody) Read(p []byte) (int, error) {
-	if t.remaining <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if len(p) > t.remaining {
-		p = p[:t.remaining]
-	}
-	n, err := t.rc.Read(p)
-	t.remaining -= n
-	if err == nil && t.remaining <= 0 {
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-func (t *truncatedBody) Close() error { return t.rc.Close() }
-
-// slowBody drips the real body out in small reads with a pause before
-// each.
-type slowBody struct {
-	rc    io.ReadCloser
-	chunk int
-	delay time.Duration
-	sleep func(time.Duration)
-	read  bool
-}
-
-func (s *slowBody) Read(p []byte) (int, error) {
-	if s.read {
-		s.sleep(s.delay)
-	}
-	s.read = true
-	if len(p) > s.chunk {
-		p = p[:s.chunk]
-	}
-	return s.rc.Read(p)
-}
-
-func (s *slowBody) Close() error { return s.rc.Close() }
