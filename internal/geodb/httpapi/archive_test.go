@@ -2,9 +2,7 @@ package httpapi
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -61,6 +59,13 @@ func asofLookup(t *testing.T, url string, asof int64) (status int, gen, city, er
 	return resp.StatusCode, gen, br.Entries[0].Results["alpha"].City, ""
 }
 
+// archived counts the retired generations h's archive holds.
+func archived(h *Handler) int {
+	h.archiveMu.Lock()
+	defer h.archiveMu.Unlock()
+	return len(h.archive)
+}
+
 func TestAsOfSelectsArchivedGeneration(t *testing.T) {
 	h := NewHandler(epochDBs(t, 100), WithSnapshotArchive(4))
 	gen100 := h.Generation()
@@ -68,7 +73,7 @@ func TestAsOfSelectsArchivedGeneration(t *testing.T) {
 	gen200 := h.Generation()
 	h.Swap(epochDBs(t, 300))
 	gen300 := h.Generation()
-	if n := h.ArchivedGenerations(); n != 2 {
+	if n := archived(h); n != 2 {
 		t.Fatalf("archive holds %d generations, want 2", n)
 	}
 	srv := httptest.NewServer(h)
@@ -150,7 +155,7 @@ func TestEmptyBootGenerationNotArchived(t *testing.T) {
 	h := NewHandler(nil, WithSnapshotArchive(4))
 	h.Swap(epochDBs(t, 100))
 	h.Swap(epochDBs(t, 200))
-	if n := h.ArchivedGenerations(); n != 1 {
+	if n := archived(h); n != 1 {
 		t.Fatalf("archive holds %d generations, want 1 (empty boot generation must be dropped)", n)
 	}
 	srv := httptest.NewServer(h)
@@ -185,7 +190,7 @@ func TestArchiveEvictionReleasesGenerations(t *testing.T) {
 	if closed[300] {
 		t.Fatal("archived generation closed while still reachable")
 	}
-	if n := h.ArchivedGenerations(); n != 1 {
+	if n := archived(h); n != 1 {
 		t.Fatalf("archive holds %d, want 1", n)
 	}
 }
@@ -219,59 +224,6 @@ func TestStatsOmitArchiveWhenDisabled(t *testing.T) {
 		t.Fatalf("archive block present without WithSnapshotArchive: %+v", s.Archive)
 	}
 }
-
-func TestClientWithAsOf(t *testing.T) {
-	h := NewHandler(epochDBs(t, 100), WithSnapshotArchive(4))
-	h.Swap(epochDBs(t, 200))
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	addr := ipx.MustParseAddr("10.0.0.1")
-	c := NewClient(srv.URL, WithAsOf(150), WithDatabase("alpha"))
-	entries, err := c.BatchLookup(context.Background(), []string{"10.0.0.1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := entries[0].Results["alpha"].City; got != "city-100" {
-		t.Fatalf("asof-pinned batch answered %q, want city-100", got)
-	}
-	// The single-address paths honour the same pin.
-	if rec, ok, err := c.TryLookup(context.Background(), addr); err != nil || !ok || rec.City != "city-100" {
-		t.Fatalf("asof-pinned TryLookup = (%+v, %v, %v), want city-100", rec, ok, err)
-	}
-	p, err := NewRemoteProvider(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, ok := p.Lookup(addr); !ok || rec.City != "city-100" {
-		t.Fatalf("asof-pinned RemoteProvider.Lookup = (%+v, %v), want city-100", rec, ok)
-	}
-
-	// Before the horizon: terminal sentinel, no retry burn.
-	attempts := 0
-	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		attempts++
-		return http.DefaultTransport.RoundTrip(r)
-	})}
-	c = NewClient(srv.URL, WithAsOf(50), WithDatabase("alpha"), WithHTTPClient(hc))
-	if _, err := c.BatchLookup(context.Background(), []string{"10.0.0.1"}); !errors.Is(err, ErrBeforeArchiveHorizon) {
-		t.Fatalf("err = %v, want ErrBeforeArchiveHorizon", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("horizon miss burned %d attempts, want 1 (terminal)", attempts)
-	}
-	if _, _, err := c.TryLookup(context.Background(), addr); !errors.Is(err, ErrBeforeArchiveHorizon) {
-		t.Fatalf("TryLookup err = %v, want ErrBeforeArchiveHorizon", err)
-	}
-	if attempts != 2 {
-		t.Fatalf("TryLookup horizon miss burned %d attempts, want 1 (terminal)", attempts-1)
-	}
-}
-
-// roundTripFunc adapts a function to http.RoundTripper.
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // benchEpochDBs rebuilds the standard benchmark databases stamped with a
 // build epoch so ?asof= has generations to choose between.

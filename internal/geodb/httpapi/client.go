@@ -70,11 +70,6 @@ func WithMaxBackoff(d time.Duration) ClientOption {
 	}
 }
 
-// WithTimeout bounds each HTTP request; 0 disables the bound.
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.timeout = d }
-}
-
 // WithConcurrency sets the worker-pool width BatchLookup (and
 // RemoteProvider prefetches) fan chunks out over.
 func WithConcurrency(n int) ClientOption {
@@ -100,14 +95,16 @@ func WithDatabase(name string) ClientOption {
 	return func(c *Client) { c.DB = name }
 }
 
-// WithHTTPClient swaps the underlying *http.Client (custom transports,
-// test round-trippers, chaos injection via faults.RoundTripper).
+// WithHTTPClient swaps the underlying *http.Client;
+// TestClientRetriesTransportErrors fails requests through a custom
+// transport set with it.
 func WithHTTPClient(h *http.Client) ClientOption {
 	return func(c *Client) { c.HTTPClient = h }
 }
 
 // WithClientLogger routes the client's retry warnings through l instead
-// of the process default logger.
+// of the process default logger; TestClientLogsRetries reads the
+// warnings it captures.
 func WithClientLogger(l *slog.Logger) ClientOption {
 	return func(c *Client) { c.logger = l }
 }
@@ -134,43 +131,8 @@ func WithClientMetrics(reg *obs.Registry) ClientOption {
 	return func(c *Client) { c.reg = reg }
 }
 
-// ErrGenerationMismatch is returned (wrapped) when the server answers
-// from a generation other than the one pinned by WithRequiredGeneration.
-// It is terminal: retrying cannot help, since the server has moved on.
-var ErrGenerationMismatch = errors.New("httpapi: server generation changed")
-
-// WithRequiredGeneration pins the client to one server generation: any
-// response carrying a different X-Geodb-Generation fails immediately
-// with ErrGenerationMismatch instead of silently mixing answers from
-// two database generations. Use Generation() after a first request to
-// learn the value to pin. Empty (the default) disables the check;
-// responses without the header (older servers) always pass.
-func WithRequiredGeneration(gen string) ClientOption {
-	return func(c *Client) { c.requiredGen = gen }
-}
-
-// ErrBeforeArchiveHorizon is returned (wrapped) when an asof-pinned
-// lookup asks for a point in time older than every generation the
-// server retains. It is terminal: the archive only loses generations
-// going forward, so retrying cannot help.
-var ErrBeforeArchiveHorizon = errors.New("httpapi: asof precedes the snapshot archive horizon")
-
-// beforeHorizonText is the ErrorResponse body the server sends for such
-// requests; the client matches it to map the 404 onto the sentinel
-// (a plain 404 — wrong path, unknown database — stays a status error).
-const beforeHorizonText = "no generation at or before asof: beyond the snapshot archive horizon"
-
-// WithAsOf pins every batch lookup to a point in time: requests go to
-// /v2/lookup?asof=<unix> and the server answers from the newest
-// generation built at or before it (the snapshot archive's time-travel
-// query). Asking for a time the archive no longer covers fails with
-// ErrBeforeArchiveHorizon.
-func WithAsOf(unix int64) ClientOption {
-	return func(c *Client) { c.asof, c.asofSet = unix, true }
-}
-
 // WithBaseContext sets the context Provider-shaped entry points
-// (Lookup, TryLookup via RemoteProvider, DatabaseInfos, Stats) derive their
+// (Lookup, TryLookup via RemoteProvider, Stats) derive their
 // request contexts from, since the geodb.Provider interface cannot carry
 // one. Cancelling it aborts their in-flight retries.
 func WithBaseContext(ctx context.Context) ClientOption {
@@ -214,18 +176,12 @@ type Client struct {
 	mu            sync.Mutex
 	lastErr       error
 
-	// requiredGen pins responses to one server generation; gen tracks the
-	// last generation observed and genFlips counts changes, so a sweep
-	// can detect a server hot reload happening underneath it.
-	requiredGen string
-	genMu       sync.Mutex
-	gen         string
-	genFlips    atomic.Int64
-
-	// asof pins batch lookups to a point in time (WithAsOf); asofSet
-	// distinguishes "no pin" from an explicit asof of 0.
-	asof    int64
-	asofSet bool
+	// gen tracks the last generation observed and genFlips counts
+	// changes, so a sweep can detect a server hot reload happening
+	// underneath it.
+	genMu    sync.Mutex
+	gen      string
+	genFlips atomic.Int64
 }
 
 // NewClient builds a resilient client with the Default* settings, then
@@ -333,27 +289,19 @@ func (c *Client) recordErr(err error) {
 	c.mu.Unlock()
 }
 
-// Generation returns the last serving generation observed in a response
-// header ("" before the first generation-aware response).
-func (c *Client) Generation() string {
-	c.genMu.Lock()
-	defer c.genMu.Unlock()
-	return c.gen
-}
-
 // GenerationFlips counts how many times the observed server generation
 // changed across this client's responses. Non-zero after a sweep means
 // the server hot-reloaded mid-sweep and the answers may span database
 // generations — the run manifest should carry that taint.
 func (c *Client) GenerationFlips() int64 { return c.genFlips.Load() }
 
-// observeGeneration tracks the generation header of one response and
-// enforces the WithRequiredGeneration pin. Flips tally in the registry
-// as client.outage.generation_flips so they surface in /v2/stats and
-// run manifests alongside the other taint signals.
-func (c *Client) observeGeneration(g string) error {
+// observeGeneration tracks the generation header of one response.
+// Flips tally in the registry as client.outage.generation_flips so they
+// surface in /v2/stats and run manifests alongside the other taint
+// signals.
+func (c *Client) observeGeneration(g string) {
 	if g == "" {
-		return nil
+		return
 	}
 	c.genMu.Lock()
 	prev := c.gen
@@ -365,11 +313,6 @@ func (c *Client) observeGeneration(g string) error {
 			c.reg.Counter("client.outage.generation_flips").Inc()
 		}
 	}
-	if c.requiredGen != "" && g != c.requiredGen {
-		return fmt.Errorf("%w: pinned %s, server now serves %s",
-			ErrGenerationMismatch, c.requiredGen, g)
-	}
-	return nil
 }
 
 // retryable reports whether a response status warrants a retry: server
@@ -488,19 +431,6 @@ func (c *Client) do(ctx context.Context, path string, body []byte, out interface
 			}
 		}
 		status, ra, err := c.once(ctx, path, body, out)
-		if errors.Is(err, ErrGenerationMismatch) || errors.Is(err, ErrBeforeArchiveHorizon) {
-			// Terminal, not a transport failure: the host answered fine,
-			// the data we asked for moved past our pin or fell off the
-			// archive. Retrying cannot help.
-			if c.br != nil {
-				c.br.success()
-			}
-			c.log().Error("terminal lookup error", "path", path, "error", err)
-			c.mu.Lock()
-			c.lastErr = err
-			c.mu.Unlock()
-			return err
-		}
 		if err == nil && !retryable(status) {
 			if c.br != nil {
 				c.br.success() // any well-formed answer means the host is up
@@ -553,21 +483,10 @@ func (c *Client) once(ctx context.Context, path string, body []byte, out interfa
 		return 0, 0, err
 	}
 	defer resp.Body.Close()
-	if genErr := c.observeGeneration(resp.Header.Get(GenerationHeader)); genErr != nil {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return resp.StatusCode, 0, genErr
-	}
+	c.observeGeneration(resp.Header.Get(GenerationHeader))
 	if resp.StatusCode != http.StatusOK {
 		// Drain so the connection can be reused, then report the status.
-		// A 404 carrying the archive-horizon sentinel body becomes the
-		// terminal ErrBeforeArchiveHorizon instead of a bare status.
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if resp.StatusCode == http.StatusNotFound {
-			var er ErrorResponse
-			if json.Unmarshal(b, &er) == nil && er.Error == beforeHorizonText {
-				return resp.StatusCode, 0, fmt.Errorf("%w: asof=%d", ErrBeforeArchiveHorizon, c.asof)
-			}
-		}
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return resp.StatusCode, parseRetryAfter(resp.Header.Get("Retry-After")), nil
 	}
 	switch out := out.(type) {
@@ -596,16 +515,6 @@ func parseRetryAfter(h string) time.Duration {
 		return 0
 	}
 	return time.Duration(secs) * time.Second
-}
-
-// DatabaseInfos lists the server's databases with range counts and
-// resolution stats (/v2/databases).
-func (c *Client) DatabaseInfos() ([]DatabaseInfo, error) {
-	var infos []DatabaseInfo
-	if err := c.do(c.rootCtx(), "/v2/databases", nil, &infos); err != nil {
-		return nil, err
-	}
-	return infos, nil
 }
 
 // Stats fetches the server's /v2/stats counters.
@@ -696,7 +605,7 @@ func (c *Client) lookupChunks(ctx context.Context, n int,
 
 // lookupChunk sends chunk [lo, hi) and decodes its answer into a.
 func (c *Client) lookupChunk(ctx context.Context, a *lookupAnswer, body func(lo, hi int) []byte, lo, hi int) error {
-	if err := c.do(ctx, c.v2LookupPath(), body(lo, hi), a); err != nil {
+	if err := c.do(ctx, "/v2/lookup", body(lo, hi), a); err != nil {
 		return err
 	}
 	if a.n != hi-lo {
@@ -705,23 +614,14 @@ func (c *Client) lookupChunk(ctx context.Context, a *lookupAnswer, body func(lo,
 	return nil
 }
 
-// v2LookupPath is the batch endpoint, with the asof pin attached when
-// WithAsOf configured one.
-func (c *Client) v2LookupPath() string {
-	if !c.asofSet {
-		return "/v2/lookup"
-	}
-	return "/v2/lookup?asof=" + strconv.FormatInt(c.asof, 10)
-}
-
 // Name implements geodb.Provider.
 func (c *Client) Name() string { return c.DB }
 
 // TryLookup resolves one address in the pinned database, distinguishing
 // a transport failure (err != nil) from a genuine database miss
 // (ok == false, err == nil) — the distinction Lookup's Provider
-// signature cannot express. It is a one-address batch lookup, so the
-// WithAsOf pin applies. ctx bounds the attempt and its retries.
+// signature cannot express. It is a one-address batch lookup. ctx
+// bounds the attempt and its retries.
 func (c *Client) TryLookup(ctx context.Context, a ipx.Addr) (geodb.Record, bool, error) {
 	if c.DB == "" {
 		return geodb.Record{}, false, errors.New("httpapi: no database pinned (set Client.DB or WithDatabase)")

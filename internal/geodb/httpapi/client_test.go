@@ -113,7 +113,7 @@ func TestClientDistinguishesOutageFromMiss(t *testing.T) {
 	// The original client's defect: a dead server looked identical to an
 	// address with no coverage. TryLookup separates the two, and the
 	// Provider-shaped Lookup records the outage on the client.
-	dead := NewClient("http://127.0.0.1:1", WithDatabase("alpha"), WithRetries(0), WithTimeout(time.Second))
+	dead := NewClient("http://127.0.0.1:1", WithDatabase("alpha"), WithRetries(0))
 	if _, ok, err := dead.TryLookup(context.Background(), ipx.MustParseAddr("10.0.0.1")); err == nil || ok {
 		t.Fatalf("TryLookup against dead server = (_, %v, %v), want transport error", ok, err)
 	}
@@ -196,7 +196,7 @@ func TestBatchLookupRetriesFlakyTransport(t *testing.T) {
 }
 
 func TestBatchLookupSurfacesExhaustedRetries(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1", WithRetries(1), WithBackoff(0), WithTimeout(time.Second))
+	c := NewClient("http://127.0.0.1:1", WithRetries(1), WithBackoff(0))
 	if _, err := c.BatchLookup(context.Background(), []string{"10.0.0.1"}); err == nil {
 		t.Fatal("BatchLookup against a dead server must error, not fabricate misses")
 	}
@@ -283,7 +283,6 @@ func TestClientLogsGiveUp(t *testing.T) {
 		WithDatabase("alpha"),
 		WithRetries(1),
 		WithBackoff(0),
-		WithTimeout(time.Second),
 		WithClientLogger(logger))
 	if _, _, err := dead.TryLookup(context.Background(), ipx.MustParseAddr("10.0.0.1")); err == nil {
 		t.Fatal("TryLookup against a dead server should fail")

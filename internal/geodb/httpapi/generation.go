@@ -213,14 +213,6 @@ func (h *Handler) acquireAsOf(asof int64) *generation {
 	return best
 }
 
-// ArchivedGenerations reports how many retired generations the archive
-// currently holds.
-func (h *Handler) ArchivedGenerations() int {
-	h.archiveMu.Lock()
-	defer h.archiveMu.Unlock()
-	return len(h.archive)
-}
-
 // Generation returns the current set-level generation id — the value of
 // the GenerationHeader on responses served right now.
 func (h *Handler) Generation() string { return h.gen.Load().id }

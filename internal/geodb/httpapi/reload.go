@@ -180,11 +180,6 @@ func (r *Reloader) Rescan(force bool) (bool, error) {
 	return true, nil
 }
 
-// AdminHook adapts the reloader for WithAdminReload.
-func (r *Reloader) AdminHook() func(force bool) (bool, error) {
-	return r.Rescan
-}
-
 // Run polls the directory until ctx is cancelled. Failed rescans are
 // logged and retried on the next tick; the serving generation is never
 // disturbed by a bad publish.

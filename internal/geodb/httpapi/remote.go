@@ -204,10 +204,6 @@ func (p *RemoteProvider) Cached() int {
 // Err exposes the underlying client's last transport error.
 func (p *RemoteProvider) Err() error { return p.c.Err() }
 
-// Generation exposes the last server generation the underlying client
-// observed.
-func (p *RemoteProvider) Generation() string { return p.c.Generation() }
-
 // GenerationFlips exposes how many times the server generation changed
 // under this provider's client. Non-zero after a sweep means the remote
 // hot-reloaded mid-sweep; the run manifest should record the taint.

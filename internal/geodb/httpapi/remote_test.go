@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"routergeo/internal/ipx"
 	"routergeo/internal/obs"
@@ -155,7 +154,6 @@ func TestRemoteProviderDegradesToFallback(t *testing.T) {
 	dead := NewClient("http://127.0.0.1:1",
 		WithDatabase("alpha"),
 		WithRetries(0),
-		WithTimeout(time.Second),
 		WithClientMetrics(reg))
 	p, err := NewRemoteProvider(dead, WithFallback(local))
 	if err != nil {
@@ -210,7 +208,6 @@ func TestRemoteProviderTaintsWithoutFallback(t *testing.T) {
 	dead := NewClient("http://127.0.0.1:1",
 		WithDatabase("alpha"),
 		WithRetries(0),
-		WithTimeout(time.Second),
 		WithClientMetrics(reg))
 	p, err := NewRemoteProvider(dead)
 	if err != nil {

@@ -79,7 +79,7 @@ func WithSnapshotArchive(n int) ServerOption {
 }
 
 // WithAdminReload arms the POST /v2/admin/reload endpoint with hook,
-// typically a Reloader's AdminHook. The hook triggers a snapshot rescan
+// typically a Reloader's Rescan. The hook triggers a snapshot rescan
 // (force re-loads even when the directory looks unchanged) and reports
 // whether a new generation was swapped in; ErrReloadInFlight from the
 // hook answers 409. Without this option the admin route does not exist.
@@ -222,9 +222,6 @@ func (h *Handler) SetDraining(v bool) {
 		h.stopOnce.Do(func() { close(h.streamStop) })
 	}
 }
-
-// Draining reports the current drain state.
-func (h *Handler) Draining() bool { return h.draining.Load() }
 
 // Registry exposes the handler's metrics registry — the same instruments
 // /v2/stats and /metrics are assembled from — for debug endpoints and
@@ -400,6 +397,10 @@ func (h *Handler) handleV2Lookup(w http.ResponseWriter, r *http.Request) {
 // jsonContentType is the shared Content-Type header value the zero-alloc
 // path assigns directly (the key is already in canonical form).
 var jsonContentType = []string{"application/json"}
+
+// beforeHorizonText is the ErrorResponse body of the 404 answering an
+// asof older than every generation the server retains.
+const beforeHorizonText = "no generation at or before asof: beyond the snapshot archive horizon"
 
 // timeTravel resolves a /v2/lookup?asof= query to a pinned generation.
 // handled == true means the response was already written (bad parameter,
