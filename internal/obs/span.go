@@ -23,7 +23,6 @@ type Span struct {
 	end      time.Time
 	cpu1     time.Duration
 	items    int64
-	bytes    int64
 	attrs    map[string]any
 	children []*Span
 }
@@ -92,20 +91,6 @@ func (s *Span) SetItems(n int64) {
 	s.mu.Unlock()
 }
 
-// AddItems increments the stage's item count.
-func (s *Span) AddItems(delta int64) {
-	s.mu.Lock()
-	s.items += delta
-	s.mu.Unlock()
-}
-
-// SetBytes records how many bytes the stage read or wrote.
-func (s *Span) SetBytes(n int64) {
-	s.mu.Lock()
-	s.bytes = n
-	s.mu.Unlock()
-}
-
 // SetAttr attaches an arbitrary key/value to the span (database name,
 // monitor count, ...). Values must be JSON-encodable.
 func (s *Span) SetAttr(key string, value any) {
@@ -125,7 +110,6 @@ type SpanSnapshot struct {
 	WallMs   float64        `json:"wall_ms"`
 	CPUMs    float64        `json:"cpu_ms,omitempty"`
 	Items    int64          `json:"items,omitempty"`
-	Bytes    int64          `json:"bytes,omitempty"`
 	Attrs    map[string]any `json:"attrs,omitempty"`
 	Children []SpanSnapshot `json:"children,omitempty"`
 }
@@ -143,7 +127,6 @@ func (s *Span) Snapshot() SpanSnapshot {
 		Start:  s.start,
 		WallMs: float64(end.Sub(s.start)) / float64(time.Millisecond),
 		Items:  s.items,
-		Bytes:  s.bytes,
 	}
 	if s.ended && s.cpu1 > s.cpu0 {
 		out.CPUMs = float64(s.cpu1-s.cpu0) / float64(time.Millisecond)

@@ -17,7 +17,6 @@ func TestSpanNesting(t *testing.T) {
 	grand.SetItems(7)
 	grand.SetAttr("db", "ipinfuse")
 	grand.End()
-	child.SetBytes(1024)
 	child.End()
 	// A sibling started from the root context lands next to "child".
 	_, sib := Start(ctx, "sibling")
@@ -29,7 +28,7 @@ func TestSpanNesting(t *testing.T) {
 		t.Fatalf("root snapshot: name=%q children=%d, want root/2", snap.Name, len(snap.Children))
 	}
 	c := snap.Children[0]
-	if c.Name != "child" || c.Bytes != 1024 || len(c.Children) != 1 {
+	if c.Name != "child" || len(c.Children) != 1 {
 		t.Fatalf("child snapshot: %+v", c)
 	}
 	g := c.Children[0]
@@ -72,7 +71,7 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			_, sp := Start(ctx, "worker")
-			sp.AddItems(1)
+			sp.SetItems(1)
 			sp.End()
 		}()
 	}

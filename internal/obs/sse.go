@@ -31,15 +31,6 @@ func WithSSEStop(ch <-chan struct{}) SSEOption {
 	return func(h *SSEHandler) { h.stop = ch }
 }
 
-// WithSSEBuffer sets the per-connection subscriber channel depth.
-func WithSSEBuffer(n int) SSEOption {
-	return func(h *SSEHandler) {
-		if n > 0 {
-			h.buffer = n
-		}
-	}
-}
-
 // WithSSERegistry tallies stream lifecycle in reg: events.streams
 // (gauge, currently open), events.sent and events.dropped (counters).
 func WithSSERegistry(reg *Registry) SSEOption {
@@ -55,12 +46,11 @@ func WithSSERegistry(reg *Registry) SSEOption {
 // number as the SSE id, periodic heartbeat comments, and Last-Event-ID
 // replay from the bus ring on reconnect (also accepted as a
 // ?last_event_id= query parameter for plain curl). A consumer that
-// falls behind its buffer loses events rather than slowing anyone down;
+// falls DefaultSubBuffer events behind loses events rather than slowing anyone down;
 // losses are reported in-band as ": dropped N" comments and counted.
 type SSEHandler struct {
 	bus       *EventBus
 	heartbeat time.Duration
-	buffer    int
 	stop      <-chan struct{}
 
 	streams *Gauge
@@ -68,13 +58,12 @@ type SSEHandler struct {
 	lost    *Counter
 }
 
-// NewSSEHandler streams bus. See the SSEOptions for heartbeat, buffer,
+// NewSSEHandler streams bus. See the SSEOptions for heartbeat,
 // stop-channel and metrics wiring.
 func NewSSEHandler(bus *EventBus, opts ...SSEOption) *SSEHandler {
 	h := &SSEHandler{
 		bus:       bus,
 		heartbeat: DefaultSSEHeartbeat,
-		buffer:    DefaultSubBuffer,
 	}
 	for _, o := range opts {
 		o(h)
@@ -130,7 +119,7 @@ func (h *SSEHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// Subscribe before replaying so no event can fall between the ring
 	// read and the live channel; the seen guard below drops the overlap.
-	sub := h.bus.Subscribe(h.buffer)
+	sub := h.bus.Subscribe(DefaultSubBuffer)
 	defer sub.Close()
 
 	// Reconnect hint for EventSource-style consumers.
