@@ -76,7 +76,6 @@ type Gazetteer struct {
 	weights    []int // SampleCountry's weight per country, parallel to countries
 	byISO2     map[string]int
 	cityKey    map[string]int // "cc/lowername" -> index into cities
-	byIATA     map[string]int
 	citiesByCC map[string][]int
 }
 
@@ -88,7 +87,6 @@ func New() *Gazetteer {
 		cities:     cityTable,
 		byISO2:     make(map[string]int, len(countryTable)),
 		cityKey:    make(map[string]int, len(cityTable)),
-		byIATA:     make(map[string]int, len(cityTable)),
 		citiesByCC: make(map[string][]int, len(countryTable)),
 	}
 	for i, c := range g.countries {
@@ -97,9 +95,6 @@ func New() *Gazetteer {
 	for i, c := range g.cities {
 		g.allCities = append(g.allCities, i)
 		g.cityKey[cityKey(c.Country, c.Name)] = i
-		if c.IATA != "" {
-			g.byIATA[c.IATA] = i
-		}
 		g.citiesByCC[c.Country] = append(g.citiesByCC[c.Country], i)
 	}
 	for _, c := range g.countries {
@@ -112,7 +107,8 @@ func cityKey(cc, name string) string {
 	return cc + "/" + strings.ToLower(name)
 }
 
-// Countries returns all countries, ordered by ISO2.
+// Countries returns all countries, ordered by ISO2;
+// TestRouterIndexMatchesScan picks a country without routers from it.
 func (g *Gazetteer) Countries() []Country {
 	out := make([]Country, len(g.countries))
 	copy(out, g.countries)
@@ -127,7 +123,8 @@ func (g *Gazetteer) Cities() []City {
 	return out
 }
 
-// Country looks a country up by ISO2 code.
+// Country looks a country up by ISO2 code; TestCityCoordinatesPlausible
+// checks every city against its country's centroid through it.
 func (g *Gazetteer) Country(iso2 string) (Country, bool) {
 	i, ok := g.byISO2[strings.ToUpper(iso2)]
 	if !ok {
@@ -137,7 +134,8 @@ func (g *Gazetteer) Country(iso2 string) (Country, bool) {
 }
 
 // RIROf returns the registry serving the country with the given ISO2 code,
-// or geo.RIRUnknown for countries the gazetteer does not know.
+// or geo.RIRUnknown for countries the gazetteer does not know;
+// TestFleetRegionalSkew counts probes per registry through it.
 func (g *Gazetteer) RIROf(iso2 string) geo.RIR {
 	c, ok := g.Country(iso2)
 	if !ok {
@@ -155,38 +153,6 @@ func (g *Gazetteer) City(iso2, name string) (City, bool) {
 		return City{}, false
 	}
 	return g.cities[i], true
-}
-
-// CityByIATA looks a city up by its airport code.
-func (g *Gazetteer) CityByIATA(code string) (City, bool) {
-	i, ok := g.byIATA[strings.ToUpper(code)]
-	if !ok {
-		return City{}, false
-	}
-	return g.cities[i], true
-}
-
-// CitiesIn returns the cities of one country, in table order.
-func (g *Gazetteer) CitiesIn(iso2 string) []City {
-	idx := g.citiesByCC[strings.ToUpper(iso2)]
-	out := make([]City, len(idx))
-	for i, j := range idx {
-		out[i] = g.cities[j]
-	}
-	return out
-}
-
-// CountriesIn returns the ISO2 codes of every country served by the given
-// registry, ordered alphabetically.
-func (g *Gazetteer) CountriesIn(r geo.RIR) []string {
-	var out []string
-	for _, c := range g.countries {
-		if c.RIR == r {
-			out = append(out, c.ISO2)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Nearest returns the embedded city closest to p and its distance in km.

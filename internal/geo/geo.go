@@ -87,25 +87,3 @@ func (c Coordinate) Offset(distanceKm, bearingDeg float64) Coordinate {
 	lonDeg := math.Mod(lon2*radToDeg+540, 360) - 180
 	return Coordinate{Lat: lat2 * radToDeg, Lon: lonDeg}
 }
-
-// Midpoint returns the great-circle midpoint of c and o. The evaluation uses
-// it only for diagnostics; the simulators use it to place intermediate
-// waypoints when synthesizing long-haul links.
-func (c Coordinate) Midpoint(o Coordinate) Coordinate {
-	const degToRad = math.Pi / 180
-	const radToDeg = 180 / math.Pi
-
-	lat1 := c.Lat * degToRad
-	lon1 := c.Lon * degToRad
-	lat2 := o.Lat * degToRad
-	dLon := (o.Lon - c.Lon) * degToRad
-
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon3 := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-
-	lonDeg := math.Mod(lon3*radToDeg+540, 360) - 180
-	return Coordinate{Lat: lat3 * radToDeg, Lon: lonDeg}
-}

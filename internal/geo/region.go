@@ -40,22 +40,3 @@ func (r RIR) String() string {
 		return "UNKNOWN"
 	}
 }
-
-// ParseRIR maps a registry name (as printed by String) back to its RIR.
-// Unrecognized names map to RIRUnknown.
-func ParseRIR(s string) RIR {
-	switch s {
-	case "ARIN":
-		return ARIN
-	case "RIPENCC", "RIPE", "RIPE NCC":
-		return RIPENCC
-	case "APNIC":
-		return APNIC
-	case "LACNIC":
-		return LACNIC
-	case "AFRINIC":
-		return AFRINIC
-	default:
-		return RIRUnknown
-	}
-}

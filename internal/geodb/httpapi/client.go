@@ -517,7 +517,9 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// Stats fetches the server's /v2/stats counters.
+// Stats fetches the server's /v2/stats counters;
+// TestChaosStatsEndpointUnderFire reads the fault-exempt endpoint through
+// it.
 func (c *Client) Stats() (StatsResponse, error) {
 	var s StatsResponse
 	if err := c.do(c.rootCtx(), "/v2/stats", nil, &s); err != nil {

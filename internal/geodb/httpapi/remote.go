@@ -194,7 +194,9 @@ func (p *RemoteProvider) Degraded() int64 { return p.degraded.Load() }
 // numbers undercount and the run manifest should carry the taint.
 func (p *RemoteProvider) Tainted() int64 { return p.tainted.Load() }
 
-// Cached reports how many addresses are resolved locally.
+// Cached reports how many addresses are resolved locally;
+// TestRemoteProviderTaintsWithoutFallback checks through it that an
+// outage miss is not cached.
 func (p *RemoteProvider) Cached() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

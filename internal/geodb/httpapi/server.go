@@ -41,7 +41,8 @@ func WithMaxBatch(n int) ServerOption {
 	}
 }
 
-// WithMaxBodyBytes caps the /v2/lookup request body size.
+// WithMaxBodyBytes caps the /v2/lookup request body size;
+// TestV2LookupOversizedBody413 lowers it to 64 bytes.
 func WithMaxBodyBytes(n int64) ServerOption {
 	return func(h *Handler) {
 		if n > 0 {
@@ -90,7 +91,8 @@ func WithAdminReload(hook func(force bool) (bool, error)) ServerOption {
 // WithEventBus replaces the handler's event bus (default: the
 // process-wide obs.Events() bus). Server-side happenings — generation
 // swaps, reload outcomes, chaos injections — publish here, and
-// GET /v2/events streams it. Tests use a private bus for isolation.
+// GET /v2/events streams it. TestServerEventReplay needs a private bus
+// so that no other test's events enter its replay.
 func WithEventBus(b *obs.EventBus) ServerOption {
 	return func(h *Handler) {
 		if b != nil {
@@ -100,8 +102,9 @@ func WithEventBus(b *obs.EventBus) ServerOption {
 }
 
 // WithEventHeartbeat sets the /v2/events keep-alive comment interval
-// (default obs.DefaultSSEHeartbeat). Tests shorten it to observe
-// liveness quickly.
+// (default obs.DefaultSSEHeartbeat);
+// TestServerEventStreamOutlivesRequestTimeout shortens it below its
+// request timeout.
 func WithEventHeartbeat(d time.Duration) ServerOption {
 	return func(h *Handler) {
 		if d > 0 {

@@ -33,6 +33,7 @@ func ParseAddr(s string) (Addr, error) {
 }
 
 // MustParseAddr is ParseAddr for tests and constants; it panics on error.
+// TestSlash24 and most address tests build their inputs with it.
 func MustParseAddr(s string) Addr {
 	a, err := ParseAddr(s)
 	if err != nil {
@@ -53,11 +54,6 @@ func (a Addr) String() string {
 	b.WriteByte('.')
 	b.WriteString(strconv.Itoa(int(a & 0xff)))
 	return b.String()
-}
-
-// Netip converts to a net/netip address.
-func (a Addr) Netip() netip.Addr {
-	return netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)})
 }
 
 // Slash24 returns the address of a's enclosing /24 block — the granularity
@@ -118,7 +114,8 @@ func (p Prefix) First() Addr { return p.Base }
 // Last returns the last address in p.
 func (p Prefix) Last() Addr { return p.Base + Addr(p.Size()-1) }
 
-// Overlaps reports whether p and q share any address.
+// Overlaps reports whether p and q share any address;
+// TestDefaultPoolsShape checks the registries' pools are disjoint with it.
 func (p Prefix) Overlaps(q Prefix) bool {
 	return p.First() <= q.Last() && q.First() <= p.Last()
 }
@@ -126,20 +123,4 @@ func (p Prefix) Overlaps(q Prefix) bool {
 // String returns the CIDR form.
 func (p Prefix) String() string {
 	return p.Base.String() + "/" + strconv.Itoa(int(p.Bits))
-}
-
-// Split returns p cut into 2^(newBits-p.Bits) sub-prefixes of length
-// newBits. It panics if newBits < p.Bits or newBits > 32, which indicates a
-// programming error in the caller.
-func (p Prefix) Split(newBits uint8) []Prefix {
-	if newBits < p.Bits || newBits > 32 {
-		panic(fmt.Sprintf("ipx: cannot split %v into /%d", p, newBits))
-	}
-	n := 1 << (newBits - p.Bits)
-	step := Addr(1) << (32 - newBits)
-	out := make([]Prefix, n)
-	for i := range out {
-		out[i] = Prefix{Base: p.Base + Addr(i)*step, Bits: newBits}
-	}
-	return out
 }

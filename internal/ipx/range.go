@@ -10,10 +10,13 @@ type Range struct {
 // RangeOf returns p's address interval.
 func RangeOf(p Prefix) Range { return Range{Lo: p.First(), Hi: p.Last()} }
 
-// Contains reports whether a falls in r.
+// Contains reports whether a falls in r; the oracle of
+// TestLayeringRandomizedProperty and the RangeMap reference answer
+// through it.
 func (r Range) Contains(a Addr) bool { return r.Lo <= a && a <= r.Hi }
 
-// Size returns the number of addresses in r.
+// Size returns the number of addresses in r; TestRangeSizeAndString
+// checks it counts all 2^32 addresses of the full space.
 func (r Range) Size() uint64 { return uint64(r.Hi) - uint64(r.Lo) + 1 }
 
 // String formats r as "lo-hi".
@@ -52,13 +55,4 @@ func (a *Allocator) Alloc(bits uint8) (p Prefix, ok bool) {
 		a.done = true
 	}
 	return Prefix{Base: base, Bits: bits}, true
-}
-
-// Remaining returns the number of unallocated addresses left in the pool
-// (ignoring alignment waste future allocations may incur).
-func (a *Allocator) Remaining() uint64 {
-	if a.done || a.next > a.pool.Last() {
-		return 0
-	}
-	return uint64(a.pool.Last()) - uint64(a.next) + 1
 }

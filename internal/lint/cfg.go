@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // A Block is one straight-line segment of a function: the nodes
@@ -474,23 +473,6 @@ func (b *cfgBuilder) finish() {
 func isPanicCall(call *ast.CallExpr) bool {
 	id, ok := call.Fun.(*ast.Ident)
 	return ok && id.Name == "panic"
-}
-
-// Dump renders the graph deterministically for tests and debugging: one
-// line per block with its kind, node count and successor indices.
-func (c *CFG) Dump() string {
-	var sb strings.Builder
-	for _, blk := range c.Blocks {
-		fmt.Fprintf(&sb, "b%d %s[%d]", blk.Index, blk.Kind, len(blk.Nodes))
-		if len(blk.Succs) > 0 {
-			sb.WriteString(" ->")
-			for _, s := range blk.Succs {
-				fmt.Fprintf(&sb, " b%d", s.Index)
-			}
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }
 
 // FuncBodies yields every function body of the package — declarations

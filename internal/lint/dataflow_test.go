@@ -82,7 +82,7 @@ func blockByKind(t *testing.T, c *CFG, kind string) *Block {
 			return b
 		}
 	}
-	t.Fatalf("no %q block in CFG:\n%s", kind, c.Dump())
+	t.Fatalf("no %q block in CFG:\n%s", kind, dumpCFG(c))
 	return nil
 }
 

@@ -14,11 +14,25 @@ import (
 // fixtures import are only type-checked once.
 func loadFixture(t *testing.T, l *Loader, name, asPath string) *Package {
 	t.Helper()
-	pkg, err := l.LoadAs(filepath.Join("testdata", "src", name), asPath)
+	pkg, err := loadAs(l, filepath.Join("testdata", "src", name), asPath)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)
 	}
 	return pkg
+}
+
+// loadAs parses and type-checks the single directory dir as if its
+// import path were asPath, so path-scoped analyzers run over fixture
+// packages living under testdata.
+func loadAs(l *Loader, dir, asPath string) (*Package, error) {
+	if p, ok := l.pkgs[asPath]; ok {
+		return p, nil
+	}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	return l.check(asPath, abs)
 }
 
 func newTestLoader(t *testing.T) *Loader {

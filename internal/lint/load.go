@@ -161,20 +161,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadAs parses and type-checks the single directory dir as if its
-// import path were asPath. Tests use it to run path-scoped analyzers
-// over fixture packages living under testdata.
-func (l *Loader) LoadAs(dir, asPath string) (*Package, error) {
-	if p, ok := l.pkgs[asPath]; ok {
-		return p, nil
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	return l.check(asPath, abs)
-}
-
 // hasGoFiles reports whether dir directly contains at least one
 // non-test .go file.
 func hasGoFiles(dir string) bool {

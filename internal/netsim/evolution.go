@@ -155,9 +155,6 @@ func (w *World) Evolve(rng *rand.Rand, p EvolutionParams) *Evolution {
 	return e
 }
 
-// World returns the epoch-0 world the timeline evolves.
-func (e *Evolution) World() *World { return e.w }
-
 // BlockMajorityCityAt is World.BlockMajorityCity at a churn horizon: the
 // city hosting the most interfaces of addr's /24 block once every move
 // up to the horizon has been applied, with the same smallest-key tie

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestWorldInvariantsAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := w.Validate(); err != nil {
+		if err := validateWorld(w); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 
@@ -90,4 +91,53 @@ func BenchmarkBuildWorld(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// validateWorld performs internal consistency checks on w and returns
+// the first violation found. The test suite runs it on every generated
+// world.
+func validateWorld(w *World) error {
+	for i := range w.Interfaces {
+		ifc := &w.Interfaces[i]
+		if ifc.ID != IfaceID(i) {
+			return fmt.Errorf("interface %d has ID %d", i, ifc.ID)
+		}
+		if int(ifc.Router) >= len(w.Routers) {
+			return fmt.Errorf("interface %d references router %d", i, ifc.Router)
+		}
+		if got, ok := w.ifaceByAddr[ifc.Addr]; !ok || got != ifc.ID {
+			return fmt.Errorf("address index broken for %v", ifc.Addr)
+		}
+	}
+	for i := range w.Links {
+		l := &w.Links[i]
+		if w.Interfaces[l.AIface].Router != l.A || w.Interfaces[l.BIface].Router != l.B {
+			return fmt.Errorf("link %d interface/router mismatch", i)
+		}
+		if l.OneWayMs < 0 {
+			return fmt.Errorf("link %d has negative delay", i)
+		}
+	}
+	// The graph must be connected or traceroutes cannot reach all /24s.
+	if n := len(w.Routers); n > 0 {
+		seen := make([]bool, n)
+		queue := []RouterID{0}
+		seen[0] = true
+		count := 1
+		for len(queue) > 0 {
+			r := queue[0]
+			queue = queue[1:]
+			for _, h := range w.adj[r] {
+				if !seen[h.Peer] {
+					seen[h.Peer] = true
+					count++
+					queue = append(queue, h.Peer)
+				}
+			}
+		}
+		if count != n {
+			return fmt.Errorf("graph disconnected: reached %d of %d routers", count, n)
+		}
+	}
+	return nil
 }

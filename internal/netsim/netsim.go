@@ -21,7 +21,6 @@
 package netsim
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -147,9 +146,6 @@ func (w *World) CityOf(i IfaceID) gazetteer.City {
 // jittered position).
 func (w *World) CoordOf(i IfaceID) geo.Coordinate { return w.RouterOf(i).Coord }
 
-// CountryOf returns the ISO2 country code of an interface's location.
-func (w *World) CountryOf(i IfaceID) string { return w.CityOf(i).Country }
-
 // IfaceByAddr resolves an address to its interface.
 func (w *World) IfaceByAddr(a ipx.Addr) (IfaceID, bool) {
 	id, ok := w.ifaceByAddr[a]
@@ -240,52 +236,4 @@ func (w *World) PeerIface(i IfaceID) IfaceID {
 		return l.BIface
 	}
 	return l.AIface
-}
-
-// Validate performs internal consistency checks and returns the first
-// violation found. The test suite runs it on every generated world.
-func (w *World) Validate() error {
-	for i := range w.Interfaces {
-		ifc := &w.Interfaces[i]
-		if ifc.ID != IfaceID(i) {
-			return fmt.Errorf("interface %d has ID %d", i, ifc.ID)
-		}
-		if int(ifc.Router) >= len(w.Routers) {
-			return fmt.Errorf("interface %d references router %d", i, ifc.Router)
-		}
-		if got, ok := w.ifaceByAddr[ifc.Addr]; !ok || got != ifc.ID {
-			return fmt.Errorf("address index broken for %v", ifc.Addr)
-		}
-	}
-	for i := range w.Links {
-		l := &w.Links[i]
-		if w.Interfaces[l.AIface].Router != l.A || w.Interfaces[l.BIface].Router != l.B {
-			return fmt.Errorf("link %d interface/router mismatch", i)
-		}
-		if l.OneWayMs < 0 {
-			return fmt.Errorf("link %d has negative delay", i)
-		}
-	}
-	// The graph must be connected or traceroutes cannot reach all /24s.
-	if n := len(w.Routers); n > 0 {
-		seen := make([]bool, n)
-		queue := []RouterID{0}
-		seen[0] = true
-		count := 1
-		for len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
-			for _, h := range w.adj[r] {
-				if !seen[h.Peer] {
-					seen[h.Peer] = true
-					count++
-					queue = append(queue, h.Peer)
-				}
-			}
-		}
-		if count != n {
-			return fmt.Errorf("graph disconnected: reached %d of %d routers", count, n)
-		}
-	}
-	return nil
 }

@@ -35,7 +35,7 @@ func buildSmall(t testing.TB, seed int64) *World {
 
 func TestBuildValidates(t *testing.T) {
 	w := buildSmall(t, 1)
-	if err := w.Validate(); err != nil {
+	if err := validateWorld(w); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
@@ -283,7 +283,7 @@ func TestWorldScaleDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Validate(); err != nil {
+	if err := validateWorld(w); err != nil {
 		t.Fatal(err)
 	}
 	if w.NumInterfaces() < 5000 {

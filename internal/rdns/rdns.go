@@ -87,9 +87,6 @@ func (z *Zone) Lookup(i netsim.IfaceID) (string, bool) {
 	return z.names[i], true
 }
 
-// Hinted reports whether the interface's (epoch-0) name embeds a hint.
-func (z *Zone) Hinted(i netsim.IfaceID) bool { return z.hasPTR[i] && z.hinted[i] }
-
 // LookupAt answers a PTR query as of the given month under the supplied
 // churn timeline. The semantics mirror §3.1:
 //

@@ -103,7 +103,7 @@ func TestHintedNamesDecodeToTrueCity(t *testing.T) {
 	for i := range w.Interfaces {
 		id := netsim.IfaceID(i)
 		name, ok := z.Lookup(id)
-		if !ok || !z.Hinted(id) {
+		if !ok || !z.hinted[id] {
 			continue
 		}
 		hinted++
@@ -134,7 +134,7 @@ func TestUnhintedNamesDoNotDecode(t *testing.T) {
 	for i := range w.Interfaces {
 		id := netsim.IfaceID(i)
 		name, ok := z.Lookup(id)
-		if !ok || z.Hinted(id) {
+		if !ok || z.hinted[id] {
 			continue
 		}
 		if city, _, ok := dec.Decode(name); ok {
@@ -209,7 +209,7 @@ func TestChurnSemantics(t *testing.T) {
 		}
 		// Stale-hint moves: name unchanged but location changed; the decoded
 		// hint must now point at the OLD city (a misleading hint, §3.1).
-		if evo.HintStale(id, horizon) && z.Hinted(id) {
+		if evo.HintStale(id, horizon) && z.hinted[id] {
 			city, _, ok := dec.Decode(now)
 			if ok {
 				old := w.CityOf(id)
@@ -220,7 +220,7 @@ func TestChurnSemantics(t *testing.T) {
 		}
 		// Updated moves: decoded hint points at the NEW city.
 		if evo.Moved(id, horizon) && !evo.HintStale(id, horizon) &&
-			z.Hinted(id) && !evo.HintUndecodable(id, horizon) {
+			z.hinted[id] && !evo.HintUndecodable(id, horizon) {
 			city, _, ok := dec.Decode(now)
 			if !ok {
 				t.Fatalf("moved+updated name %q does not decode", now)

@@ -199,15 +199,6 @@ func (r *Registry) Org(id OrgID) (Org, bool) {
 	return o, ok
 }
 
-// OrgOfAS returns the organization operating an AS.
-func (r *Registry) OrgOfAS(asn ASN) (Org, bool) {
-	id, ok := r.asOrg[asn]
-	if !ok {
-		return Org{}, false
-	}
-	return r.orgs[id], true
-}
-
 // Allocations returns every delegation in ascending prefix order. The
 // vendor builders iterate this as their registration-data feed.
 func (r *Registry) Allocations() []Allocation {

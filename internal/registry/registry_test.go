@@ -130,17 +130,6 @@ func TestBindASRejectsDuplicates(t *testing.T) {
 	}
 }
 
-func TestOrgOfAS(t *testing.T) {
-	r, org, _ := newTestRegistry(t)
-	o, ok := r.OrgOfAS(65001)
-	if !ok || o.ID != org {
-		t.Errorf("OrgOfAS = %+v, %v", o, ok)
-	}
-	if _, ok := r.OrgOfAS(1); ok {
-		t.Error("unknown AS should miss")
-	}
-}
-
 func TestTransitClassification(t *testing.T) {
 	r := New(nil)
 	r.MarkTransit(65020)

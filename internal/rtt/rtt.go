@@ -66,24 +66,6 @@ func (m Model) PropagationMs(a, b geo.Coordinate, hops int) float64 {
 	return MinRTTMs(a, b)*m.PathStretch + float64(hops)*m.PerHopMs
 }
 
-// Sample returns one RTT measurement between a and b across hops routers,
-// adding exponential queueing noise. The result never undercuts the
-// physical floor MinRTTMs(a, b).
-func (m Model) Sample(rng *rand.Rand, a, b geo.Coordinate, hops int) float64 {
-	rtt := m.PropagationMs(a, b, hops) + rng.ExpFloat64()*m.QueueMeanMs
-	if floor := MinRTTMs(a, b); rtt < floor {
-		rtt = floor
-	}
-	return rtt
-}
-
-// SampleLink returns one RTT measurement for a single link of known
-// propagation delay propMs (already round-trip), used by the traceroute
-// engine which accumulates per-link delays.
-func (m Model) SampleLink(rng *rand.Rand, propMs float64) float64 {
-	return propMs + m.PerHopMs + rng.ExpFloat64()*m.QueueMeanMs
-}
-
 // LastMile models the access link between a measurement probe and its
 // first-hop router. RIPE Atlas probes sit in homes, offices and data
 // centres; delays to the first hop range from tens of microseconds

@@ -29,12 +29,6 @@ func (e *ECDF) Add(x float64) {
 	e.sorted = false
 }
 
-// AddAll appends many samples.
-func (e *ECDF) AddAll(xs []float64) {
-	e.xs = append(e.xs, xs...)
-	e.sorted = false
-}
-
 // N returns the sample count.
 func (e *ECDF) N() int { return len(e.xs) }
 

@@ -9,8 +9,7 @@ import (
 )
 
 func TestFractionAtOrBelow(t *testing.T) {
-	var e ECDF
-	e.AddAll([]float64{1, 2, 3, 4})
+	e := FromSamples([]float64{1, 2, 3, 4})
 	tests := []struct {
 		x    float64
 		want float64
@@ -38,8 +37,7 @@ func TestEmptyCDF(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	var e ECDF
-	e.AddAll([]float64{10, 20, 30, 40, 50})
+	e := FromSamples([]float64{10, 20, 30, 40, 50})
 	if got := e.Median(); got != 30 {
 		t.Errorf("Median = %v", got)
 	}
@@ -86,8 +84,7 @@ func TestQuantileFractionInverseProperty(t *testing.T) {
 }
 
 func TestAddAfterQueryResorts(t *testing.T) {
-	var e ECDF
-	e.AddAll([]float64{5, 1})
+	e := FromSamples([]float64{5, 1})
 	_ = e.Median() // forces sort
 	e.Add(0)
 	if got := e.Quantile(0); got != 0 {
@@ -99,8 +96,7 @@ func TestAddAfterQueryResorts(t *testing.T) {
 }
 
 func TestRender(t *testing.T) {
-	var e ECDF
-	e.AddAll([]float64{10, 50, 100, 500})
+	e := FromSamples([]float64{10, 50, 100, 500})
 	s := e.Render([]float64{40, 1000})
 	if s == "" || len(s) < 10 {
 		t.Errorf("Render = %q", s)

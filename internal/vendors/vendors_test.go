@@ -62,7 +62,7 @@ func measure(w *netsim.World, db *geodb.DB) (covCountry, covCity, accCountry, ac
 		}
 		if rec.HasCountry() {
 			hasCountry++
-			if rec.Country == w.CountryOf(id) {
+			if rec.Country == w.CityOf(id).Country {
 				okCountry++
 			}
 		}
@@ -211,7 +211,7 @@ func TestRegistryBiasPlanted(t *testing.T) {
 		if as.RIR != geo.ARIN || as.HomeCountry != "US" || !as.Multinational {
 			continue
 		}
-		if w.CountryOf(id) == "US" {
+		if w.CityOf(id).Country == "US" {
 			continue
 		}
 		abroad++
