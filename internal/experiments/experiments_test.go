@@ -422,8 +422,8 @@ func TestTable1TiedDomainsInNameOrder(t *testing.T) {
 }
 
 // TestConfigJSONRoundTrip guards the run manifest's config record: the
-// config must encode to JSON (hooks such as ark.Config.Sink are tagged
-// out) and decode back to the same value, or obs.Run.SetConfig drops it.
+// config must encode to JSON and decode back to the same value, or
+// obs.Run.SetConfig drops it.
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
 	b, err := json.Marshal(cfg)
@@ -437,4 +437,37 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, cfg) {
 		t.Errorf("config changed through JSON:\n got %+v\nwant %+v", back, cfg)
 	}
+}
+
+// TestConfigHoldsNoHooks walks Config's type. A func or chan field
+// cannot be encoded, and a field tagged json:"-" is left out, so either
+// would leave the run manifest with a config that no longer reproduces
+// the run.
+func TestConfigHoldsNoHooks(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s", path, ty.Kind())
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Map:
+			walk(path+"[key]", ty.Key())
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			if seen[ty] {
+				return
+			}
+			seen[ty] = true
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				if f.Tag.Get("json") == "-" {
+					t.Errorf("%s.%s is tagged json:\"-\"", path, f.Name)
+				}
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("Config", reflect.TypeOf(Config{}))
 }
