@@ -9,8 +9,9 @@
 // Middleware wraps an http.Handler (geoserve -chaos) in the schedule.
 // The decision schedule is a pure function of the policy seed and the
 // arrival order of requests: the i-th request to reach the injector
-// always receives the i-th decision. Under concurrency the goroutine interleaving decides which
-// request is "i-th", but the decision sequence itself never changes —
+// always receives the i-th decision. Under concurrency the goroutine
+// interleaving decides which request is "i-th", but the decision
+// sequence itself never changes —
 // that is the property the chaos acceptance suite leans on when it
 // asserts that a faulted sweep still produces byte-identical output.
 package faults

@@ -46,8 +46,9 @@ func WithSSERegistry(reg *Registry) SSEOption {
 // number as the SSE id, periodic heartbeat comments, and Last-Event-ID
 // replay from the bus ring on reconnect (also accepted as a
 // ?last_event_id= query parameter for plain curl). A consumer that
-// falls DefaultSubBuffer events behind loses events rather than slowing anyone down;
-// losses are reported in-band as ": dropped N" comments and counted.
+// falls DefaultSubBuffer events behind loses events rather than slowing
+// anyone down; losses are reported in-band as ": dropped N" comments and
+// counted.
 type SSEHandler struct {
 	bus       *EventBus
 	heartbeat time.Duration
