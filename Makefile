@@ -27,9 +27,11 @@ lint:
 
 # lint-json emits the same findings as a JSON array for machine
 # consumption — CI uploads geolint-findings.json as a build artifact so
-# a red lint job carries its evidence. Exit status matches `make lint`.
+# a red lint job carries its evidence. It writes the file, prints it and
+# exits with geolint's status, so it fails when `make lint` does.
 lint-json:
-	$(GO) run ./cmd/geolint -json ./cmd/... ./internal/... | tee geolint-findings.json
+	$(GO) run ./cmd/geolint -json ./cmd/... ./internal/... >geolint-findings.json; \
+	status=$$?; cat geolint-findings.json; exit $$status
 
 # lint-diff narrows REPORTING to files changed since DIFF_REF (default
 # origin/main); analyzers still run over whole packages so cross-file

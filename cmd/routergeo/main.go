@@ -67,7 +67,7 @@ func main() {
 		epochs    = flag.Int("epochs", 3, "epochs in the longitudinal sweep (with -longitudinal)")
 		interval  = flag.Float64("interval-months", 4, "months of churn between epochs (with -longitudinal)")
 		manifest  = flag.String("manifest", "routergeo-run.json", "write the JSON run manifest here (empty disables)")
-		workers   = flag.Int("parallelism", 0, "worker count for the parallel engine: measurement sweeps, experiments, drift epochs, vendor builds and Ark's monitor trees; 1 forces the serial path (0 = GOMAXPROCS)")
+		workers   = flag.Int("parallelism", 0, "worker count for the parallel engine: the environment build's four chains (Ark and DNS ground truth, each Atlas campaign and its RTT ground truth, churn and vendor builds), Ark's monitor trees, measurement sweeps, experiments and drift epochs; 1 forces the serial path (0 = GOMAXPROCS)")
 		remote    = flag.String("remote", "", "instead of experiments, score the accuracy sweep through a geoserve instance at this base URL")
 		remoteFB  = flag.Bool("remote-fallback", true, "with -remote, degrade to the locally built databases when the server cannot answer (false: misses are tainted instead)")
 		debugAddr = flag.String("debug-addr", "", "optional debug listener serving pprof, /metrics and the /v2/events stream")

@@ -30,30 +30,13 @@ import (
 // before scoring it, and per-block obs.Progress updates replace the
 // per-address ones that used to dominate sweep profiles.
 
-// serialCutoff is the input size below which measurements take the
-// serial fast path whatever the worker count: goroutine startup costs
-// more than scanning a few thousand addresses. A variable so the
-// equality tests can force tiny inputs through the parallel path.
-var serialCutoff = 1 << 13
-
 // blockSize is the work-stealing grain and the batch-lookup unit: big
 // enough that claiming a block (one atomic add) is noise, small enough
 // that a sweep splits into many more blocks than workers, so uneven
-// per-block cost rebalances. A variable so tests can force multi-block
-// schedules on tiny inputs.
+// per-block cost rebalances. A one-block input runs on the caller's
+// goroutine, since par.RunBlocks starts no more workers than blocks. A
+// variable so tests can force multi-block schedules on tiny inputs.
 var blockSize = 8192
-
-// workersFor resolves how many workers an input of n items gets.
-func workersFor(n int) int {
-	w := par.Workers()
-	if w <= 1 || n < serialCutoff {
-		return 1
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
 
 // slot pads a per-worker partial to its own cache line, so workers
 // tallying into parts[wi] never false-share with their neighbours.
@@ -83,7 +66,7 @@ func sweep[T ipx.Addr | Target, P any](ctx context.Context, stage string, dbs []
 	defer sp.End()
 	sp.SetAttr("dbs", label)
 	sp.SetItems(int64(len(items)))
-	workers := workersFor(len(items))
+	workers := min(par.Workers(), par.NumBlocks(len(items), blockSize))
 	sp.SetAttr("workers", workers)
 	prog := obs.NewProgress(stage+" "+label, int64(len(items)))
 	defer prog.Finish()

@@ -16,17 +16,16 @@ import (
 	"routergeo/internal/stats"
 )
 
-// forceParallel drops the serial cutoff, shrinks the block size and pins
-// the worker count so even tiny inputs split into many stolen blocks,
-// restoring everything on cleanup.
+// forceParallel shrinks the block size and pins the worker count so
+// even tiny inputs split into many stolen blocks, restoring both on
+// cleanup.
 func forceParallel(t *testing.T, workers int) {
 	t.Helper()
-	oldCutoff, oldBlock := serialCutoff, blockSize
-	serialCutoff = 1
+	oldBlock := blockSize
 	blockSize = 512
 	par.SetParallelism(workers)
 	t.Cleanup(func() {
-		serialCutoff, blockSize = oldCutoff, oldBlock
+		blockSize = oldBlock
 		par.SetParallelism(0)
 	})
 }
@@ -379,20 +378,5 @@ func TestParallelMatchesSerialAdversarial(t *testing.T) {
 			}
 			samePoints(t, "pairwise CDF", pairS.CDF, pairP.CDF)
 		})
-	}
-}
-
-func TestWorkersFor(t *testing.T) {
-	par.SetParallelism(8)
-	defer par.SetParallelism(0)
-	if w := workersFor(10); w != 1 {
-		t.Errorf("small input got %d workers", w)
-	}
-	if w := workersFor(serialCutoff); w != 8 {
-		t.Errorf("large input got %d workers, want 8", w)
-	}
-	par.SetParallelism(1)
-	if w := workersFor(1 << 20); w != 1 {
-		t.Errorf("parallelism=1 got %d workers", w)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"routergeo/internal/ark"
 	"routergeo/internal/atlas"
@@ -137,66 +136,63 @@ func NewEnv(ctx context.Context, cfg Config) (*Env, error) {
 	// Four chains of stages start once the world and the zone exist, and
 	// each stage starts as soon as its inputs do: the Ark sweep and the
 	// DNS ground truth; each Atlas campaign and its RTT ground truth; the
-	// churn timeline and the vendor databases. Each chain owns its RNGs
-	// and only reads the world, the zone and the decoder, so no byte
-	// depends on the schedule. Their spans all attach under env.build —
-	// children append under the parent's lock, so concurrent Starts are
-	// safe.
+	// churn timeline and the vendor databases. They run on par.Each,
+	// longest first, and one after another at one worker. Each chain
+	// owns its RNGs and only reads the world, the zone and the decoder,
+	// so no byte depends on the schedule. Their spans all attach under
+	// env.build — children append under the parent's lock, so concurrent
+	// Starts are safe.
 	var (
-		wg        sync.WaitGroup
 		oneMsBase *groundtruth.Dataset
 		oneMsSpan *obs.Span
 		vendorErr error
 	)
-	wg.Add(4)
-	go func() {
-		defer wg.Done()
-		e.Coll = ark.Collect(ctx, w, cfg.Ark)
-		e.DNS, e.DNSStats = groundtruth.BuildDNS(ctx, w, e.Coll, e.Zone, e.Dec)
-	}()
-	go func() {
-		defer wg.Done()
-		_, sp := obs.Start(ctx, "atlas.deploy")
-		e.Fleet = atlas.Deploy(w, cfg.Atlas)
-		e.Measurements = e.Fleet.RunBuiltins(cfg.Atlas.Seed + 1)
-		sp.SetItems(int64(len(e.Measurements)))
-		sp.End()
-		e.RTTDS, e.RTTStats = groundtruth.BuildRTT(ctx, w, e.Fleet, e.Measurements, cfg.RTT)
-	}()
-	go func() {
-		defer wg.Done()
-		// The Giotsas-style comparison fleet: larger, later, 1 ms rule.
-		// Its measurements are dropped once its ground truth is built.
-		_, sp := obs.Start(ctx, "atlas.deploy_1ms")
-		fleet2Cfg := cfg.Atlas
-		fleet2Cfg.Probes = cfg.OneMsProbes
-		fleet2Cfg.Seed = cfg.Atlas.Seed + 1000
-		fleet2 := atlas.Deploy(w, fleet2Cfg)
-		ms2 := fleet2.RunBuiltins(fleet2Cfg.Seed + 1)
-		sp.SetItems(int64(len(ms2)))
-		sp.End()
-		var oneMsCtx context.Context
-		oneMsCtx, oneMsSpan = obs.Start(ctx, "groundtruth.1ms")
-		oneMsCfg := groundtruth.RTTConfig{ThresholdMs: 1.0, CentroidKm: cfg.RTT.CentroidKm, NearbyMaxKm: 200}
-		oneMsBase, _ = groundtruth.BuildRTT(oneMsCtx, w, fleet2, ms2, oneMsCfg)
-		oneMsSpan.End()
-	}()
-	go func() {
-		defer wg.Done()
-		_, evoSpan := obs.Start(ctx, "netsim.evolve")
-		e.Evo = w.Evolve(rand.New(rand.NewSource(cfg.EvolutionSeed)), netsim.DefaultEvolutionParams())
-		evoSpan.End()
-		vCtx, vSpan := obs.Start(ctx, "vendors.build")
-		defer vSpan.End()
-		e.Feed = vendors.BuildFeed(w, vendors.DefaultFeedConfig())
-		e.DBs, vendorErr = buildVendors(vCtx, "vendors.build", vendors.Inputs{
-			World:   w,
-			Feed:    e.Feed,
-			Zone:    e.Zone,
-			Decoder: e.Dec,
-		})
-	}()
-	wg.Wait()
+	chains := []func(){
+		func() {
+			e.Coll = ark.Collect(ctx, w, cfg.Ark)
+			e.DNS, e.DNSStats = groundtruth.BuildDNS(ctx, w, e.Coll, e.Zone, e.Dec)
+		},
+		func() {
+			// The Giotsas-style comparison fleet: larger, later, 1 ms rule.
+			// Its measurements are dropped once its ground truth is built.
+			_, sp := obs.Start(ctx, "atlas.deploy_1ms")
+			fleet2Cfg := cfg.Atlas
+			fleet2Cfg.Probes = cfg.OneMsProbes
+			fleet2Cfg.Seed = cfg.Atlas.Seed + 1000
+			fleet2 := atlas.Deploy(w, fleet2Cfg)
+			ms2 := fleet2.RunBuiltins(fleet2Cfg.Seed + 1)
+			sp.SetItems(int64(len(ms2)))
+			sp.End()
+			var oneMsCtx context.Context
+			oneMsCtx, oneMsSpan = obs.Start(ctx, "groundtruth.1ms")
+			oneMsCfg := groundtruth.RTTConfig{ThresholdMs: 1.0, CentroidKm: cfg.RTT.CentroidKm, NearbyMaxKm: 200}
+			oneMsBase, _ = groundtruth.BuildRTT(oneMsCtx, w, fleet2, ms2, oneMsCfg)
+			oneMsSpan.End()
+		},
+		func() {
+			_, sp := obs.Start(ctx, "atlas.deploy")
+			e.Fleet = atlas.Deploy(w, cfg.Atlas)
+			e.Measurements = e.Fleet.RunBuiltins(cfg.Atlas.Seed + 1)
+			sp.SetItems(int64(len(e.Measurements)))
+			sp.End()
+			e.RTTDS, e.RTTStats = groundtruth.BuildRTT(ctx, w, e.Fleet, e.Measurements, cfg.RTT)
+		},
+		func() {
+			_, evoSpan := obs.Start(ctx, "netsim.evolve")
+			e.Evo = w.Evolve(rand.New(rand.NewSource(cfg.EvolutionSeed)), netsim.DefaultEvolutionParams())
+			evoSpan.End()
+			vCtx, vSpan := obs.Start(ctx, "vendors.build")
+			defer vSpan.End()
+			e.Feed = vendors.BuildFeed(w, vendors.DefaultFeedConfig())
+			e.DBs, vendorErr = buildVendors(vCtx, "vendors.build", vendors.Inputs{
+				World:   w,
+				Feed:    e.Feed,
+				Zone:    e.Zone,
+				Decoder: e.Dec,
+			})
+		},
+	}
+	par.Each(len(chains), func(i int) { chains[i]() })
 
 	for _, id := range e.Coll.Interfaces {
 		e.ArkAddrs = append(e.ArkAddrs, w.Interfaces[id].Addr)

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"routergeo/internal/geo"
+	"routergeo/internal/obs"
 	"routergeo/internal/par"
 )
 
@@ -21,16 +24,21 @@ func testEnv(t *testing.T) *Env {
 	if cachedEnv != nil {
 		return cachedEnv
 	}
-	cfg := DefaultConfig()
-	cfg.World.ASes = 250
-	cfg.Atlas.Probes = 600
-	cfg.OneMsProbes = 900
-	env, err := NewEnv(context.Background(), cfg)
+	env, err := NewEnv(context.Background(), testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cachedEnv = env
 	return env
+}
+
+// testConfig is the small world testEnv builds.
+func testConfig() Config {
+	cfg := DefaultConfig()
+	cfg.World.ASes = 250
+	cfg.Atlas.Probes = 600
+	cfg.OneMsProbes = 900
+	return cfg
 }
 
 func TestEnvInvariants(t *testing.T) {
@@ -382,6 +390,63 @@ func TestRunAllConcurrentMatchesSequential(t *testing.T) {
 			}
 		}
 		t.Fatalf("outputs differ in length: %d vs %d bytes", serial.Len(), parallel.Len())
+	}
+}
+
+// TestNewEnvSerialMatchesParallel builds testConfig's environment at one
+// worker and at four. At one worker the build chains run one after
+// another, so no two children of env.build overlap in time; at either
+// count the databases, ground truth, targets and address lists are the
+// same.
+func TestNewEnvSerialMatchesParallel(t *testing.T) {
+	defer par.SetParallelism(0)
+	build := func(workers int) (*Env, obs.SpanSnapshot) {
+		par.SetParallelism(workers)
+		run := obs.NewRun("experiments-test")
+		env, err := NewEnv(run.Context(context.Background()), testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env, run.Manifest().Stages
+	}
+	serial, stages := build(1)
+	parallel, _ := build(4)
+
+	if len(stages.Children) != 1 || stages.Children[0].Name != "env.build" {
+		t.Fatalf("run has no single env.build stage: %+v", stages.Children)
+	}
+	kids := stages.Children[0].Children
+	end := func(s obs.SpanSnapshot) time.Time {
+		return s.Start.Add(time.Duration(math.Round(s.WallMs * float64(time.Millisecond))))
+	}
+	for i, a := range kids {
+		for _, b := range kids[i+1:] {
+			if a.Start.Before(end(b)) && b.Start.Before(end(a)) {
+				t.Errorf("at one worker env.build children %s and %s overlap", a.Name, b.Name)
+			}
+		}
+	}
+
+	if len(serial.DBs) != len(parallel.DBs) {
+		t.Fatalf("%d databases serial, %d parallel", len(serial.DBs), len(parallel.DBs))
+	}
+	for i, db := range serial.DBs {
+		if db.Fingerprint() != parallel.DBs[i].Fingerprint() {
+			t.Errorf("database %s differs between one and four workers", db.Name())
+		}
+	}
+	for _, c := range []struct {
+		name string
+		s, p any
+	}{
+		{"GT", serial.GT.Entries, parallel.GT.Entries},
+		{"Targets", serial.Targets, parallel.Targets},
+		{"ArkAddrs", serial.ArkAddrs, parallel.ArkAddrs},
+		{"OneMs", serial.OneMs.Entries, parallel.OneMs.Entries},
+	} {
+		if !reflect.DeepEqual(c.s, c.p) {
+			t.Errorf("%s differs between one and four workers", c.name)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"routergeo/internal/geodb"
 	"routergeo/internal/ipx"
 	"routergeo/internal/obs"
+	"routergeo/internal/par"
 )
 
 // Client defaults, applied by NewClient; a zero/struct-literal Client
@@ -559,49 +560,40 @@ func (c *Client) BatchLookup(ctx context.Context, ips []string) ([]BatchEntry, e
 }
 
 // lookupChunks posts n addresses to /v2/lookup in chunks of at most
-// maxBatch, fanned out over the worker pool. body builds chunk [lo, hi)'s
-// request. done sees every chunk once, with its answer or the error that
-// stopped it (ctx's, for a chunk never sent), on the worker that ran it;
-// the worker reuses the answer after done returns. It returns the first
-// error.
+// maxBatch, fanned out on par.RunBlocks over the client's own width
+// (WithConcurrency); a one-chunk call runs on the caller's goroutine.
+// body builds chunk [lo, hi)'s request. done sees every chunk once, with
+// its answer or the error that stopped it (ctx's, for a chunk never
+// sent), on the worker that ran it; the worker reuses the answer after
+// done returns. It returns the first error.
 func (c *Client) lookupChunks(ctx context.Context, n int,
 	body func(lo, hi int) []byte,
 	done func(lo, hi int, a *lookupAnswer, err error)) error {
-	size := c.batchSize()
-	chunks := (n + size - 1) / size
+	size, workers := c.batchSize(), c.workers()
+	answers := make([]*lookupAnswer, min(workers, par.NumBlocks(n, size)))
+	for i := range answers {
+		answers[i] = lookupAnswerPool.Get().(*lookupAnswer)
+	}
 	var firstErr error
 	var errMu sync.Mutex
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(c.workers(), chunks); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a := lookupAnswerPool.Get().(*lookupAnswer)
-			defer lookupAnswerPool.Put(a)
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= chunks {
-					return
-				}
-				lo := k * size
-				hi := min(lo+size, n)
-				err := ctx.Err()
-				if err == nil {
-					err = c.lookupChunk(ctx, a, body, lo, hi)
-				}
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
-				done(lo, hi, a, err)
+	par.RunBlocks(n, size, workers, func(wi, _, lo, hi int) {
+		a := answers[wi]
+		err := ctx.Err()
+		if err == nil {
+			err = c.lookupChunk(ctx, a, body, lo, hi)
+		}
+		if err != nil {
+			errMu.Lock()
+			if firstErr == nil {
+				firstErr = err
 			}
-		}()
+			errMu.Unlock()
+		}
+		done(lo, hi, a, err)
+	})
+	for _, a := range answers {
+		lookupAnswerPool.Put(a)
 	}
-	wg.Wait()
 	return firstErr
 }
 

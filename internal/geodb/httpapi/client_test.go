@@ -141,33 +141,43 @@ func TestClientDistinguishesOutageFromMiss(t *testing.T) {
 
 func TestBatchLookupChunksAndPreservesOrder(t *testing.T) {
 	srv := testServer(t)
-	c := NewClient(srv.URL, WithClientMaxBatch(7), WithConcurrency(3))
-	n := 100
-	ips := make([]string, n)
-	for i := range ips {
-		ips[i] = fmt.Sprintf("10.0.%d.%d", i/200, i%200)
-	}
-	ips[41] = "not-an-ip" // malformed entries must stay per-entry across chunks
-	entries, err := c.BatchLookup(context.Background(), ips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != n {
-		t.Fatalf("entries = %d, want %d", len(entries), n)
-	}
-	for i, e := range entries {
-		if i == 41 {
-			if e.Error == "" {
-				t.Errorf("entry 41 should carry a parse error, got %+v", e)
+	for _, tc := range []struct {
+		name            string
+		n, bad, workers int
+	}{
+		{"workers=1", 100, 41, 1},
+		{"workers=3", 100, 41, 3},
+		{"one-chunk", 7, 3, 3}, // one chunk runs on the caller's goroutine
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewClient(srv.URL, WithClientMaxBatch(7), WithConcurrency(tc.workers))
+			ips := make([]string, tc.n)
+			for i := range ips {
+				ips[i] = fmt.Sprintf("10.0.%d.%d", i/200, i%200)
 			}
-			continue
-		}
-		if e.IP != ips[i] || e.Error != "" {
-			t.Fatalf("entry %d = %+v, want ip %q (order lost?)", i, e, ips[i])
-		}
-		if !e.Results["alpha"].Found {
-			t.Fatalf("entry %d unresolved", i)
-		}
+			ips[tc.bad] = "not-an-ip" // malformed entries must stay per-entry across chunks
+			entries, err := c.BatchLookup(context.Background(), ips)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != tc.n {
+				t.Fatalf("entries = %d, want %d", len(entries), tc.n)
+			}
+			for i, e := range entries {
+				if i == tc.bad {
+					if e.Error == "" {
+						t.Errorf("entry %d should carry a parse error, got %+v", i, e)
+					}
+					continue
+				}
+				if e.IP != ips[i] || e.Error != "" {
+					t.Fatalf("entry %d = %+v, want ip %q (order lost?)", i, e, ips[i])
+				}
+				if !e.Results["alpha"].Found {
+					t.Fatalf("entry %d unresolved", i)
+				}
+			}
+		})
 	}
 }
 

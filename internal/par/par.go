@@ -1,8 +1,8 @@
 // Package par is the block engine the measurement and build layers fan
 // out on: a configured worker count and a block scheduler that spreads
 // a range of indexes over that many goroutines. It imports nothing
-// internal, so every layer can use it: core's measurement sweeps, ark's
-// monitor trees and the experiment runners.
+// internal, so every layer can use it; it is the only worker pool in
+// internal/.
 //
 // The scheduler cuts the input into fixed-size blocks, and the workers
 // claim blocks off a shared atomic cursor (work stealing: a worker
@@ -42,15 +42,18 @@ func Workers() int {
 func NumBlocks(n, size int) int { return (n + size - 1) / size }
 
 // RunBlocks executes process once per size-item block of [0, n) and
-// waits for all of them. workers == 1 visits the blocks in index order
-// on the caller's goroutine; otherwise workers goroutines claim blocks
-// off an atomic cursor. process receives the claiming worker's index wi
-// (for per-worker state: resolvers, partials), the block index bi
-// (for order-sensitive merges) and the block's [lo, hi) bounds.
+// waits for all of them. It starts min(workers, NumBlocks(n, size))
+// workers: one (a one-block input, or workers <= 1) visits the blocks
+// in index order on the caller's goroutine; more claim blocks off an
+// atomic cursor, one goroutine each. process receives the claiming
+// worker's index wi (for per-worker state: resolvers, partials), the
+// block index bi (for order-sensitive merges) and the block's [lo, hi)
+// bounds.
 //
 //geolint:hotpath
 func RunBlocks(n, size, workers int, process func(wi, bi, lo, hi int)) {
 	nb := NumBlocks(n, size)
+	workers = min(workers, nb)
 	if workers <= 1 {
 		for bi := 0; bi < nb; bi++ {
 			lo := bi * size
@@ -62,7 +65,7 @@ func RunBlocks(n, size, workers int, process func(wi, bi, lo, hi int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for wi := 0; wi < workers; wi++ {
-		//lint:ignore hotalloc the bound is one closure per worker per call, whatever n is: at the default scale nothing amortizes it (the 9,575-address Ark sweep is 2 blocks, Each claims 3-60 items); BenchmarkAccuracy/workers=N allocs/op in BENCH_core.json checks it
+		//lint:ignore hotalloc one closure per started worker, never more than blocks, whatever n is: at the default scale nothing amortizes it (the 9,575-address Ark sweep is 2 blocks, Each claims 3-60 items); BenchmarkAccuracy/workers=N allocs/op in BENCH_core.json checks it
 		go func(wi int) {
 			defer wg.Done()
 			for {
@@ -82,9 +85,10 @@ func RunBlocks(n, size, workers int, process func(wi, bi, lo, hi int)) {
 // blocks claimed off the same cursor by as many workers as the engine
 // has (see SetParallelism), but never more than n. At one worker it
 // runs in index order on the caller's goroutine. It fans out a handful
-// of independent, coarse tasks (paper artifacts, drift epochs, vendor
-// builds, Ark's monitor trees); a caller that needs ordered output
-// buffers per item and writes after Each returns.
+// of independent, coarse tasks (NewEnv's build chains, paper
+// artifacts, drift epochs, vendor builds, Ark's monitor trees); a
+// caller that needs ordered output buffers per item and writes after
+// Each returns.
 func Each(n int, fn func(i int)) {
-	RunBlocks(n, 1, min(Workers(), n), func(_, i, _, _ int) { fn(i) })
+	RunBlocks(n, 1, Workers(), func(_, i, _, _ int) { fn(i) })
 }
