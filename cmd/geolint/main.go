@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -83,9 +84,7 @@ func main() {
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
+		if err := writeJSON(os.Stdout, findings); err != nil {
 			fmt.Fprintln(os.Stderr, "geolint:", err)
 			os.Exit(2)
 		}
@@ -100,4 +99,15 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// writeJSON writes findings as an indented JSON array. lint.Run returns
+// nil when nothing is found, and a clean run must still write [].
+func writeJSON(w io.Writer, findings []lint.Finding) error {
+	if findings == nil {
+		findings = []lint.Finding{}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(findings)
 }

@@ -27,8 +27,7 @@ func Build(cfg Config) (*World, error) {
 			Gaz:         gazetteer.New(),
 			Reg:         registry.New(nil),
 			ifaceByAddr: make(map[ipx.Addr]IfaceID),
-			blockOwner:  make(map[ipx.Addr]RouterID),
-			blockCities: make(map[ipx.Addr]map[string]int),
+			blocks:      make(map[ipx.Addr][]IfaceID),
 		},
 		linkSeen: make(map[[2]RouterID]bool),
 	}
@@ -58,10 +57,9 @@ type builder struct {
 	// Per-city tables over the router index's city numbering.
 	// popCity[ai][pi] numbers AS ai's PoP pi. cityDist memoizes
 	// closestPoPRouters' centre-to-centre distances, n×n, negative until
-	// first use. cityKey holds each city's "cc/city" blockCities key.
+	// first use.
 	popCity  [][]int32
 	cityDist []float64
-	cityKey  []string
 }
 
 // createASes instantiates the seed operators plus synthetic ASes, chooses
@@ -413,20 +411,11 @@ func (b *builder) linkASes(ai, aj int) error {
 	return b.link(ra, rb)
 }
 
-// numberPoPCities numbers every PoP's city once, keys each city once
-// and sizes the distance memo.
+// numberPoPCities numbers every PoP's city once and sizes the distance
+// memo.
 func (b *builder) numberPoPCities() {
 	b.popCity = popCities(b.w)
 	n := len(b.w.idx.cities)
-	b.cityKey = make([]string, n)
-	for ai, cities := range b.popCity {
-		for pi, c := range cities {
-			if b.cityKey[c] == "" {
-				city := b.w.ASes[ai].PoPs[pi].City
-				b.cityKey[c] = city.Country + "/" + city.Name
-			}
-		}
-	}
 	b.cityDist = make([]float64, n*n)
 	for i := range b.cityDist {
 		b.cityDist[i] = -1
@@ -534,18 +523,8 @@ func (b *builder) newIface(a ipx.Addr, r RouterID, link int32) IfaceID {
 	b.w.Interfaces = append(b.w.Interfaces, Interface{ID: id, Addr: a, Router: r, Link: link})
 	b.w.ifaceByAddr[a] = id
 	b.w.Routers[r].Ifaces = append(b.w.Routers[r].Ifaces, id)
-
-	// Track /24 block ownership and city spread for the §5.2.3 analyses.
 	base := a.Slash24().Base
-	if _, ok := b.w.blockOwner[base]; !ok {
-		b.w.blockOwner[base] = r
-	}
-	set := b.w.blockCities[base]
-	if set == nil {
-		set = make(map[string]int, 1)
-		b.w.blockCities[base] = set
-	}
-	set[b.cityKey[b.w.idx.cityOf[r]]]++
+	b.w.blocks[base] = append(b.w.blocks[base], id)
 	return id
 }
 

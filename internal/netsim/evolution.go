@@ -3,7 +3,6 @@ package netsim
 import (
 	"math"
 	"math/rand"
-	"strings"
 
 	"routergeo/internal/gazetteer"
 	"routergeo/internal/geo"
@@ -68,10 +67,6 @@ type Evolution struct {
 	stale    []bool
 	newCity  []gazetteer.City
 	newCoord []geo.Coordinate
-
-	// byBlock indexes interfaces by /24 base for the horizon-aware block
-	// majority query, mirroring World.blockCities' per-interface counting.
-	byBlock map[ipx.Addr][]IfaceID
 }
 
 // Evolve samples a churn timeline. Deterministic for a given rng state.
@@ -145,40 +140,19 @@ func (w *World) Evolve(rng *rand.Rand, p EvolutionParams) *Evolution {
 		e.newCity[i] = dest
 		e.newCoord[i] = dest.Coord.Offset(rng.Float64()*w.Cfg.CityJitterKm, rng.Float64()*360)
 	}
-	// The block index consumes no rng draws, so adding it kept existing
-	// seeds' timelines bit-identical.
-	e.byBlock = make(map[ipx.Addr][]IfaceID, len(w.blockCities))
-	for i := range w.Interfaces {
-		base := w.Interfaces[i].Addr.Slash24().Base
-		e.byBlock[base] = append(e.byBlock[base], IfaceID(i))
-	}
 	return e
 }
 
 // BlockMajorityCityAt is World.BlockMajorityCity at a churn horizon: the
 // city hosting the most interfaces of addr's /24 block once every move
-// up to the horizon has been applied, with the same smallest-key tie
-// break. At months == 0 it returns exactly what World.BlockMajorityCity
-// returns, which is what keeps an evolved vendor build at horizon zero
+// up to the horizon has been applied, with the same tie-break. At
+// months == 0 it returns exactly what World.BlockMajorityCity returns,
+// which is what keeps an evolved vendor build at horizon zero
 // byte-identical to the un-evolved one.
 func (e *Evolution) BlockMajorityCityAt(a ipx.Addr, months float64) (gazetteer.City, bool) {
-	ids := e.byBlock[a.Slash24().Base]
-	if len(ids) == 0 {
-		return gazetteer.City{}, false
-	}
-	counts := make(map[string]int, 2)
-	for _, id := range ids {
-		c := e.CityAt(id, months)
-		counts[c.Country+"/"+c.Name]++
-	}
-	bestKey, bestN := "", 0
-	for k, n := range counts {
-		if n > bestN || (n == bestN && k < bestKey) {
-			bestKey, bestN = k, n
-		}
-	}
-	cc, name, _ := strings.Cut(bestKey, "/")
-	return e.w.Gaz.City(cc, name)
+	return majorityCity(tallyCities(e.w.BlockIfaces(a), func(id IfaceID) gazetteer.City {
+		return e.CityAt(id, months)
+	}))
 }
 
 // Moved reports whether the interface's address was reassigned to a host

@@ -21,6 +21,8 @@
 package netsim
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,8 +118,7 @@ type World struct {
 	adj         [][]Hop
 	idx         *routerIndex // answers NearestRouter and the probe attachments
 	ifaceByAddr map[ipx.Addr]IfaceID
-	blockOwner  map[ipx.Addr]RouterID       // /24 base -> first router numbered from it
-	blockCities map[ipx.Addr]map[string]int // /24 base -> interface count per "cc/city" key
+	blocks      map[ipx.Addr][]IfaceID // /24 base -> its interfaces, ascending ID
 }
 
 // NumASes etc. give the world's scale.
@@ -157,24 +158,32 @@ func (w *World) IfaceByAddr(a ipx.Addr) (IfaceID, bool) {
 func (w *World) Neighbors(r RouterID) []Hop { return w.adj[r] }
 
 // DestRouterFor returns the router a probe toward addr will terminate at:
-// the owner of the address's /24 (Ark probes random addresses inside
-// routed /24s; the reply comes from the block's router). ok is false for
-// unrouted space.
+// the owner of the address's /24, which is the router of the block's
+// lowest-ID interface (Ark probes random addresses inside routed /24s;
+// the reply comes from the block's router). ok is false for unrouted
+// space.
 func (w *World) DestRouterFor(a ipx.Addr) (RouterID, bool) {
 	if id, ok := w.ifaceByAddr[a]; ok {
 		return w.Interfaces[id].Router, true
 	}
-	r, ok := w.blockOwner[a.Slash24().Base]
-	return r, ok
+	if ids := w.BlockIfaces(a); len(ids) > 0 {
+		return w.Interfaces[ids[0]].Router, true
+	}
+	return 0, false
 }
+
+// BlockIfaces returns the interfaces numbered from addr's /24 block in
+// ascending ID order, or nil for unrouted space. The returned slice is
+// shared; callers must not modify it.
+func (w *World) BlockIfaces(a ipx.Addr) []IfaceID { return w.blocks[a.Slash24().Base] }
 
 // RoutedSlash24s returns the base address of every /24 with at least one
 // numbered interface, in ascending base-address order so downstream
 // seeded sampling (Ark target selection, vendor feeds) is reproducible
 // without each caller re-sorting.
 func (w *World) RoutedSlash24s() []ipx.Prefix {
-	out := make([]ipx.Prefix, 0, len(w.blockOwner))
-	for base := range w.blockOwner {
+	out := make([]ipx.Prefix, 0, len(w.blocks))
+	for base := range w.blocks {
 		out = append(out, ipx.Prefix{Base: base, Bits: 24})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
@@ -185,26 +194,18 @@ func (w *World) RoutedSlash24s() []ipx.Prefix {
 // /24 block sit in. A count above 1 means block-level location records are
 // necessarily wrong for part of the block — the §5.2.3 mechanism.
 func (w *World) BlockCityCount(a ipx.Addr) int {
-	return len(w.blockCities[a.Slash24().Base])
+	return len(tallyCities(w.BlockIfaces(a), w.CityOf))
 }
 
 // BlockCities returns the distinct cities hosting interfaces of addr's
-// /24 block, for the block co-locality analysis the paper defers to
-// future work ("We do not investigate blocks co-locality in this work",
-// §5.2.3).
+// /24 block, ordered by (Country, Name), for the block co-locality
+// analysis the paper defers to future work ("We do not investigate
+// blocks co-locality in this work", §5.2.3).
 func (w *World) BlockCities(a ipx.Addr) []gazetteer.City {
-	counts := w.blockCities[a.Slash24().Base]
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]gazetteer.City, 0, len(keys))
-	for _, k := range keys {
-		cc, name, _ := strings.Cut(k, "/")
-		if c, ok := w.Gaz.City(cc, name); ok {
-			out = append(out, c)
-		}
+	tally := tallyCities(w.BlockIfaces(a), w.CityOf)
+	out := make([]gazetteer.City, len(tally))
+	for i, c := range tally {
+		out[i] = c.city
 	}
 	return out
 }
@@ -214,18 +215,44 @@ func (w *World) BlockCities(a ipx.Addr) []gazetteer.City {
 // dominant site, so this is what a good block-level correction learns.
 // ok is false for blocks with no interfaces.
 func (w *World) BlockMajorityCity(a ipx.Addr) (gazetteer.City, bool) {
-	counts := w.blockCities[a.Slash24().Base]
-	bestKey, bestN := "", 0
-	for k, n := range counts {
-		if n > bestN || (n == bestN && k < bestKey) {
-			bestKey, bestN = k, n
+	return majorityCity(tallyCities(w.BlockIfaces(a), w.CityOf))
+}
+
+// cityCount is one city of a /24 block and how many of the block's
+// interfaces sit in it.
+type cityCount struct {
+	city gazetteer.City
+	n    int
+}
+
+// tallyCities counts ids by the city cityOf places each in, ordered by
+// (Country, Name).
+func tallyCities(ids []IfaceID, cityOf func(IfaceID) gazetteer.City) []cityCount {
+	var out []cityCount
+	for _, id := range ids {
+		c := cityOf(id)
+		i, found := slices.BinarySearchFunc(out, c, func(e cityCount, c gazetteer.City) int {
+			return cmp.Or(strings.Compare(e.city.Country, c.Country), strings.Compare(e.city.Name, c.Name))
+		})
+		if found {
+			out[i].n++
+		} else {
+			out = slices.Insert(out, i, cityCount{city: c, n: 1})
 		}
 	}
-	if bestKey == "" {
-		return gazetteer.City{}, false
+	return out
+}
+
+// majorityCity returns the city of a tally with the most interfaces, the
+// first in the tally's order on a tie. ok is false for an empty tally.
+func majorityCity(tally []cityCount) (gazetteer.City, bool) {
+	var best cityCount
+	for _, c := range tally {
+		if c.n > best.n {
+			best = c
+		}
 	}
-	cc, name, _ := strings.Cut(bestKey, "/")
-	return w.Gaz.City(cc, name)
+	return best.city, best.n > 0
 }
 
 // PeerIface returns the interface on the opposite end of i's link. Every

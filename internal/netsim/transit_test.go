@@ -1,12 +1,13 @@
 package netsim
 
 import (
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"routergeo/internal/gazetteer"
 	"routergeo/internal/geo"
 	"routergeo/internal/ipx"
 )
@@ -328,20 +329,113 @@ func FuzzNearestProviderEquivalence(f *testing.F) {
 	})
 }
 
-// TestBlockCitiesCountEveryInterface recounts the per-/24 city tallies
-// from the interfaces and their routers' PoP cities.
+// TestBlockCitiesCountEveryInterface recounts every routed /24 from the
+// interfaces themselves: their IDs in ascending order, and a tally of
+// their cities keyed by "cc/city" whose keys are split and looked up in
+// the gazetteer. Every block query must agree with the recount on the
+// seed-1 and seed-7 default worlds, a majority tie going to the smaller
+// key, and BlockMajorityCityAt with the recount over CityAt.
 func TestBlockCitiesCountEveryInterface(t *testing.T) {
-	w := buildDefault(t, 1)
-	want := map[ipx.Addr]map[string]int{}
-	for i := range w.Interfaces {
-		base := w.Interfaces[i].Addr.Slash24().Base
-		if want[base] == nil {
-			want[base] = map[string]int{}
+	tally := func(ids []IfaceID, cityOf func(IfaceID) gazetteer.City) map[string]int {
+		counts := map[string]int{}
+		for _, id := range ids {
+			c := cityOf(id)
+			counts[c.Country+"/"+c.Name]++
 		}
-		city := w.CityOf(IfaceID(i))
-		want[base][city.Country+"/"+city.Name]++
+		return counts
 	}
-	if !maps.EqualFunc(w.blockCities, want, maps.Equal) {
-		t.Fatal("blockCities differs from the per-interface tally")
+	ties := 0
+	for _, seed := range []int64{1, 7} {
+		w := buildDefault(t, seed)
+		e := w.Evolve(rand.New(rand.NewSource(seed)), DefaultEvolutionParams())
+		lookup := func(key string) gazetteer.City {
+			cc, name, _ := strings.Cut(key, "/")
+			c, ok := w.Gaz.City(cc, name)
+			if !ok {
+				t.Fatalf("seed %d: city %q not in the gazetteer", seed, key)
+			}
+			return c
+		}
+		majority := func(counts map[string]int) gazetteer.City {
+			best, bestN := "", 0
+			for k, n := range counts {
+				if n > bestN || (n == bestN && k < best) {
+					best, bestN = k, n
+				}
+			}
+			for k, n := range counts {
+				if n == bestN && k != best {
+					ties++
+					break
+				}
+			}
+			return lookup(best)
+		}
+
+		ids := map[ipx.Addr][]IfaceID{}
+		var bases []ipx.Addr
+		for i := range w.Interfaces {
+			ifc := &w.Interfaces[i]
+			base := ifc.Addr.Slash24().Base
+			if ids[base] == nil {
+				bases = append(bases, base)
+			}
+			ids[base] = append(ids[base], IfaceID(i))
+			if r, ok := w.DestRouterFor(ifc.Addr); !ok || r != ifc.Router {
+				t.Fatalf("seed %d: DestRouterFor(%v) = %v, %v; want its router %v", seed, ifc.Addr, r, ok, ifc.Router)
+			}
+		}
+		slices.Sort(bases)
+		routed := w.RoutedSlash24s()
+		if len(routed) != len(bases) {
+			t.Fatalf("seed %d: %d routed /24s, recount has %d", seed, len(routed), len(bases))
+		}
+		for i, p := range routed {
+			if p.Bits != 24 || p.Base != bases[i] {
+				t.Fatalf("seed %d: RoutedSlash24s()[%d] = %v, want %v/24", seed, i, p, bases[i])
+			}
+		}
+
+		for _, base := range bases {
+			blk := ids[base]
+			if got := w.BlockIfaces(base); !slices.Equal(got, blk) {
+				t.Fatalf("seed %d, block %v: BlockIfaces = %v, want %v", seed, base, got, blk)
+			}
+			if r, ok := w.DestRouterFor(base); !ok || r != w.Interfaces[blk[0]].Router {
+				t.Fatalf("seed %d: DestRouterFor(%v) = %v, %v; want %v, the router of interface %d",
+					seed, base, r, ok, w.Interfaces[blk[0]].Router, blk[0])
+			}
+
+			counts := tally(blk, w.CityOf)
+			keys := make([]string, 0, len(counts))
+			for k := range counts {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			want := make([]gazetteer.City, len(keys))
+			for i, k := range keys {
+				want[i] = lookup(k)
+			}
+			if got := w.BlockCities(base); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, block %v: BlockCities = %v, want %v", seed, base, got, want)
+			}
+			if got := w.BlockCityCount(base); got != len(counts) {
+				t.Fatalf("seed %d, block %v: BlockCityCount = %d, want %d", seed, base, got, len(counts))
+			}
+			if got, ok := w.BlockMajorityCity(base); !ok || got != majority(counts) {
+				t.Fatalf("seed %d, block %v: BlockMajorityCity = %v, %v; want %v of %v",
+					seed, base, got, ok, majority(counts), counts)
+			}
+			for _, months := range []float64{0, 4, 8, 1e6} {
+				at := tally(blk, func(id IfaceID) gazetteer.City { return e.CityAt(id, months) })
+				if got, ok := e.BlockMajorityCityAt(base, months); !ok || got != majority(at) {
+					t.Fatalf("seed %d, block %v: BlockMajorityCityAt(%v) = %v, %v; want %v of %v",
+						seed, base, months, got, ok, majority(at), at)
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no block has a tied majority, so the tie-break went unchecked")
 	}
 }

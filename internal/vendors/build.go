@@ -211,16 +211,6 @@ func Build(in Inputs, p Params) (*geodb.DB, error) {
 		layerHint
 	)
 
-	// Group the world's interfaces by /24 once for the hint pipeline.
-	var ifacesByBlock map[ipx.Addr][]netsim.IfaceID
-	if p.UseHints {
-		ifacesByBlock = make(map[ipx.Addr][]netsim.IfaceID)
-		for i := range in.World.Interfaces {
-			base := in.World.Interfaces[i].Addr.Slash24().Base
-			ifacesByBlock[base] = append(ifacesByBlock[base], netsim.IfaceID(i))
-		}
-	}
-
 	for ai, info := range in.Feed.Allocations {
 		if draw("alloc", info.Alloc.Prefix.Base) >= p.AllocCoverage {
 			continue
@@ -276,7 +266,7 @@ func Build(in Inputs, p Params) (*geodb.DB, error) {
 			}
 
 			if p.UseHints {
-				for _, id := range ifacesByBlock[blkBase] {
+				for _, id := range in.World.BlockIfaces(blkBase) {
 					name, ok := lookupPTR(id)
 					if !ok || rng.Float64() >= p.HintDecodeRate {
 						continue

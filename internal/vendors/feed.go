@@ -12,7 +12,6 @@ package vendors
 
 import (
 	"math/rand"
-	"sort"
 
 	"routergeo/internal/gazetteer"
 	"routergeo/internal/geo"
@@ -90,9 +89,7 @@ func BuildFeed(w *netsim.World, cfg FeedConfig) *Feed {
 	}
 
 	// Group routed /24s under allocations, in address order.
-	blocks := w.RoutedSlash24s()
-	sortPrefixes(blocks)
-	for _, blk := range blocks {
+	for _, blk := range w.RoutedSlash24s() {
 		ai := -1
 		for _, idx := range allocIdxForAddr(f, allocIdx, w, blk.Base) {
 			if f.Allocations[idx].Alloc.Prefix.Contains(blk.Base) {
@@ -126,10 +123,6 @@ func allocIdxForAddr(f *Feed, byASN map[registry.ASN][]int, w *netsim.World, a i
 		return nil
 	}
 	return byASN[alloc.ASN]
-}
-
-func sortPrefixes(ps []ipx.Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Base < ps[j].Base })
 }
 
 // neighborCity returns a plausible wrong answer for a measurement-derived

@@ -217,7 +217,20 @@ type AccuracySummary struct {
 
 // Accuracy evaluates one database against the ground truth.
 func (s *Study) Accuracy(db string) AccuracySummary {
-	a := core.MeasureAccuracy(context.Background(), s.env.DB(db), s.env.Targets)
+	return summarize(core.MeasureAccuracy(context.Background(), s.env.DB(db), s.env.Targets))
+}
+
+// AccuracyByRegion evaluates one database per RIR region.
+func (s *Study) AccuracyByRegion(db string) map[string]AccuracySummary {
+	out := map[string]AccuracySummary{}
+	for rir, a := range core.AccuracyByRIR(context.Background(), s.env.DB(db), s.env.Targets) {
+		out[rir.String()] = summarize(a)
+	}
+	return out
+}
+
+// summarize reads the headline metrics off one core accuracy result.
+func summarize(a core.Accuracy) AccuracySummary {
 	out := AccuracySummary{
 		Targets:         a.Total,
 		CountryCoverage: a.CountryCoverage(),
@@ -227,25 +240,6 @@ func (s *Study) Accuracy(db string) AccuracySummary {
 	}
 	if a.ErrorCDF.N() > 0 {
 		out.MedianErrorKm = a.ErrorCDF.Median()
-	}
-	return out
-}
-
-// AccuracyByRegion evaluates one database per RIR region.
-func (s *Study) AccuracyByRegion(db string) map[string]AccuracySummary {
-	out := map[string]AccuracySummary{}
-	for rir, a := range core.AccuracyByRIR(context.Background(), s.env.DB(db), s.env.Targets) {
-		sum := AccuracySummary{
-			Targets:         a.Total,
-			CountryCoverage: a.CountryCoverage(),
-			CountryAccuracy: a.CountryAccuracy(),
-			CityCoverage:    a.CityCoverage(),
-			CityAccuracy:    a.CityAccuracy(),
-		}
-		if a.ErrorCDF.N() > 0 {
-			sum.MedianErrorKm = a.ErrorCDF.Median()
-		}
-		out[rir.String()] = sum
 	}
 	return out
 }
