@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt lint lint-json lint-diff deadcode build test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-formats profile
+.PHONY: check vet fmt lint lint-json lint-diff deadcode build perfbench-test test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-formats profile
 
-check: vet fmt lint build race metrics-verify
+check: vet fmt lint build perfbench-test race metrics-verify
 
 vet:
 	$(GO) vet ./...
@@ -51,6 +51,12 @@ deadcode:
 
 build:
 	$(GO) build ./...
+
+# perfbench is a module of its own, so the root `go build ./...` and
+# `go test ./...` skip it: vet it and run its tests (TestWorkloadsSmoke
+# and the stamp and metric-table checks) in place.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"routergeo/internal/ark"
+	"routergeo/internal/experiments"
 	"routergeo/internal/netsim"
 	"routergeo/internal/obs"
 )
@@ -41,27 +42,11 @@ func main() {
 		obs.ServeDebug(*debugAddr, nil, obs.Events(), nil)
 	}
 
-	wcfg := netsim.DefaultConfig()
-	wcfg.Seed = *seed
-	if *ases > 0 {
-		wcfg.ASes = *ases
-	}
-	w, err := netsim.Build(wcfg)
+	w, coll, err := collect(*seed, *ases, *monitors, *cycles)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arkcollect:", err)
 		os.Exit(1)
 	}
-
-	acfg := ark.DefaultConfig()
-	acfg.Seed = *seed
-	if *monitors > 0 {
-		acfg.Monitors = *monitors
-	}
-	if *cycles > 0 {
-		acfg.Cycles = *cycles
-	}
-
-	coll := ark.Collect(context.Background(), w, acfg)
 
 	aliases := ark.AliasSets(w, coll)
 	fmt.Fprintf(os.Stderr, "world: %d routers, %d interfaces\n", w.NumRouters(), w.NumInterfaces())
@@ -94,4 +79,27 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// collect builds the world and runs the sweep experiments.NewEnv runs for
+// experiments.DefaultConfig() at this world seed, with each nonzero size
+// in place of the default. The sweep keeps the default Ark seed, as
+// NewEnv does, so its addresses are NewEnv's ArkAddrs.
+func collect(seed int64, ases, monitors, cycles int) (*netsim.World, *ark.Collection, error) {
+	cfg := experiments.DefaultConfig()
+	cfg.World.Seed = seed
+	if ases > 0 {
+		cfg.World.ASes = ases
+	}
+	if monitors > 0 {
+		cfg.Ark.Monitors = monitors
+	}
+	if cycles > 0 {
+		cfg.Ark.Cycles = cycles
+	}
+	w, err := netsim.Build(cfg.World)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w, ark.Collect(context.Background(), w, cfg.Ark), nil
 }

@@ -55,7 +55,7 @@ import (
 
 func main() {
 	var (
-		seed      = flag.Int64("seed", 1, "world seed (changes every random draw downstream)")
+		seed      = flag.Int64("seed", 1, "world seed; the Ark sweep, PTR zone, Atlas fleets, feed, vendors and churn timeline keep fixed seeds")
 		ases      = flag.Int("ases", 0, "number of ASes in the world (0 = default scale)")
 		list      = flag.Bool("list", false, "list experiment IDs and exit")
 		run       = flag.String("run", "", "comma-separated experiment IDs to run (default: all paper artifacts)")

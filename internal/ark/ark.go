@@ -26,9 +26,6 @@ type Config struct {
 	// default world uses 60, plenty for full edge coverage of a world three
 	// orders of magnitude smaller than the Internet).
 	Monitors int
-	// MonitorsPerTarget is how many distinct monitors probe each routed
-	// /24 during one cycle.
-	MonitorsPerTarget int
 	// Cycles is how many probing cycles the sweep runs (the paper uses one
 	// week of daily team-probing cycles). Each cycle re-probes every /24
 	// from freshly drawn monitors toward a freshly drawn address.
@@ -39,8 +36,12 @@ type Config struct {
 
 // DefaultConfig returns the sweep parameters the experiments use.
 func DefaultConfig() Config {
-	return Config{Monitors: 60, MonitorsPerTarget: 3, Cycles: 7, Seed: 1}
+	return Config{Monitors: 60, Cycles: 7, Seed: 1}
 }
+
+// monitorsPerTarget is how many distinct monitors probe each routed /24
+// during one cycle.
+const monitorsPerTarget = 3
 
 // Monitor is one Ark vantage point. Monitors sit in well-connected
 // facilities, so their access delay is negligible and they are attached
@@ -99,7 +100,7 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 			if !ok {
 				continue
 			}
-			for k := 0; k < cfg.MonitorsPerTarget; k++ {
+			for k := 0; k < monitorsPerTarget; k++ {
 				mi := rng.Intn(len(monitors))
 				hops := eng.Trace(rng, trees[mi], dst, 0)
 				c.Traces++

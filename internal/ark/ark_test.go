@@ -67,7 +67,7 @@ func TestCollectedSortedByAddress(t *testing.T) {
 func TestTraceCount(t *testing.T) {
 	w, c := testSetup(t)
 	cfg := DefaultConfig()
-	want := len(w.RoutedSlash24s()) * cfg.MonitorsPerTarget * cfg.Cycles
+	want := len(w.RoutedSlash24s()) * monitorsPerTarget * cfg.Cycles
 	if c.Traces != want {
 		t.Errorf("Traces = %d, want %d", c.Traces, want)
 	}
@@ -115,8 +115,8 @@ func TestMonitorsPlacedAndAttached(t *testing.T) {
 
 func TestCollectDeterministic(t *testing.T) {
 	w, _ := testSetup(t)
-	a := Collect(context.Background(), w, Config{Monitors: 10, MonitorsPerTarget: 1, Seed: 3})
-	b := Collect(context.Background(), w, Config{Monitors: 10, MonitorsPerTarget: 1, Seed: 3})
+	a := Collect(context.Background(), w, Config{Monitors: 10, Seed: 3})
+	b := Collect(context.Background(), w, Config{Monitors: 10, Seed: 3})
 	if len(a.Interfaces) != len(b.Interfaces) {
 		t.Fatalf("non-deterministic: %d vs %d interfaces", len(a.Interfaces), len(b.Interfaces))
 	}
@@ -129,7 +129,7 @@ func TestCollectDeterministic(t *testing.T) {
 
 func TestSmallerSweepSeesLess(t *testing.T) {
 	w, c := testSetup(t)
-	small := Collect(context.Background(), w, Config{Monitors: 3, MonitorsPerTarget: 1, Seed: 5})
+	small := Collect(context.Background(), w, Config{Monitors: 3, Seed: 5})
 	if len(small.Interfaces) >= len(c.Interfaces) {
 		t.Errorf("3-monitor sweep (%d) saw at least as much as 60-monitor sweep (%d)",
 			len(small.Interfaces), len(c.Interfaces))

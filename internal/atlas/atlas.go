@@ -26,48 +26,44 @@ import (
 type Config struct {
 	// Probes is the fleet size contributing built-in measurements.
 	Probes int
-	// Targets is the number of built-in traceroute destinations (13 root
-	// servers in the real system).
-	Targets int
-	// RegionWeights places probes per registry region; the default mirrors
-	// Atlas's strong European skew, which is what makes the paper's
-	// RTT-proximity ground truth RIPE-heavy (Table 1).
-	RegionWeights map[geo.RIR]float64
-	// CentroidFrac of probes report default country coordinates
-	// (19 of 1,387 probes in the paper's data).
-	CentroidFrac float64
-	// MovedFrac of probes physically moved and report a stale city.
-	MovedFrac float64
-	// ReportJitterKm bounds how far an honest probe's reported point sits
-	// from its city centre (hosts pin their city, not their house).
-	ReportJitterKm float64
-	// DatacenterFrac of probes are hosted in facilities (Atlas anchors and
-	// probes in racks): they attach directly to a transit router with a
-	// very fast access link. These probes are what makes the paper's
-	// RTT-proximity dataset transit-heavy (74.5% transit, §2.3.3).
-	DatacenterFrac float64
 	// Seed drives placement and sampling.
 	Seed int64
 }
 
 // DefaultConfig deploys a fleet proportioned like the paper's.
 func DefaultConfig() Config {
-	return Config{
-		Probes:  1400,
-		Targets: 13,
-		RegionWeights: map[geo.RIR]float64{
-			geo.RIPENCC: 0.68,
-			geo.ARIN:    0.14,
-			geo.APNIC:   0.09,
-			geo.AFRINIC: 0.045,
-			geo.LACNIC:  0.045,
-		},
-		CentroidFrac:   0.014,
-		MovedFrac:      0.012,
-		ReportJitterKm: 2,
-		DatacenterFrac: 0.38,
-		Seed:           1,
-	}
+	return Config{Probes: 1400, Seed: 1}
+}
+
+// The fleet model, calibrated once to the paper's numbers.
+const (
+	// targets is the number of built-in traceroute destinations (13 root
+	// servers in the real system).
+	targets = 13
+	// centroidFrac of probes report default country coordinates
+	// (19 of 1,387 probes in the paper's data).
+	centroidFrac float64 = 0.014
+	// movedFrac of probes physically moved and report a stale city.
+	movedFrac float64 = 0.012
+	// reportJitterKm bounds how far an honest probe's reported point sits
+	// from its city centre (hosts pin their city, not their house).
+	reportJitterKm float64 = 2
+	// datacenterFrac of probes are hosted in facilities (Atlas anchors and
+	// probes in racks): they attach directly to a transit router with a
+	// very fast access link. These probes are what makes the paper's
+	// RTT-proximity dataset transit-heavy (74.5% transit, §2.3.3).
+	datacenterFrac float64 = 0.38
+)
+
+// regionWeights places probes per registry region. It mirrors Atlas's
+// strong European skew, which is what makes the paper's RTT-proximity
+// ground truth RIPE-heavy (Table 1).
+var regionWeights = map[geo.RIR]float64{
+	geo.RIPENCC: 0.68,
+	geo.ARIN:    0.14,
+	geo.APNIC:   0.09,
+	geo.AFRINIC: 0.045,
+	geo.LACNIC:  0.045,
 }
 
 // Probe is one Atlas probe.
@@ -110,35 +106,35 @@ func Deploy(w *netsim.World, cfg Config) *Fleet {
 
 	f := &Fleet{World: w}
 	for id := 0; id < cfg.Probes; id++ {
-		rir := sampleRIR(rng, cfg.RegionWeights)
+		rir := sampleRIR(rng, regionWeights)
 		country := w.Gaz.SampleCountry(rng, rir)
 		city := w.Gaz.SampleCity(rng, country.ISO2)
-		trueCoord := city.Coord.Offset(rng.Float64()*12, rng.Float64()*360)
+		trueCoord := city.Coord.Offset(rng.Float64()*netsim.CityJitterKm, rng.Float64()*360)
 
 		p := Probe{
 			ID:              id,
 			TrueCity:        city,
 			TrueCoord:       trueCoord,
-			Reported:        city.Coord.Offset(rng.Float64()*cfg.ReportJitterKm, rng.Float64()*360),
+			Reported:        city.Coord.Offset(rng.Float64()*reportJitterKm, rng.Float64()*360),
 			ReportedCountry: city.Country,
 			LastMileMs:      lastMile.Sample(rng),
 		}
 		switch x := rng.Float64(); {
-		case x < cfg.CentroidFrac:
+		case x < centroidFrac:
 			// Default country coordinates: the host never set a location.
 			p.Reported = country.Centroid.Offset(rng.Float64()*1, rng.Float64()*360)
 			p.Mislocated = true
-		case x < cfg.CentroidFrac+cfg.MovedFrac:
+		case x < centroidFrac+movedFrac:
 			// The probe moved; its public location is its previous city.
 			prev := w.Gaz.SampleCity(rng, "")
 			for prev.Coord.DistanceKm(city.Coord) < 200 {
 				prev = w.Gaz.SampleCity(rng, "")
 			}
-			p.Reported = prev.Coord.Offset(rng.Float64()*cfg.ReportJitterKm, rng.Float64()*360)
+			p.Reported = prev.Coord.Offset(rng.Float64()*reportJitterKm, rng.Float64()*360)
 			p.ReportedCountry = prev.Country
 			p.Mislocated = true
 		}
-		datacenter := rng.Float64() < cfg.DatacenterFrac
+		datacenter := rng.Float64() < datacenterFrac
 		if datacenter {
 			// Facility-hosted probe: racked next to a transit router, with a
 			// LAN-grade access link. Relocate the probe's true position to
@@ -184,7 +180,7 @@ func Deploy(w *netsim.World, cfg Config) *Fleet {
 		}
 		f.Probes = append(f.Probes, p)
 	}
-	f.Targets = pickTargets(w, rng, cfg.Targets)
+	f.Targets = pickTargets(w, rng, targets)
 	return f
 }
 

@@ -29,7 +29,6 @@ func setup(t *testing.T) (*netsim.World, *Fleet, []Measurement) {
 		cachedWorld = w
 		fc := DefaultConfig()
 		fc.Probes = 300
-		fc.Targets = 6
 		cachedFleet = Deploy(w, fc)
 		cachedMs = cachedFleet.RunBuiltins(2)
 	}
@@ -56,7 +55,7 @@ func TestMislocatedProbesExist(t *testing.T) {
 	for _, p := range f.Probes {
 		if !p.Mislocated {
 			// Honest probes report within a few km of their true city.
-			if p.Reported.DistanceKm(p.TrueCity.Coord) > DefaultConfig().ReportJitterKm+0.1 {
+			if p.Reported.DistanceKm(p.TrueCity.Coord) > reportJitterKm+0.1 {
 				t.Fatalf("honest probe %d reported %.1f km from its city", p.ID,
 					p.Reported.DistanceKm(p.TrueCity.Coord))
 			}

@@ -24,8 +24,9 @@ import (
 	"routergeo/internal/vendors"
 )
 
-// Config assembles the sub-configurations of the pipeline. Zero values
-// pull each component's defaults.
+// Config assembles the sub-configurations of the pipeline: the seeds and
+// sizes a caller varies, and the RTT rules. Each component's calibration
+// is constants in its own package.
 type Config struct {
 	World netsim.Config
 	Ark   ark.Config

@@ -12,10 +12,13 @@ import (
 	"routergeo/internal/stats"
 )
 
-// StabilityReport rebuilds the whole environment under each seed and
-// prints the headline metrics side by side — the evidence behind the
+// StabilityReport rebuilds the whole environment under each world seed
+// and prints the headline metrics side by side — the evidence behind the
 // claim that the reproduction's findings are properties of the modelled
-// mechanisms, not of one lucky world. Each row is a full pipeline run.
+// mechanisms, not of one lucky world. Each row is a full pipeline run
+// in which only base's world seed changes: the Ark sweep, the PTR zone,
+// the Atlas fleets, the feed, the vendors and the churn timeline keep
+// base's seeds.
 func StabilityReport(ctx context.Context, w io.Writer, base Config, seeds []int64) error {
 	ctx, sp := obs.Start(ctx, "stability.report")
 	defer sp.End()

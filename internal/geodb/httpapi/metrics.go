@@ -121,10 +121,7 @@ func newMetrics(dbNames []string) *metrics {
 	// Pre-seed the initial serving set so its tallies exist (at zero) on
 	// the first /v2/stats; later names join on first lookup.
 	for _, name := range dbNames {
-		m.byDB[name] = &dbTally{
-			hits:   reg.Counter("db." + name + ".hits"),
-			misses: reg.Counter("db." + name + ".misses"),
-		}
+		m.tally(name)
 	}
 	return m
 }
@@ -164,24 +161,32 @@ func (m *metrics) middleware(next http.Handler) http.Handler {
 	})
 }
 
-// recordLookup tallies one database answer, creating the tally on first
-// sight — databases can appear at runtime through a hot reload.
-func (m *metrics) recordLookup(db string, found bool) {
+// tally resolves a database's hit/miss counters, creating them on first
+// sight under the registry names "db.<name>.hits" and ".misses" —
+// databases can appear at runtime through a hot reload.
+func (m *metrics) tally(db string) *dbTally {
 	m.mu.RLock()
 	t, ok := m.byDB[db]
 	m.mu.RUnlock()
-	if !ok {
-		m.mu.Lock()
-		t, ok = m.byDB[db]
-		if !ok {
-			t = &dbTally{
-				hits:   m.reg.Counter("db." + db + ".hits"),
-				misses: m.reg.Counter("db." + db + ".misses"),
-			}
-			m.byDB[db] = t
-		}
-		m.mu.Unlock()
+	if ok {
+		return t
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t, ok := m.byDB[db]; ok {
+		return t
+	}
+	t = &dbTally{
+		hits:   m.reg.Counter("db." + db + ".hits"),
+		misses: m.reg.Counter("db." + db + ".misses"),
+	}
+	m.byDB[db] = t
+	return t
+}
+
+// recordLookup tallies one /v1 database answer.
+func (m *metrics) recordLookup(db string, found bool) {
+	t := m.tally(db)
 	if found {
 		t.hits.Inc()
 	} else {
@@ -193,21 +198,7 @@ func (m *metrics) recordLookup(db string, found bool) {
 // in two counter adds, so the /v2/lookup hot path pays the tally-map
 // lock once per (request, database) instead of once per address.
 func (m *metrics) addLookups(db string, hits, misses int64) {
-	m.mu.RLock()
-	t, ok := m.byDB[db]
-	m.mu.RUnlock()
-	if !ok {
-		m.mu.Lock()
-		t, ok = m.byDB[db]
-		if !ok {
-			t = &dbTally{
-				hits:   m.reg.Counter("db." + db + ".hits"),
-				misses: m.reg.Counter("db." + db + ".misses"),
-			}
-			m.byDB[db] = t
-		}
-		m.mu.Unlock()
-	}
+	t := m.tally(db)
 	t.hits.Add(hits)
 	t.misses.Add(misses)
 }

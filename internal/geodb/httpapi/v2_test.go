@@ -209,21 +209,37 @@ func TestV2Stats(t *testing.T) {
 	if _, err := c.BatchLookup(context.Background(), []string{"10.0.0.9"}); err != nil {
 		t.Fatal(err)
 	}
+	// One /v1 hit and one /v1 miss, pinned to alpha too.
+	for _, q := range []struct {
+		ip   string
+		want bool
+	}{{"10.0.0.2", true}, {"192.0.2.2", false}} {
+		var resp LookupResponse
+		if err := getJSON(srv.URL+"/v1/lookup?db=alpha&ip="+q.ip, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Results["alpha"].Found; got != q.want || len(resp.Results) != 1 {
+			t.Fatalf("/v1/lookup %s = %+v, want alpha found=%v", q.ip, resp.Results, q.want)
+		}
+	}
 	s, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Requests < 3 {
-		t.Errorf("Requests = %d, want >= 3", s.Requests)
+	if s.Requests < 5 {
+		t.Errorf("Requests = %d, want >= 5", s.Requests)
 	}
 	// The client's single-address path is a one-address /v2 batch.
-	if s.ByEndpoint["GET /v1/lookup"] != 0 || s.ByEndpoint["POST /v2/lookup"] != 3 {
+	if s.ByEndpoint["GET /v1/lookup"] != 2 || s.ByEndpoint["POST /v2/lookup"] != 3 {
 		t.Errorf("ByEndpoint = %+v", s.ByEndpoint)
 	}
-	// All three lookups were pinned to alpha: two hits, one miss; beta
-	// never answered.
-	if got := s.DBs["alpha"]; got.Hits != 2 || got.Misses != 1 {
+	// All five lookups, /v1 and /v2 alike, were pinned to alpha: three
+	// hits, two misses; beta never answered.
+	if got := s.DBs["alpha"]; got.Hits != 3 || got.Misses != 2 {
 		t.Errorf("alpha tally = %+v", got)
+	}
+	if got := s.DBs["beta"]; got != (DBStats{}) {
+		t.Errorf("beta tally = %+v, want zero", got)
 	}
 	if len(s.LatencyMs) != 3 {
 		t.Errorf("LatencyMs = %+v, want p50/p90/p99", s.LatencyMs)

@@ -12,18 +12,20 @@ import (
 )
 
 // Build generates a world from cfg. Generation is deterministic for a
-// given cfg (including cfg.Seed). It returns an error only when the
-// registry pools are exhausted, which indicates the configuration asks for
-// more world than the synthetic IPv4 plan can number.
+// given cfg (including cfg.Seed). A zero cfg.ASes builds DefaultConfig's
+// count. It returns an error only when the registry pools are exhausted,
+// which indicates the configuration asks for more world than the
+// synthetic IPv4 plan can number.
 func Build(cfg Config) (*World, error) {
-	cfg.fillDefaults()
+	if cfg.ASes == 0 {
+		cfg.ASes = DefaultConfig().ASes
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	b := &builder{
-		cfg: cfg,
-		rng: rng,
+		ases: cfg.ASes,
+		rng:  rng,
 		w: &World{
-			Cfg:         cfg,
 			Gaz:         gazetteer.New(),
 			Reg:         registry.New(nil),
 			ifaceByAddr: make(map[ipx.Addr]IfaceID),
@@ -48,7 +50,7 @@ func Build(cfg Config) (*World, error) {
 }
 
 type builder struct {
-	cfg      Config
+	ases     int
 	rng      *rand.Rand
 	w        *World
 	addr     []*addrAssigner // parallel to w.ASes
@@ -65,12 +67,12 @@ type builder struct {
 // createASes instantiates the seed operators plus synthetic ASes, chooses
 // their PoP cities, and registers their organizations.
 func (b *builder) createASes() error {
-	for _, s := range b.cfg.Seeds {
+	for _, s := range defaultSeedASes() {
 		if err := b.addSeedAS(s); err != nil {
 			return err
 		}
 	}
-	for i := len(b.w.ASes); i < b.cfg.ASes; i++ {
+	for i := len(b.w.ASes); i < b.ases; i++ {
 		if err := b.addSyntheticAS(i); err != nil {
 			return err
 		}
@@ -102,10 +104,10 @@ func (b *builder) addSeedAS(s SeedAS) error {
 }
 
 func (b *builder) addSyntheticAS(i int) error {
-	rir := b.sampleRIR(b.cfg.RIRWeights)
+	rir := b.sampleRIR(rirWeights)
 	home := b.w.Gaz.SampleCountry(b.rng, rir)
-	transit := b.rng.Float64() < b.cfg.TransitFraction
-	multinational := transit && b.rng.Float64() < b.cfg.MultinationalFraction[rir]
+	transit := b.rng.Float64() < transitFraction
+	multinational := transit && b.rng.Float64() < multinationalFraction[rir]
 
 	asn := registry.ASN(64512 + i)
 	name := fmt.Sprintf("AS%d Networks", asn)
@@ -125,17 +127,17 @@ func (b *builder) addSyntheticAS(i int) error {
 		HomeCountry: home.ISO2, HomeCity: hqCity.Name,
 		Transit: transit, Multinational: multinational,
 		HintScheme:   "generic",
-		HintCoverage: b.cfg.GenericHintCoverage * (0.5 + b.rng.Float64()),
+		HintCoverage: genericHintCoverage * (0.5 + b.rng.Float64()),
 	}
 
 	var pops, foreign int
 	if transit {
-		pops = b.cfg.TransitPoPsMin + b.rng.Intn(b.cfg.TransitPoPsMax-b.cfg.TransitPoPsMin+1)
+		pops = transitPoPsMin + b.rng.Intn(transitPoPsMax-transitPoPsMin+1)
 		if multinational {
-			foreign = int(float64(pops)*b.cfg.ForeignShare + 0.5)
+			foreign = int(float64(pops)*foreignShare + 0.5)
 		}
 	} else {
-		pops = 1 + b.rng.Intn(b.cfg.StubPoPsMax)
+		pops = 1 + b.rng.Intn(stubPoPsMax)
 	}
 	// The HQ city is always the first PoP.
 	as.PoPs = append(as.PoPs, PoP{City: hqCity})
@@ -221,10 +223,10 @@ func (b *builder) sampleRIR(weights map[geo.RIR]float64) geo.RIR {
 func (b *builder) createRouters() {
 	for ai := range b.w.ASes {
 		as := &b.w.ASes[ai]
-		maxR := b.cfg.RoutersPerStubPoPMax
+		maxR := routersPerStubPoPMax
 		minR := 2 // access chains need depth below the PoP core
 		if as.Transit {
-			maxR = b.cfg.RoutersPerTransitPoPMax
+			maxR = routersPerTransitPoPMax
 		}
 		if as.RoutersPerPoPMax > 0 {
 			maxR = as.RoutersPerPoPMax
@@ -235,7 +237,7 @@ func (b *builder) createRouters() {
 			// within a few hundred metres of each other. Keeping them
 			// co-located matters: chained access hops must stay within the
 			// sub-millisecond budget of the RTT-proximity method.
-			site := as.PoPs[pi].City.Coord.Offset(b.rng.Float64()*b.cfg.CityJitterKm, b.rng.Float64()*360)
+			site := as.PoPs[pi].City.Coord.Offset(b.rng.Float64()*CityJitterKm, b.rng.Float64()*360)
 			for k := 0; k < n; k++ {
 				id := RouterID(len(b.w.Routers))
 				b.w.Routers = append(b.w.Routers, Router{
@@ -306,7 +308,7 @@ func (b *builder) createLinks() error {
 				return err
 			}
 			for i := 0; i < len(cores); i++ {
-				if b.rng.Float64() < b.cfg.ExtraIntraASLinkProb {
+				if b.rng.Float64() < extraIntraASLinkProb {
 					j := b.rng.Intn(len(cores))
 					if j != i {
 						if err := b.link(cores[i], cores[j]); err != nil {
@@ -318,7 +320,7 @@ func (b *builder) createLinks() error {
 		}
 	}
 
-	tx := newTransitIndex(b.w, b.popCity, b.cfg.PeeringRadiusKm)
+	tx := newTransitIndex(b.w, b.popCity, peeringRadiusKm)
 	transit := tx.transit
 	if len(transit) == 0 {
 		return fmt.Errorf("netsim: no transit ASes; cannot build a connected world")
@@ -339,7 +341,7 @@ func (b *builder) createLinks() error {
 		peers = tx.peers(i, peers[:0])
 		for _, j := range peers {
 			ra, rb, d := b.closestPoPRouters(transit[i], transit[j])
-			if d <= b.cfg.PeeringRadiusKm && b.rng.Float64() < b.cfg.PeeringProb {
+			if d <= peeringRadiusKm && b.rng.Float64() < peeringProb {
 				if err := b.link(ra, rb); err != nil {
 					return err
 				}
@@ -505,7 +507,7 @@ func (b *builder) link(x, y RouterID) error {
 	ify := b.newIface(ay, y, linkIdx)
 
 	d := rx.Coord.DistanceKm(ry.Coord)
-	stretch := b.cfg.LinkStretch
+	stretch := linkStretch
 	if d < 60 {
 		// Metro links run on near-direct dark fibre; long-haul routes
 		// detour much more. Keeping metro crossings fast lets the 0.5 ms
@@ -537,10 +539,10 @@ func (b *builder) buildAdjacency() {
 }
 
 // addrAssigner numbers an AS's interfaces. Each PoP draws from its own
-// current /24; with Config.SharedBlockProb an address comes from the AS's
-// shared /24 instead, which therefore accumulates interfaces from many
-// cities — the non-co-located blocks behind §5.2.3. Fresh /24s are carved
-// from registry delegations requested on demand.
+// current /24; with probability sharedBlockProb an address comes from the
+// AS's shared /24 instead, which therefore accumulates interfaces from
+// many cities — the non-co-located blocks behind §5.2.3. Fresh /24s are
+// carved from registry delegations requested on demand.
 type addrAssigner struct {
 	w      *World
 	asIdx  int
@@ -560,7 +562,7 @@ func newAddrAssigner(w *World, asIdx int) *addrAssigner {
 
 func (a *addrAssigner) next(pop int, rng *rand.Rand) (ipx.Addr, error) {
 	cur := a.perPoP[pop]
-	useShared := rng.Float64() < a.w.Cfg.SharedBlockProb
+	useShared := rng.Float64() < sharedBlockProb
 	if useShared {
 		if a.shared == nil || a.shared.exhausted() {
 			blk, err := a.newSlash24()

@@ -17,113 +17,99 @@ type SeedAS struct {
 	PoPs         int     // total PoP count
 	ForeignShare float64 // fraction of PoPs outside the home country
 	// ForeignRIRBias weights which registry region foreign PoPs land in;
-	// nil means "spread per DefaultForeignBias".
+	// nil means pickPoPsFrom's default spread.
 	ForeignRIRBias map[geo.RIR]float64
 	HintScheme     string
 	HintCoverage   float64
 	// PoPRouters overrides the per-PoP router cap for this operator
-	// (0 = the config default). The seven ground-truth operators are
-	// large networks with many routers per site; scaling them up keeps
-	// the DNS-based ground truth dominant over the RTT-based one, as in
-	// the paper (11,857 vs 4,838).
+	// (0 = routersPerTransitPoPMax or routersPerStubPoPMax). The seven
+	// ground-truth operators are large networks with many routers per
+	// site; scaling them up keeps the DNS-based ground truth dominant over
+	// the RTT-based one, as in the paper (11,857 vs 4,838).
 	PoPRouters int
 }
 
-// Config parameterizes world generation. Zero fields are filled from
-// DefaultConfig by Build.
+// Config parameterizes world generation: the seed and the world's size.
+// The world model's calibration is fixed below: the const block, two
+// per-RIR maps and the seeded operators.
 type Config struct {
 	Seed int64
 
 	// ASes is the total number of autonomous systems including seeds.
+	// Build reads zero as DefaultConfig's.
 	ASes int
-	// TransitFraction of the synthetic (non-seed) ASes are transit
-	// networks with multi-city footprints.
-	TransitFraction float64
-	// MultinationalFraction of synthetic transit ASes operate PoPs outside
-	// their home country. Keyed by the org's RIR so regions can differ: the
-	// paper's Figure 3 shows LACNIC ground truth with zero country-level
-	// error, consistent with single-country operators there.
-	MultinationalFraction map[geo.RIR]float64
-	// ForeignShare is the fraction of a multinational's PoPs abroad.
-	ForeignShare float64
-	// RIRWeights controls where synthetic orgs are registered. Defaults
-	// roughly track routed-address share (ARIN-heavy).
-	RIRWeights map[geo.RIR]float64
-
-	// Topology knobs.
-	TransitPoPsMin, TransitPoPsMax int
-	StubPoPsMax                    int
-	RoutersPerTransitPoPMax        int
-	RoutersPerStubPoPMax           int
-	// ExtraIntraASLinkProb adds chords beyond the PoP ring.
-	ExtraIntraASLinkProb float64
-	// PeeringRadiusKm links two transit ASes when both have PoPs within
-	// this distance of each other.
-	PeeringRadiusKm float64
-	PeeringProb     float64
-
-	// SharedBlockProb is the probability that an interface is numbered out
-	// of the AS's shared (cross-PoP) /24 pool instead of its PoP-local
-	// block, producing the non-co-located blocks of §5.2.3.
-	SharedBlockProb float64
-
-	// CityJitterKm bounds how far a router sits from its city's centre.
-	CityJitterKm float64
-
-	// LinkStretch inflates link propagation delay over the great-circle
-	// minimum (fibre does not follow geodesics).
-	LinkStretch float64
-
-	// Seeds pins named operators; nil means DefaultSeedASes.
-	Seeds []SeedAS
-	// GenericHintCoverage is the default fraction of hint-bearing
-	// hostnames for synthetic operators' domains.
-	GenericHintCoverage float64
 }
 
 // DefaultConfig returns the scale the experiments run at: a world of a few
 // thousand routers and some tens of thousands of interfaces that builds in
 // well under a second.
 func DefaultConfig() Config {
-	return Config{
-		Seed:            1,
-		ASes:            900,
-		TransitFraction: 0.13,
-		MultinationalFraction: map[geo.RIR]float64{
-			geo.ARIN:    0.30,
-			geo.RIPENCC: 0.30,
-			geo.APNIC:   0.16,
-			geo.LACNIC:  0.0,
-			geo.AFRINIC: 0.10,
-		},
-		ForeignShare: 0.30,
-		RIRWeights: map[geo.RIR]float64{
-			geo.ARIN:    0.36,
-			geo.RIPENCC: 0.33,
-			geo.APNIC:   0.19,
-			geo.LACNIC:  0.07,
-			geo.AFRINIC: 0.05,
-		},
-		TransitPoPsMin:          4,
-		TransitPoPsMax:          14,
-		StubPoPsMax:             2,
-		RoutersPerTransitPoPMax: 5,
-		RoutersPerStubPoPMax:    6,
-		ExtraIntraASLinkProb:    0.45,
-		PeeringRadiusKm:         60,
-		PeeringProb:             0.35,
-		SharedBlockProb:         0.17,
-		CityJitterKm:            12,
-		LinkStretch:             1.5,
-		Seeds:                   DefaultSeedASes(),
-		GenericHintCoverage:     0.35,
-	}
+	return Config{Seed: 1, ASes: 900}
 }
 
-// DefaultSeedASes models the paper's seven ground-truth domains. PoP
+// The world model, calibrated once to the paper's numbers (DESIGN.md §2).
+const (
+	// transitFraction of the synthetic (non-seed) ASes are transit
+	// networks with multi-city footprints.
+	transitFraction float64 = 0.13
+	// foreignShare is the fraction of a multinational's PoPs abroad.
+	foreignShare float64 = 0.30
+
+	// PoPs per AS and routers per PoP.
+	transitPoPsMin, transitPoPsMax = 4, 14
+	stubPoPsMax                    = 2
+	routersPerTransitPoPMax        = 5
+	routersPerStubPoPMax           = 6
+	// extraIntraASLinkProb adds chords beyond the PoP ring.
+	extraIntraASLinkProb float64 = 0.45
+	// peeringRadiusKm links two transit ASes when both have PoPs within
+	// this distance of each other.
+	peeringRadiusKm float64 = 60
+	peeringProb     float64 = 0.35
+
+	// sharedBlockProb is the probability that an interface is numbered out
+	// of the AS's shared (cross-PoP) /24 pool instead of its PoP-local
+	// block, producing the non-co-located blocks of §5.2.3.
+	sharedBlockProb float64 = 0.17
+
+	// CityJitterKm bounds how far a router sits from its city's centre.
+	CityJitterKm float64 = 12
+
+	// linkStretch inflates link propagation delay over the great-circle
+	// minimum (fibre does not follow geodesics).
+	linkStretch float64 = 1.5
+
+	// genericHintCoverage is the default fraction of hint-bearing
+	// hostnames for synthetic operators' domains.
+	genericHintCoverage float64 = 0.35
+)
+
+// multinationalFraction of synthetic transit ASes operate PoPs outside
+// their home country. Keyed by the org's RIR so regions can differ: the
+// paper's Figure 3 shows LACNIC ground truth with zero country-level
+// error, consistent with single-country operators there.
+var multinationalFraction = map[geo.RIR]float64{
+	geo.ARIN:    0.30,
+	geo.RIPENCC: 0.30,
+	geo.APNIC:   0.16,
+	geo.LACNIC:  0.0,
+	geo.AFRINIC: 0.10,
+}
+
+// rirWeights controls where synthetic orgs are registered. It roughly
+// tracks routed-address share (ARIN-heavy).
+var rirWeights = map[geo.RIR]float64{
+	geo.ARIN:    0.36,
+	geo.RIPENCC: 0.33,
+	geo.APNIC:   0.19,
+	geo.LACNIC:  0.07,
+	geo.AFRINIC: 0.05,
+}
+
+// defaultSeedASes models the paper's seven ground-truth domains. PoP
 // counts are scaled so the relative sizes of the per-domain address
 // counts in §2.3.1 (cogent 6,462 … belwue 23) are preserved.
-func DefaultSeedASes() []SeedAS {
+func defaultSeedASes() []SeedAS {
 	euBias := map[geo.RIR]float64{geo.RIPENCC: 0.8, geo.APNIC: 0.15, geo.LACNIC: 0.05}
 	return []SeedAS{
 		{
@@ -182,63 +168,5 @@ func DefaultSeedASes() []SeedAS {
 			PoPs: 3, ForeignShare: 0,
 			HintScheme: "belwue", HintCoverage: 0.85, PoPRouters: 3,
 		},
-	}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.ASes == 0 {
-		c.ASes = d.ASes
-	}
-	if c.TransitFraction == 0 {
-		c.TransitFraction = d.TransitFraction
-	}
-	if c.MultinationalFraction == nil {
-		c.MultinationalFraction = d.MultinationalFraction
-	}
-	if c.ForeignShare == 0 {
-		c.ForeignShare = d.ForeignShare
-	}
-	if c.RIRWeights == nil {
-		c.RIRWeights = d.RIRWeights
-	}
-	if c.TransitPoPsMin == 0 {
-		c.TransitPoPsMin = d.TransitPoPsMin
-	}
-	if c.TransitPoPsMax == 0 {
-		c.TransitPoPsMax = d.TransitPoPsMax
-	}
-	if c.StubPoPsMax == 0 {
-		c.StubPoPsMax = d.StubPoPsMax
-	}
-	if c.RoutersPerTransitPoPMax == 0 {
-		c.RoutersPerTransitPoPMax = d.RoutersPerTransitPoPMax
-	}
-	if c.RoutersPerStubPoPMax == 0 {
-		c.RoutersPerStubPoPMax = d.RoutersPerStubPoPMax
-	}
-	if c.ExtraIntraASLinkProb == 0 {
-		c.ExtraIntraASLinkProb = d.ExtraIntraASLinkProb
-	}
-	if c.PeeringRadiusKm == 0 {
-		c.PeeringRadiusKm = d.PeeringRadiusKm
-	}
-	if c.PeeringProb == 0 {
-		c.PeeringProb = d.PeeringProb
-	}
-	if c.SharedBlockProb == 0 {
-		c.SharedBlockProb = d.SharedBlockProb
-	}
-	if c.CityJitterKm == 0 {
-		c.CityJitterKm = d.CityJitterKm
-	}
-	if c.LinkStretch == 0 {
-		c.LinkStretch = d.LinkStretch
-	}
-	if c.Seeds == nil {
-		c.Seeds = d.Seeds
-	}
-	if c.GenericHintCoverage == 0 {
-		c.GenericHintCoverage = d.GenericHintCoverage
 	}
 }

@@ -138,7 +138,7 @@ func (w *World) Evolve(rng *rand.Rand, p EvolutionParams) *Evolution {
 			}
 		}
 		e.newCity[i] = dest
-		e.newCoord[i] = dest.Coord.Offset(rng.Float64()*w.Cfg.CityJitterKm, rng.Float64()*360)
+		e.newCoord[i] = dest.Coord.Offset(rng.Float64()*CityJitterKm, rng.Float64()*360)
 	}
 	return e
 }

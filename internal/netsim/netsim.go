@@ -60,7 +60,8 @@ type AS struct {
 	// hostnames embed a decodable location hint.
 	HintScheme   string
 	HintCoverage float64
-	// RoutersPerPoPMax overrides the config cap for this AS (0 = default).
+	// RoutersPerPoPMax overrides the world model's per-PoP router cap
+	// for this AS (0 = the model's cap).
 	RoutersPerPoPMax int
 	PoPs             []PoP
 	Prefixes         []ipx.Prefix // registry delegations
@@ -106,7 +107,6 @@ type Hop struct {
 // World is the fully built synthetic Internet. It is immutable after
 // Build and safe for concurrent readers.
 type World struct {
-	Cfg Config
 	Gaz *gazetteer.Gazetteer
 	Reg *registry.Registry
 

@@ -213,8 +213,8 @@ func TestRouterJitterBounded(t *testing.T) {
 	for i := range w.Routers {
 		r := &w.Routers[i]
 		city := w.ASes[r.AS].PoPs[r.PoP].City
-		if d := r.Coord.DistanceKm(city.Coord); d > w.Cfg.CityJitterKm+0.5 {
-			t.Fatalf("router %d is %.1f km from its city centre (max %v)", i, d, w.Cfg.CityJitterKm)
+		if d := r.Coord.DistanceKm(city.Coord); d > CityJitterKm+0.5 {
+			t.Fatalf("router %d is %.1f km from its city centre (max %v)", i, d, CityJitterKm)
 		}
 	}
 }
@@ -416,7 +416,7 @@ func TestSeedPoPRouterOverride(t *testing.T) {
 	// The seeded operators' RoutersPerPoPMax must actually take effect:
 	// cogent PoPs should frequently exceed the synthetic transit cap.
 	w := buildSmall(t, 1)
-	cap := w.Cfg.RoutersPerTransitPoPMax
+	cap := routersPerTransitPoPMax
 	exceeded := false
 	for i := range w.ASes {
 		as := &w.ASes[i]
@@ -434,14 +434,17 @@ func TestSeedPoPRouterOverride(t *testing.T) {
 	}
 }
 
+// TestFillDefaultsPreservesExplicit checks that Build keeps an explicit
+// AS count and builds DefaultConfig's for a zero one.
 func TestFillDefaultsPreservesExplicit(t *testing.T) {
-	cfg := Config{Seed: 5, ASes: 42, TransitFraction: 0.5, CityJitterKm: 3}
-	cfg.fillDefaults()
-	if cfg.ASes != 42 || cfg.TransitFraction != 0.5 || cfg.CityJitterKm != 3 {
-		t.Errorf("explicit values overwritten: %+v", cfg)
-	}
-	if cfg.TransitPoPsMax == 0 || cfg.Seeds == nil || cfg.RIRWeights == nil {
-		t.Error("zero fields not defaulted")
+	for _, tc := range []struct{ ases, want int }{{42, 42}, {0, DefaultConfig().ASes}} {
+		w, err := Build(Config{Seed: 5, ASes: tc.ases})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.NumASes(); got != tc.want {
+			t.Errorf("ASes %d: built %d ASes, want %d", tc.ases, got, tc.want)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ type transitIndex struct {
 	// ascending order; nil for a city without a transit PoP.
 	atCity [][]int32
 	// near lists, per transit city, the transit cities within
-	// PeeringRadiusKm + boundSlackKm of it, itself included.
+	// peeringRadiusKm + boundSlackKm of it, itself included.
 	near [][]int32
 	// The transit cities by ascending latitude, with their centres and
 	// the first position with a PoP in each.
@@ -94,7 +94,7 @@ func newTransitIndex(w *World, popCity [][]int32, radiusKm float64) *transitInde
 }
 
 // peers appends to out, in ascending order, the positions j > i with a
-// PoP in a city within PeeringRadiusKm + boundSlackKm of one of i's PoP
+// PoP in a city within peeringRadiusKm + boundSlackKm of one of i's PoP
 // cities. Every other j > i has all its PoPs beyond the radius of all of
 // i's, so the peering scan's distance test failed for it without a draw.
 func (tx *transitIndex) peers(i int, out []int) []int {

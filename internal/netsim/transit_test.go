@@ -79,7 +79,7 @@ func buildDefault(t testing.TB, seed int64) *World {
 }
 
 func transitIndexOf(w *World) *transitIndex {
-	return newTransitIndex(w, popCities(w), w.Cfg.PeeringRadiusKm)
+	return newTransitIndex(w, popCities(w), peeringRadiusKm)
 }
 
 // highSource passes a seeded stream through, except that every third
@@ -235,7 +235,7 @@ func TestPeeringCandidatesCoverScan(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		w := buildDefault(t, seed)
 		tx := transitIndexOf(w)
-		within := scanPeerPairs(w, tx.transit, w.Cfg.PeeringRadiusKm)
+		within := scanPeerPairs(w, tx.transit, peeringRadiusKm)
 		if len(within) == 0 {
 			t.Fatalf("seed %d: no transit pair within the peering radius", seed)
 		}

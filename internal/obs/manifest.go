@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 )
@@ -85,10 +86,14 @@ func (r *Run) SetTaint(name string, n int64) {
 	r.mu.Unlock()
 }
 
-// Manifest is the machine-readable run record written at exit.
+// Manifest is the machine-readable run record written at exit. Revision
+// is the source revision the binary was built from (see revision); it is
+// empty, and left out, when the build stamped none, as under go run and
+// go test.
 type Manifest struct {
 	Tool      string           `json:"tool"`
 	GoVersion string           `json:"go_version"`
+	Revision  string           `json:"revision,omitempty"`
 	Hostname  string           `json:"hostname,omitempty"`
 	PID       int              `json:"pid"`
 	Argv      []string         `json:"argv"`
@@ -122,6 +127,9 @@ func (r *Run) Manifest() Manifest {
 		Config:    r.config,
 		Stages:    r.root.Snapshot(),
 	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		m.Revision = revision(bi.Settings)
+	}
 	if len(r.counts) > 0 {
 		m.Counts = make(map[string]int64, len(r.counts))
 		for k, v := range r.counts {
@@ -140,6 +148,24 @@ func (r *Run) Manifest() Manifest {
 		m.Metrics = &snap
 	}
 	return m
+}
+
+// revision is vcs.revision from a binary's build settings, with "-dirty"
+// appended when vcs.modified is true, or "" when no revision is stamped.
+func revision(settings []debug.BuildSetting) string {
+	var rev, dirty string
+	for _, s := range settings {
+		switch {
+		case s.Key == "vcs.revision":
+			rev = s.Value
+		case s.Key == "vcs.modified" && s.Value == "true":
+			dirty = "-dirty"
+		}
+	}
+	if rev == "" {
+		return ""
+	}
+	return rev + dirty
 }
 
 // WriteManifest writes the run manifest as indented JSON to path.

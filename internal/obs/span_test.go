@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,5 +150,41 @@ func TestRunManifestTwice(t *testing.T) {
 	m2 := run.Manifest()
 	if m1.WallMs != m2.WallMs {
 		t.Errorf("second Manifest moved wall_ms: %v -> %v", m1.WallMs, m2.WallMs)
+	}
+}
+
+// TestManifestRevision checks revision on hand-made build settings: the
+// stamped commit, "-dirty" when vcs.modified is true, and nothing
+// without a commit. An unstamped manifest leaves the field out.
+func TestManifestRevision(t *testing.T) {
+	const rev = "6399b0143e64d53a92face8dc3ba975d0588e701"
+	set := func(kv ...string) []debug.BuildSetting {
+		var out []debug.BuildSetting
+		for i := 0; i < len(kv); i += 2 {
+			out = append(out, debug.BuildSetting{Key: kv[i], Value: kv[i+1]})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{nil, ""},
+		{set("-compiler", "gc", "GOARCH", "amd64"), ""},
+		{set("vcs", "git", "vcs.revision", rev), rev},
+		{set("vcs.revision", rev, "vcs.modified", "false"), rev},
+		{set("vcs.modified", "true", "vcs.revision", rev, "vcs.time", "2026-10-19T04:07:30Z"), rev + "-dirty"},
+		{set("vcs.modified", "true"), ""},
+	} {
+		if got := revision(tc.settings); got != tc.want {
+			t.Errorf("revision(%v) = %q, want %q", tc.settings, got, tc.want)
+		}
+	}
+	data, err := json.Marshal(Manifest{Tool: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"revision"`) {
+		t.Errorf("manifest without a revision encodes one: %s", data)
 	}
 }

@@ -21,23 +21,27 @@ import (
 	"routergeo/internal/netsim"
 )
 
-// Config controls PTR coverage.
+// Config seeds the zone.
 type Config struct {
-	// PTRCoverage is the probability a synthetic operator's interface has
-	// a PTR record at all. The paper resolved hostnames for 905K of 1,638K
-	// addresses (55%).
-	PTRCoverage float64
-	// SeedPTRCoverage applies to the seven seeded ground-truth domains,
-	// whose operators name their gear diligently.
-	SeedPTRCoverage float64
 	// Seed drives the coverage and hint draws.
 	Seed int64
 }
 
-// DefaultConfig matches the paper's observed coverage.
+// DefaultConfig returns the seed the experiments use.
 func DefaultConfig() Config {
-	return Config{PTRCoverage: 0.55, SeedPTRCoverage: 0.97, Seed: 1}
+	return Config{Seed: 1}
 }
+
+// PTR coverage, matching the paper's observations.
+const (
+	// ptrCoverage is the probability a synthetic operator's interface has
+	// a PTR record at all. The paper resolved hostnames for 905K of 1,638K
+	// addresses (55%).
+	ptrCoverage float64 = 0.55
+	// seedPTRCoverage applies to the seven seeded ground-truth domains,
+	// whose operators name their gear diligently.
+	seedPTRCoverage float64 = 0.97
+)
 
 // Zone is the synthesized PTR zone for one world.
 type Zone struct {
@@ -65,9 +69,9 @@ func Synthesize(w *netsim.World, dict *hints.Dictionary, cfg Config) *Zone {
 	for i := range w.Interfaces {
 		id := netsim.IfaceID(i)
 		as := w.ASOfIface(id)
-		cover := cfg.PTRCoverage
+		cover := ptrCoverage
 		if seedDomains[as.Domain] {
-			cover = cfg.SeedPTRCoverage
+			cover = seedPTRCoverage
 		}
 		if rng.Float64() >= cover {
 			continue

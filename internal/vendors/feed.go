@@ -46,33 +46,31 @@ type AllocationInfo struct {
 	Org   registry.Org
 }
 
-// FeedConfig tunes feed construction.
+// FeedConfig seeds feed construction.
 type FeedConfig struct {
-	// SWIPPresence is the probability a routed /24 has a SWIP entry,
-	// keyed by the allocation's RIR. ARIN's SWIP culture makes per-block
-	// entries far more common there.
-	SWIPPresence map[geo.RIR]float64
-	// SWIPAtHQ is the probability a SWIP entry names the org's HQ city
-	// rather than the block's true deployment city.
-	SWIPAtHQ float64
-	Seed     int64
+	Seed int64
 }
 
-// DefaultFeedConfig mirrors the registration-data landscape the paper's
-// ARIN findings imply.
+// DefaultFeedConfig returns the seed the experiments use.
 func DefaultFeedConfig() FeedConfig {
-	return FeedConfig{
-		SWIPPresence: map[geo.RIR]float64{
-			geo.ARIN:    0.85,
-			geo.RIPENCC: 0.25,
-			geo.APNIC:   0.25,
-			geo.LACNIC:  0.30,
-			geo.AFRINIC: 0.30,
-		},
-		SWIPAtHQ: 0.72,
-		Seed:     1,
-	}
+	return FeedConfig{Seed: 1}
 }
+
+// swipPresence is the probability a routed /24 has a SWIP entry, keyed by
+// the allocation's RIR. ARIN's SWIP culture makes per-block entries far
+// more common there. It and swipAtHQ mirror the registration-data
+// landscape the paper's ARIN findings imply.
+var swipPresence = map[geo.RIR]float64{
+	geo.ARIN:    0.85,
+	geo.RIPENCC: 0.25,
+	geo.APNIC:   0.25,
+	geo.LACNIC:  0.30,
+	geo.AFRINIC: 0.30,
+}
+
+// swipAtHQ is the probability a SWIP entry names the org's HQ city
+// rather than the block's true deployment city.
+const swipAtHQ float64 = 0.72
 
 // BuildFeed derives the registration feed from the world's registry.
 func BuildFeed(w *netsim.World, cfg FeedConfig) *Feed {
@@ -103,11 +101,11 @@ func BuildFeed(w *netsim.World, cfg FeedConfig) *Feed {
 		f.BlocksOf[ai] = append(f.BlocksOf[ai], blk.Base)
 
 		info := f.Allocations[ai]
-		if rng.Float64() >= cfg.SWIPPresence[info.Alloc.RIR] {
+		if rng.Float64() >= swipPresence[info.Alloc.RIR] {
 			continue
 		}
 		rec := SWIPRecord{Country: info.Org.HQCountry, City: info.Org.HQCity}
-		if rng.Float64() >= cfg.SWIPAtHQ {
+		if rng.Float64() >= swipAtHQ {
 			if city, ok := w.BlockMajorityCity(blk.Base); ok {
 				rec = SWIPRecord{Country: city.Country, City: city.Name}
 			}

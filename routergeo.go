@@ -38,8 +38,10 @@ import (
 // Option configures New.
 type Option func(*experiments.Config)
 
-// WithSeed reseeds the entire pipeline; every random draw downstream
-// changes with it.
+// WithSeed sets the world seed. The Ark sweep, the PTR zone, both Atlas
+// fleets, the registration feed, the vendor databases and the churn
+// timeline keep their fixed seeds; they change only as the world they
+// read does.
 func WithSeed(seed int64) Option {
 	return func(c *experiments.Config) { c.World.Seed = seed }
 }
