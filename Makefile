@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt lint lint-json lint-diff deadcode build perfbench-test test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-formats profile
+.PHONY: check vet fmt lint lint-json lint-diff deadcode samebytes build perfbench-test test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-formats profile
 
 check: vet fmt lint build perfbench-test race metrics-verify
 
@@ -48,6 +48,16 @@ lint-diff:
 deadcode:
 	sh scripts/deadcode.sh >deadcode.txt
 	@cat deadcode.txt
+
+# samebytes builds cmd/routergeo at BASE and in the working tree and
+# compares their stdout over the flag sets the golden files do not cover
+# (other seeds, -parallelism 1, the 4x and 16x worlds, -longitudinal),
+# one line per set; it fails if any differs. A change that declares an
+# output change differs by design, so CI does not run it. See
+# scripts/samebytes.sh.
+samebytes:
+	@if [ -z "$(BASE)" ]; then echo "usage: make samebytes BASE=<git ref>" >&2; exit 2; fi
+	sh scripts/samebytes.sh $(BASE)
 
 build:
 	$(GO) build ./...

@@ -97,6 +97,9 @@ func collect(seed int64, ases, monitors, cycles int) (*netsim.World, *ark.Collec
 	if cycles > 0 {
 		cfg.Ark.Cycles = cycles
 	}
+	if err := cfg.Ark.Validate(); err != nil {
+		return nil, nil, err
+	}
 	w, err := netsim.Build(cfg.World)
 	if err != nil {
 		return nil, nil, err

@@ -6,6 +6,7 @@ import (
 
 	"routergeo"
 	"routergeo/internal/experiments"
+	"routergeo/internal/gazetteer"
 )
 
 // TestCollectMatchesNewEnv checks that arkcollect writes the Ark set the
@@ -30,5 +31,15 @@ func TestCollectMatchesNewEnv(t *testing.T) {
 		if a := w.Interfaces[id].Addr; a != env.ArkAddrs[i] {
 			t.Fatalf("address %d: arkcollect has %v, NewEnv %v", i, a, env.ArkAddrs[i])
 		}
+	}
+}
+
+// TestCollectRejectsMonitorCount checks that arkcollect fails before the
+// build when asked for more monitors than there are embedded cities: each
+// monitor takes a city of its own, so placing them would never finish.
+func TestCollectRejectsMonitorCount(t *testing.T) {
+	n := gazetteer.NumCities() + 1
+	if _, _, err := collect(1, 0, n, 0); err == nil {
+		t.Fatalf("collect with %d monitors returned no error", n)
 	}
 }

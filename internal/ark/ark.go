@@ -9,6 +9,7 @@ package ark
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -39,6 +40,16 @@ func DefaultConfig() Config {
 	return Config{Monitors: 60, Cycles: 7, Seed: 1}
 }
 
+// Validate reports a monitor count the sweep cannot place: each monitor
+// sits in its own embedded city, so Monitors must lie in 1 to
+// gazetteer.NumCities().
+func (c Config) Validate() error {
+	if c.Monitors < 1 || c.Monitors > gazetteer.NumCities() {
+		return fmt.Errorf("ark: %d monitors; want 1 to %d, one per embedded city", c.Monitors, gazetteer.NumCities())
+	}
+	return nil
+}
+
 // monitorsPerTarget is how many distinct monitors probe each routed /24
 // during one cycle.
 const monitorsPerTarget = 3
@@ -63,8 +74,12 @@ type Collection struct {
 	Traces int
 }
 
-// Collect runs one full sweep over every routed /24 in the world.
+// Collect runs one full sweep over every routed /24 in the world. It
+// panics on a cfg that Validate rejects.
 func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	_, sp := obs.Start(ctx, "ark.collect")
 	defer sp.End()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -141,20 +156,19 @@ func AliasSets(w *netsim.World, c *Collection) map[netsim.RouterID][]netsim.Ifac
 // router in its country.
 func placeMonitors(w *netsim.World, rng *rand.Rand, n int) []Monitor {
 	var out []Monitor
-	used := map[string]bool{}
+	used := make([]bool, gazetteer.NumCities()+1)
 	for len(out) < n {
 		city := w.Gaz.SampleCity(rng, "")
-		key := city.Country + "/" + city.Name
-		if used[key] {
+		if used[city.ID] {
 			continue
 		}
-		used[key] = true
+		used[city.ID] = true
 		r, ok := w.NearestRouter(city.Coord, city.Country)
 		if !ok {
 			continue
 		}
 		out = append(out, Monitor{
-			Name:   "ark-" + key,
+			Name:   "ark-" + city.Country + "/" + city.Name,
 			City:   city,
 			Router: r,
 		})

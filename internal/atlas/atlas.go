@@ -68,6 +68,7 @@ var regionWeights = map[geo.RIR]float64{
 
 // Probe is one Atlas probe.
 type Probe struct {
+	// ID is the probe's index in its fleet's Probes.
 	ID int
 	// TrueCity and TrueCoord are where the probe actually is.
 	TrueCity  gazetteer.City
@@ -140,7 +141,7 @@ func Deploy(w *netsim.World, cfg Config) *Fleet {
 			// LAN-grade access link. Relocate the probe's true position to
 			// the facility. Facilities are metro-local: only rack the probe
 			// if its own city has a transit PoP, else it stays residential.
-			if r, ok := w.NearestTransitInCity(trueCoord, city.Country, city.Name); ok {
+			if r, ok := w.NearestTransitInCity(trueCoord, city); ok {
 				p.Router = r
 				p.TrueCoord = w.Routers[r].Coord.Offset(0.05+rng.Float64()*0.2, rng.Float64()*360)
 				p.LastMileMs = 0.04 + rng.Float64()*0.12
@@ -198,17 +199,16 @@ func pickTargets(w *netsim.World, rng *rand.Rand, n int) []netsim.RouterID {
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
 	var out []netsim.RouterID
-	usedCity := map[string]bool{}
+	usedCity := make([]bool, gazetteer.NumCities()+1)
 	for _, r := range candidates {
 		if len(out) == n {
 			break
 		}
-		city := w.ASes[w.Routers[r].AS].PoPs[w.Routers[r].PoP].City
-		key := city.Country + "/" + city.Name
-		if usedCity[key] {
+		city := w.ASes[w.Routers[r].AS].PoPs[w.Routers[r].PoP].City.ID
+		if usedCity[city] {
 			continue
 		}
-		usedCity[key] = true
+		usedCity[city] = true
 		out = append(out, r)
 	}
 	return out

@@ -148,12 +148,8 @@ func TestBuiltinsRTTsMonotoneInPropagation(t *testing.T) {
 	// path up to queueing noise; we check the first hop is at least the
 	// last-mile and every RTT is positive.
 	_, f, ms := setup(t)
-	probeByID := map[int]*Probe{}
-	for i := range f.Probes {
-		probeByID[f.Probes[i].ID] = &f.Probes[i]
-	}
 	for _, m := range ms {
-		p := probeByID[m.ProbeID]
+		p := &f.Probes[m.ProbeID]
 		first := m.Result[0]
 		if first.MinRTT() < p.LastMileMs {
 			t.Fatalf("first hop RTT %.3f under last-mile %.3f", first.MinRTT(), p.LastMileMs)
@@ -166,13 +162,9 @@ func TestProximityRuleSoundForHonestProbes(t *testing.T) {
 	// of the probe. With truthful RTTs this must hold against the probe's
 	// TRUE location for every probe, mislocated or not.
 	w, f, ms := setup(t)
-	probeByID := map[int]*Probe{}
-	for i := range f.Probes {
-		probeByID[f.Probes[i].ID] = &f.Probes[i]
-	}
 	checked := 0
 	for _, m := range ms {
-		p := probeByID[m.ProbeID]
+		p := &f.Probes[m.ProbeID]
 		for _, h := range m.Result {
 			if h.MinRTT() > 0.5 {
 				continue
@@ -195,13 +187,13 @@ func TestProximityRuleSoundForHonestProbes(t *testing.T) {
 
 func TestTargetsDistinctCities(t *testing.T) {
 	w, f, _ := setup(t)
-	seen := map[string]bool{}
+	seen := map[[2]string]bool{}
 	for _, r := range f.Targets {
 		rt := w.Routers[r]
 		city := w.ASes[rt.AS].PoPs[rt.PoP].City
-		key := city.Country + "/" + city.Name
+		key := [2]string{city.Country, city.Name}
 		if seen[key] {
-			t.Errorf("two targets in %s", key)
+			t.Errorf("two targets in %s/%s", key[0], key[1])
 		}
 		seen[key] = true
 		if !w.ASes[rt.AS].Transit {

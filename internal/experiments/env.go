@@ -115,6 +115,9 @@ func (e *Env) Providers() []geodb.Provider {
 // context carries the run's trace span (if any); every build stage
 // attaches its own child span under "env.build".
 func NewEnv(ctx context.Context, cfg Config) (*Env, error) {
+	if err := cfg.Ark.Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	ctx, envSpan := obs.Start(ctx, "env.build")
 	defer envSpan.End()
 

@@ -15,7 +15,6 @@ import (
 
 	"routergeo/internal/cbg"
 	"routergeo/internal/core"
-	"routergeo/internal/geo"
 	"routergeo/internal/geodb"
 	"routergeo/internal/groundtruth"
 	"routergeo/internal/ipx"
@@ -50,17 +49,9 @@ func init() {
 // three probes, and compares the error CDF with the four databases on the
 // same address subset.
 func runExtCBG(ctx context.Context, w io.Writer, env *Env) error {
-	probeCoord := map[int]geo.Coordinate{}
-	for i := range env.Fleet.Probes {
-		p := &env.Fleet.Probes[i]
-		probeCoord[p.ID] = p.Reported
-	}
 	obsByAddr := map[ipx.Addr][]cbg.Observation{}
 	for _, m := range env.Measurements {
-		pc, ok := probeCoord[m.ProbeID]
-		if !ok {
-			continue
-		}
+		pc := env.Fleet.Probes[m.ProbeID].Reported
 		for _, h := range m.Result {
 			obsByAddr[h.From] = append(obsByAddr[h.From], cbg.Observation{
 				From:  pc,

@@ -132,15 +132,9 @@ func runSec32(ctx context.Context, w io.Writer, env *Env) error {
 	// Filter effectiveness against internal truth: how many genuinely
 	// mislocated probes slipped through (the paper cannot measure this;
 	// the simulator can, which is the point of having exact truth).
-	misloc := map[int]bool{}
-	for _, p := range env.Fleet.Probes {
-		if p.Mislocated {
-			misloc[p.ID] = true
-		}
-	}
 	var leaked int
 	for _, e := range env.RTTDS.Entries {
-		if misloc[e.ProbeID] {
+		if env.Fleet.Probes[e.ProbeID].Mislocated {
 			leaked++
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"routergeo/internal/atlas"
+	"routergeo/internal/gazetteer"
 	"routergeo/internal/geo"
 	"routergeo/internal/obs"
 	"routergeo/internal/par"
@@ -58,6 +60,22 @@ func TestEnvInvariants(t *testing.T) {
 	if env.OneMs.Len() == 0 {
 		t.Error("1ms comparison dataset empty")
 	}
+	// Probe i has ID i, in the test fleet and in fleets of both sizes a
+	// default NewEnv deploys: BuildRTT and the analyses read a probe as
+	// Fleet.Probes[ProbeID].
+	def := DefaultConfig()
+	fleets := []*atlas.Fleet{
+		env.Fleet,
+		atlas.Deploy(env.W, def.Atlas),
+		atlas.Deploy(env.W, atlas.Config{Probes: def.OneMsProbes, Seed: def.Atlas.Seed + 1000}),
+	}
+	for _, f := range fleets {
+		for i, p := range f.Probes {
+			if p.ID != i {
+				t.Fatalf("fleet of %d probes: probe %d has ID %d", len(f.Probes), i, p.ID)
+			}
+		}
+	}
 	// Every target address must resolve in the world and carry a RIR.
 	for _, tg := range env.Targets[:min(200, len(env.Targets))] {
 		if _, ok := env.W.IfaceByAddr(tg.Addr); !ok {
@@ -65,6 +83,31 @@ func TestEnvInvariants(t *testing.T) {
 		}
 		if tg.RIR == geo.RIRUnknown {
 			t.Fatalf("target %v has no RIR", tg.Addr)
+		}
+	}
+}
+
+// TestNewEnvChecksArkMonitors runs NewEnv at 0, 1, 442 and 443 Ark
+// monitors, in that order. Each monitor takes an embedded city of its
+// own, so 0 and 443 must fail before the build (the sweep's placement
+// would panic on 0 and never finish at 443), and 1 and 442 must place
+// exactly that many monitors.
+func TestNewEnvChecksArkMonitors(t *testing.T) {
+	for _, n := range []int{0, 1, gazetteer.NumCities(), gazetteer.NumCities() + 1} {
+		cfg := testConfig()
+		cfg.Ark.Monitors = n
+		env, err := NewEnv(context.Background(), cfg)
+		if valid := n >= 1 && n <= gazetteer.NumCities(); !valid {
+			if err == nil {
+				t.Fatalf("%d monitors: NewEnv returned no error", n)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d monitors: %v", n, err)
+		}
+		if got := len(env.Coll.Monitors); got != n {
+			t.Fatalf("%d monitors asked for, %d placed", n, got)
 		}
 	}
 }

@@ -59,6 +59,11 @@ func (p PopulationClass) Weight() int {
 	}
 }
 
+// CityID numbers the embedded cities from 1 to NumCities() in table
+// order; the zero City has ID 0. A table indexed by CityID has
+// NumCities()+1 rows, of which row 0 stays unused.
+type CityID int32
+
 // City describes one city known to the gazetteer.
 type City struct {
 	Name    string          // English name, unique within a country here
@@ -66,7 +71,21 @@ type City struct {
 	Coord   geo.Coordinate  // city-centre coordinates
 	IATA    string          // primary airport code ("" if none embedded)
 	Class   PopulationClass // rough size bucket
+	ID      CityID          // 1..NumCities(); 0 for the zero City
 }
+
+// cities is cityTable numbered: cities[i].ID is i+1.
+var cities = func() []City {
+	out := make([]City, len(cityTable))
+	for i, r := range cityTable {
+		out[i] = City{Name: r.Name, Country: r.Country, Coord: r.Coord, IATA: r.IATA, Class: r.Class, ID: CityID(i + 1)}
+	}
+	return out
+}()
+
+// NumCities returns the number of embedded cities, which is also the
+// largest CityID.
+func NumCities() int { return len(cityTable) }
 
 // Gazetteer is an immutable, indexed view over the embedded world data.
 type Gazetteer struct {
@@ -84,7 +103,7 @@ type Gazetteer struct {
 func New() *Gazetteer {
 	g := &Gazetteer{
 		countries:  countryTable,
-		cities:     cityTable,
+		cities:     cities,
 		byISO2:     make(map[string]int, len(countryTable)),
 		cityKey:    make(map[string]int, len(cityTable)),
 		citiesByCC: make(map[string][]int, len(countryTable)),

@@ -33,7 +33,14 @@ func TestTableIntegrity(t *testing.T) {
 
 	seenCity := map[string]bool{}
 	seenIATA := map[string]string{}
-	for _, c := range g.Cities() {
+	cities := g.Cities()
+	if len(cities) != NumCities() {
+		t.Errorf("%d cities, NumCities() = %d", len(cities), NumCities())
+	}
+	for i, c := range cities {
+		if c.ID != CityID(i+1) {
+			t.Errorf("city %d (%s/%s) has ID %d, want %d", i, c.Country, c.Name, c.ID, i+1)
+		}
 		if !seenISO2[c.Country] {
 			t.Errorf("city %q references unknown country %q", c.Name, c.Country)
 		}
@@ -129,8 +136,28 @@ func TestLookups(t *testing.T) {
 	if !ok || city.IATA != "DFW" {
 		t.Fatalf("City(US, dallas) = %+v, %v", city, ok)
 	}
-	if _, ok := g.City("DE", "Dallas"); ok {
-		t.Error("Dallas should not be in Germany")
+	if c, ok := g.City("DE", "Dallas"); ok || c.ID != 0 {
+		t.Errorf("City(DE, Dallas) = %+v, %v; want the zero City, whose ID is 0", c, ok)
+	}
+	// Every lookup returns the table's own row, ID included.
+	cities := g.Cities()
+	for _, c := range cities {
+		if got, ok := g.City(strings.ToLower(c.Country), strings.ToUpper(c.Name)); !ok || got != c {
+			t.Fatalf("City(%s, %s) = %+v, %v; want %+v", c.Country, c.Name, got, ok, c)
+		}
+		if got, _ := g.Nearest(c.Coord); got != c {
+			t.Fatalf("Nearest(%s/%s centre) = %+v; want %+v", c.Country, c.Name, got, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		cc := ""
+		if i%2 == 0 {
+			cc = cities[i%len(cities)].Country
+		}
+		if c := g.SampleCity(rng, cc); c.ID < 1 || cities[c.ID-1] != c {
+			t.Fatalf("SampleCity(%q) = %+v, not the table's row %d", cc, c, c.ID)
+		}
 	}
 
 	if g.RIROf("JP") != geo.APNIC {

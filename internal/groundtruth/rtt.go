@@ -62,17 +62,14 @@ type RTTStats struct {
 }
 
 // BuildRTT derives the RTT-proximity ground truth from built-in
-// measurements. Only the probes' *reported* locations are used; the §3.2
-// filters must catch mislocated probes on their own.
+// measurements, reading each measurement's probe as
+// fleet.Probes[ProbeID]. Only the probes' *reported* locations are used;
+// the §3.2 filters must catch mislocated probes on their own.
 func BuildRTT(ctx context.Context, w *netsim.World, fleet *atlas.Fleet, ms []atlas.Measurement, cfg RTTConfig) (*Dataset, RTTStats) {
 	_, sp := obs.Start(ctx, "groundtruth.rtt")
 	defer sp.End()
 	sp.SetAttr("threshold_ms", cfg.ThresholdMs)
 	sp.SetAttr("measurements", len(ms))
-	probeByID := map[int]*atlas.Probe{}
-	for i := range fleet.Probes {
-		probeByID[fleet.Probes[i].ID] = &fleet.Probes[i]
-	}
 
 	// Step 1: harvest sub-threshold (address, probe) sightings.
 	type sighting struct {
@@ -114,8 +111,7 @@ func BuildRTT(ctx context.Context, w *netsim.World, fleet *atlas.Fleet, ms []atl
 	// Filter 1: probes parked on default country coordinates.
 	centroidProbes := map[int]bool{}
 	for id := range probeSet {
-		p := probeByID[id]
-		if _, near := w.Gaz.NearCountryCentroid(p.Reported, cfg.CentroidKm); near {
+		if _, near := w.Gaz.NearCountryCentroid(fleet.Probes[id].Reported, cfg.CentroidKm); near {
 			centroidProbes[id] = true
 		}
 	}
@@ -145,8 +141,8 @@ func BuildRTT(ctx context.Context, w *netsim.World, fleet *atlas.Fleet, ms []atl
 		for i := 0; i < len(sightings); i++ {
 			probesInGroups[sightings[i].probe] = true
 			for j := i + 1; j < len(sightings); j++ {
-				pi := probeByID[sightings[i].probe]
-				pj := probeByID[sightings[j].probe]
+				pi := &fleet.Probes[sightings[i].probe]
+				pj := &fleet.Probes[sightings[j].probe]
 				if pi.Reported.DistanceKm(pj.Reported) > cfg.NearbyMaxKm {
 					inconsistent = true
 					disagree[pi.ID]++
@@ -190,7 +186,7 @@ func BuildRTT(ctx context.Context, w *netsim.World, fleet *atlas.Fleet, ms []atl
 				best = s
 			}
 		}
-		p := probeByID[best.probe]
+		p := &fleet.Probes[best.probe]
 		id, ok := w.IfaceByAddr(a)
 		if !ok {
 			continue

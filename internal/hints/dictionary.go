@@ -19,11 +19,9 @@ import (
 // Dictionary maps location tokens to cities.
 type Dictionary struct {
 	byToken map[string]gazetteer.City
-	iata    map[string]string // city key -> lowercase IATA ("" entries absent)
-	site    map[string]string // city key -> CLLI-style site code
+	iata    []string // by gazetteer.CityID: lowercase IATA, "" if none
+	site    []string // by gazetteer.CityID: CLLI-style site code, "" if none
 }
-
-func cityKey(c gazetteer.City) string { return c.Country + "/" + c.Name }
 
 // NewDictionary derives a dictionary from the gazetteer. Token classes, in
 // priority order when codes collide: IATA airport codes, generated
@@ -33,8 +31,8 @@ func cityKey(c gazetteer.City) string { return c.Country + "/" + c.Name }
 func NewDictionary(g *gazetteer.Gazetteer) *Dictionary {
 	d := &Dictionary{
 		byToken: make(map[string]gazetteer.City),
-		iata:    make(map[string]string),
-		site:    make(map[string]string),
+		iata:    make([]string, gazetteer.NumCities()+1),
+		site:    make([]string, gazetteer.NumCities()+1),
 	}
 	cities := g.Cities()
 
@@ -45,7 +43,7 @@ func NewDictionary(g *gazetteer.Gazetteer) *Dictionary {
 		}
 		tok := strings.ToLower(c.IATA)
 		d.byToken[tok] = c
-		d.iata[cityKey(c)] = tok
+		d.iata[c.ID] = tok
 	}
 
 	// Pass 2: CLLI-style site codes ("dllsus" for Dallas/US), skipping any
@@ -69,7 +67,7 @@ func NewDictionary(g *gazetteer.Gazetteer) *Dictionary {
 			}
 		}
 		d.byToken[code] = c
-		d.site[cityKey(c)] = code
+		d.site[c.ID] = code
 	}
 
 	// Pass 3: collapsed city names; ambiguous ones are dropped entirely.
@@ -96,11 +94,11 @@ func (d *Dictionary) Lookup(token string) (gazetteer.City, bool) {
 }
 
 // IATA returns the lowercase airport token for a city, or "".
-func (d *Dictionary) IATA(c gazetteer.City) string { return d.iata[cityKey(c)] }
+func (d *Dictionary) IATA(c gazetteer.City) string { return d.iata[c.ID] }
 
 // SiteCode returns the CLLI-style token for a city, or "" when the city
 // could not be assigned a collision-free code.
-func (d *Dictionary) SiteCode(c gazetteer.City) string { return d.site[cityKey(c)] }
+func (d *Dictionary) SiteCode(c gazetteer.City) string { return d.site[c.ID] }
 
 // BestToken returns the preferred token for embedding in a hostname:
 // IATA if the city has one, else the site code, else the collapsed name.
@@ -113,7 +111,7 @@ func (d *Dictionary) BestToken(c gazetteer.City) (string, bool) {
 		return t, true
 	}
 	t := collapseName(c.Name)
-	if got, ok := d.byToken[t]; ok && got.Country == c.Country && got.Name == c.Name {
+	if got, ok := d.byToken[t]; ok && got.ID == c.ID {
 		return t, true
 	}
 	return "", false

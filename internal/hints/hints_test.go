@@ -1,6 +1,7 @@
 package hints
 
 import (
+	"cmp"
 	"strings"
 	"testing"
 
@@ -168,6 +169,46 @@ func TestStripDigits(t *testing.T) {
 	for _, tt := range tests {
 		if got := stripDigits(tt.in); got != tt.want {
 			t.Errorf("stripDigits(%q) = %q, want %q", tt.in, got, tt.want)
+		}
+	}
+}
+
+// TestTokensMatchRecount recounts each city's tokens from the token
+// table, keyed by (Country, Name): a token equal to the city's lowercase
+// IATA code is its IATA token, one equal to its collapsed name is its
+// name token, and any other is its site code. IATA, SiteCode and
+// BestToken, which read tables indexed by CityID, must agree with the
+// recount for every city.
+func TestTokensMatchRecount(t *testing.T) {
+	g := gazetteer.New()
+	d := NewDictionary(g)
+	type key = [2]string // Country, Name
+	iata, site, name := map[key]string{}, map[key]string{}, map[key]string{}
+	for tok, c := range d.byToken {
+		k := key{c.Country, c.Name}
+		switch tok {
+		case strings.ToLower(c.IATA):
+			iata[k] = tok
+		case collapseName(c.Name):
+			name[k] = tok
+		default:
+			if site[k] != "" {
+				t.Fatalf("%s/%s has two site codes, %q and %q", c.Country, c.Name, site[k], tok)
+			}
+			site[k] = tok
+		}
+	}
+	for _, c := range g.Cities() {
+		k := key{c.Country, c.Name}
+		if got := d.IATA(c); got != iata[k] {
+			t.Errorf("IATA(%s/%s) = %q, recount %q", c.Country, c.Name, got, iata[k])
+		}
+		if got := d.SiteCode(c); got != site[k] {
+			t.Errorf("SiteCode(%s/%s) = %q, recount %q", c.Country, c.Name, got, site[k])
+		}
+		want := cmp.Or(iata[k], site[k], name[k])
+		if got, ok := d.BestToken(c); got != want || ok != (want != "") {
+			t.Errorf("BestToken(%s/%s) = %q, %v; recount %q", c.Country, c.Name, got, ok, want)
 		}
 	}
 }

@@ -26,10 +26,9 @@ func Build(cfg Config) (*World, error) {
 		ases: cfg.ASes,
 		rng:  rng,
 		w: &World{
-			Gaz:         gazetteer.New(),
-			Reg:         registry.New(nil),
-			ifaceByAddr: make(map[ipx.Addr]IfaceID),
-			blocks:      make(map[ipx.Addr][]IfaceID),
+			Gaz:    gazetteer.New(),
+			Reg:    registry.New(nil),
+			blocks: make(map[ipx.Addr][]IfaceID),
 		},
 		linkSeen: make(map[[2]RouterID]bool),
 	}
@@ -56,11 +55,8 @@ type builder struct {
 	addr     []*addrAssigner // parallel to w.ASes
 	linkSeen map[[2]RouterID]bool
 
-	// Per-city tables over the router index's city numbering.
-	// popCity[ai][pi] numbers AS ai's PoP pi. cityDist memoizes
-	// closestPoPRouters' centre-to-centre distances, n×n, negative until
-	// first use.
-	popCity  [][]int32
+	// cityDist memoizes closestPoPRouters' centre-to-centre distances,
+	// n×n over gazetteer.CityID, negative until first use.
 	cityDist []float64
 }
 
@@ -163,16 +159,15 @@ func (b *builder) pickPoPs(as *AS, domestic, foreign int, bias map[geo.RIR]float
 // AS that already has its HQ PoP. Duplicate cities are skipped, so small
 // countries can yield fewer PoPs than requested.
 func (b *builder) pickPoPsFrom(as *AS, domestic, foreign int, bias map[geo.RIR]float64) {
-	have := map[string]bool{}
+	have := make([]bool, gazetteer.NumCities()+1)
 	for _, p := range as.PoPs {
-		have[p.City.Country+"/"+p.City.Name] = true
+		have[p.City.ID] = true
 	}
 	add := func(c gazetteer.City) bool {
-		key := c.Country + "/" + c.Name
-		if have[key] {
+		if have[c.ID] {
 			return false
 		}
-		have[key] = true
+		have[c.ID] = true
 		as.PoPs = append(as.PoPs, PoP{City: c})
 		return true
 	}
@@ -254,7 +249,7 @@ func (b *builder) createRouters() {
 // with chords, a connected transit backbone, stub-to-transit uplinks, and
 // geographically local transit peering.
 func (b *builder) createLinks() error {
-	b.numberPoPCities()
+	b.newCityDist()
 	// Intra-PoP and intra-AS.
 	for ai := range b.w.ASes {
 		as := &b.w.ASes[ai]
@@ -320,7 +315,7 @@ func (b *builder) createLinks() error {
 		}
 	}
 
-	tx := newTransitIndex(b.w, b.popCity, peeringRadiusKm)
+	tx := newTransitIndex(b.w, peeringRadiusKm)
 	transit := tx.transit
 	if len(transit) == 0 {
 		return fmt.Errorf("netsim: no transit ASes; cannot build a connected world")
@@ -338,7 +333,7 @@ func (b *builder) createLinks() error {
 	// fail it without drawing.
 	var peers []int
 	for i := range transit {
-		peers = tx.peers(i, peers[:0])
+		peers = tx.peers(b.w, i, peers[:0])
 		for _, j := range peers {
 			ra, rb, d := b.closestPoPRouters(transit[i], transit[j])
 			if d <= peeringRadiusKm && b.rng.Float64() < peeringProb {
@@ -413,44 +408,28 @@ func (b *builder) linkASes(ai, aj int) error {
 	return b.link(ra, rb)
 }
 
-// numberPoPCities numbers every PoP's city once and sizes the distance
-// memo.
-func (b *builder) numberPoPCities() {
-	b.popCity = popCities(b.w)
-	n := len(b.w.idx.cities)
+// newCityDist sizes the distance memo, every entry unset.
+func (b *builder) newCityDist() {
+	n := gazetteer.NumCities() + 1
 	b.cityDist = make([]float64, n*n)
 	for i := range b.cityDist {
 		b.cityDist[i] = -1
 	}
 }
 
-// popCities numbers every PoP's city by the router index's city
-// numbering: the result's [ai][pi] is AS ai's PoP pi.
-func popCities(w *World) [][]int32 {
-	out := make([][]int32, len(w.ASes))
-	for ai := range w.ASes {
-		pops := w.ASes[ai].PoPs
-		out[ai] = make([]int32, len(pops))
-		for pi := range pops {
-			out[ai][pi] = w.idx.cityOf[pops[pi].Routers[0]]
-		}
-	}
-	return out
-}
-
 // closestPoPRouters returns the core-router pair minimizing the distance
 // between two ASes' PoPs.
 func (b *builder) closestPoPRouters(ai, aj int) (RouterID, RouterID, float64) {
 	A, B := &b.w.ASes[ai], &b.w.ASes[aj]
-	n := len(b.w.idx.cities)
+	n := gazetteer.NumCities() + 1
 	var ra, rb RouterID
 	best := -1.0
 	for i := range A.PoPs {
 		pa := &A.PoPs[i]
-		row := int(b.popCity[ai][i]) * n
+		row := int(pa.City.ID) * n
 		for j := range B.PoPs {
 			pb := &B.PoPs[j]
-			k := row + int(b.popCity[aj][j])
+			k := row + int(pb.City.ID)
 			d := b.cityDist[k]
 			if d < 0 {
 				d = pa.City.Coord.DistanceKm(pb.City.Coord)
@@ -523,7 +502,6 @@ func (b *builder) link(x, y RouterID) error {
 func (b *builder) newIface(a ipx.Addr, r RouterID, link int32) IfaceID {
 	id := IfaceID(len(b.w.Interfaces))
 	b.w.Interfaces = append(b.w.Interfaces, Interface{ID: id, Addr: a, Router: r, Link: link})
-	b.w.ifaceByAddr[a] = id
 	b.w.Routers[r].Ifaces = append(b.w.Routers[r].Ifaces, id)
 	base := a.Slash24().Base
 	b.w.blocks[base] = append(b.w.blocks[base], id)
@@ -547,7 +525,7 @@ type addrAssigner struct {
 	w      *World
 	asIdx  int
 	super  *ipx.Allocator
-	perPoP map[int]*blockCursor
+	perPoP []*blockCursor // by PoP index
 	shared *blockCursor
 }
 
@@ -557,7 +535,7 @@ type blockCursor struct {
 }
 
 func newAddrAssigner(w *World, asIdx int) *addrAssigner {
-	return &addrAssigner{w: w, asIdx: asIdx, perPoP: make(map[int]*blockCursor)}
+	return &addrAssigner{w: w, asIdx: asIdx, perPoP: make([]*blockCursor, len(w.ASes[asIdx].PoPs))}
 }
 
 func (a *addrAssigner) next(pop int, rng *rand.Rand) (ipx.Addr, error) {

@@ -102,9 +102,7 @@ func (w *World) Evolve(rng *rand.Rand, p EvolutionParams) *Evolution {
 		// then walking to the one rng.Intn picked.
 		as := w.ASOfIface(IfaceID(i))
 		cur := w.CityOf(IfaceID(i))
-		elsewhere := func(c *gazetteer.City) bool {
-			return c.Country != cur.Country || c.Name != cur.Name
-		}
+		elsewhere := func(c *gazetteer.City) bool { return c.ID != cur.ID }
 		candidates := 0
 		for pi := range as.PoPs {
 			if elsewhere(&as.PoPs[pi].City) {
@@ -132,7 +130,7 @@ func (w *World) Evolve(rng *rand.Rand, p EvolutionParams) *Evolution {
 					cc = ""
 				}
 				dest = w.Gaz.SampleCity(rng, cc)
-				if dest.Country != cur.Country || dest.Name != cur.Name {
+				if dest.ID != cur.ID {
 					break
 				}
 			}

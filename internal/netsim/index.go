@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 
+	"routergeo/internal/gazetteer"
 	"routergeo/internal/geo"
 )
 
@@ -27,14 +28,10 @@ const boundSlackKm = 1e-6
 // decides, so the lowest ID wins a tie: the answer an ID-order scan
 // with a strict < gives.
 type routerIndex struct {
-	cities    []indexCity
-	byCity    map[cityName]int32
-	byCountry map[string][]int32 // ISO2 -> cities, in city order
-	all       []int32            // every city, in city order
-	cityOf    []int32            // RouterID -> city
+	cities    []indexCity                   // by gazetteer.CityID; empty where no router sits
+	byCountry map[string][]gazetteer.CityID // ISO2 -> cities with routers, in first-router order
+	all       []gazetteer.CityID            // every city with routers, in first-router order
 }
-
-type cityName struct{ country, name string }
 
 // indexCity holds one PoP city's routers: routers[:transit] belong to
 // transit ASes and routers[transit:] to stubs, each part in ascending
@@ -66,41 +63,34 @@ func (c *indexCity) span(k routerKind) (lo, hi int) {
 	return 0, len(c.routers)
 }
 
-// newRouterIndex groups w's routers by PoP city. Cities are numbered in
+// newRouterIndex groups w's routers by PoP city, listing the cities in
 // the order their first router appears.
 func newRouterIndex(w *World) *routerIndex {
 	ix := &routerIndex{
-		byCity:    make(map[cityName]int32),
-		byCountry: make(map[string][]int32),
-		cityOf:    make([]int32, len(w.Routers)),
+		cities:    make([]indexCity, gazetteer.NumCities()+1),
+		byCountry: make(map[string][]gazetteer.CityID),
 	}
-	var stubs [][]RouterID // per city, appended after its transit routers
+	stubs := make([][]RouterID, len(ix.cities)) // per city, appended after its transit routers
 	for i := range w.Routers {
 		r := &w.Routers[i]
 		as := &w.ASes[r.AS]
-		city := as.PoPs[r.PoP].City
-		key := cityName{city.Country, city.Name}
-		ci, ok := ix.byCity[key]
-		if !ok {
-			ci = int32(len(ix.cities))
-			ix.byCity[key] = ci
-			ix.byCountry[city.Country] = append(ix.byCountry[city.Country], ci)
-			ix.all = append(ix.all, ci)
-			ix.cities = append(ix.cities, indexCity{centre: city.Coord})
-			stubs = append(stubs, nil)
+		city := &as.PoPs[r.PoP].City
+		c := &ix.cities[city.ID]
+		if len(c.routers) == 0 && len(stubs[city.ID]) == 0 {
+			ix.byCountry[city.Country] = append(ix.byCountry[city.Country], city.ID)
+			ix.all = append(ix.all, city.ID)
+			c.centre = city.Coord
 		}
-		ix.cityOf[i] = ci
-		c := &ix.cities[ci]
 		if as.Transit {
 			c.routers = append(c.routers, r.ID)
 		} else {
-			stubs[ci] = append(stubs[ci], r.ID)
+			stubs[city.ID] = append(stubs[city.ID], r.ID)
 		}
 		if d := c.centre.DistanceKm(r.Coord); d > c.radius {
 			c.radius = d
 		}
 	}
-	for ci := range ix.cities {
+	for _, ci := range ix.all {
 		c := &ix.cities[ci]
 		c.transit = len(c.routers)
 		c.routers = append(c.routers, stubs[ci]...)
@@ -114,7 +104,7 @@ func newRouterIndex(w *World) *routerIndex {
 
 // nearest returns the router of kind k nearest to p among the given
 // cities. ok is false when none of them has such a router.
-func (ix *routerIndex) nearest(p geo.Coordinate, cities []int32, k routerKind) (RouterID, bool) {
+func (ix *routerIndex) nearest(p geo.Coordinate, cities []gazetteer.CityID, k routerKind) (RouterID, bool) {
 	var buf [128]float64 // more cities than any one country has
 	bounds := buf[:0]
 	first := -1
@@ -167,14 +157,10 @@ func (w *World) NearestRouter(p geo.Coordinate, iso2 string) (RouterID, bool) {
 }
 
 // NearestTransitInCity returns the transit router closest to p among
-// those whose PoP is in the named city. ok is false when the city has
-// no transit PoP. Ties go to the lowest RouterID.
-func (w *World) NearestTransitInCity(p geo.Coordinate, country, name string) (RouterID, bool) {
-	ci, ok := w.idx.byCity[cityName{country, name}]
-	if !ok {
-		return -1, false
-	}
-	best, _ := w.idx.cities[ci].nearest(p, transitRouter, -1, 0)
+// those whose PoP is in city. ok is false when the city has no transit
+// PoP. Ties go to the lowest RouterID.
+func (w *World) NearestTransitInCity(p geo.Coordinate, city gazetteer.City) (RouterID, bool) {
+	best, _ := w.idx.cities[city.ID].nearest(p, transitRouter, -1, 0)
 	return best, best >= 0
 }
 

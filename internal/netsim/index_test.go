@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"routergeo/internal/gazetteer"
 	"routergeo/internal/geo"
 )
 
@@ -95,13 +96,13 @@ func (c *indexChecker) nearestRouter(p geo.Coordinate, iso2 string) {
 	}
 }
 
-func (c *indexChecker) transitInCity(p geo.Coordinate, country, name string) {
+func (c *indexChecker) transitInCity(p geo.Coordinate, city gazetteer.City) {
 	c.t.Helper()
 	c.queries++
-	got, gotOK := c.w.NearestTransitInCity(p, country, name)
-	want, wantOK := scanTransitInCity(c.w, p, country, name)
+	got, gotOK := c.w.NearestTransitInCity(p, city)
+	want, wantOK := scanTransitInCity(c.w, p, city.Country, city.Name)
 	if got != want || gotOK != wantOK {
-		c.t.Fatalf("NearestTransitInCity(%v, %s/%s) = %d,%v; scan gives %d,%v", p, country, name, got, gotOK, want, wantOK)
+		c.t.Fatalf("NearestTransitInCity(%v, %s/%s) = %d,%v; scan gives %d,%v", p, city.Country, city.Name, got, gotOK, want, wantOK)
 	}
 	if !gotOK {
 		c.noTransit++
@@ -156,7 +157,7 @@ func TestRouterIndexMatchesScan(t *testing.T) {
 		for i := range w.Routers {
 			r := &w.Routers[i]
 			city := w.ASes[r.AS].PoPs[r.PoP].City
-			if got := w.idx.cities[w.idx.cityOf[i]].centre; got != city.Coord {
+			if got := w.idx.cities[city.ID].centre; got != city.Coord {
 				t.Fatalf("router %d: index centre %v, PoP city %v", i, got, city.Coord)
 			}
 			c.nearestRouter(r.Coord, city.Country)
@@ -171,7 +172,7 @@ func TestRouterIndexMatchesScan(t *testing.T) {
 			near := city.Coord.Offset(rng.Float64()*30, rng.Float64()*360)
 			for _, p := range []geo.Coordinate{city.Coord, near} {
 				c.nearestRouter(p, city.Country)
-				c.transitInCity(p, city.Country, city.Name)
+				c.transitInCity(p, city)
 				c.stubInCountry(p, city.Country)
 			}
 		}
@@ -186,7 +187,7 @@ func TestRouterIndexMatchesScan(t *testing.T) {
 			}
 			city, _ := w.Gaz.Nearest(p)
 			c.nearestRouter(p, cc)
-			c.transitInCity(p, city.Country, city.Name)
+			c.transitInCity(p, city)
 			c.stubInCountry(p, cc)
 		}
 		if c.noTransit == 0 || c.noStub == 0 || c.fallbacks == 0 || c.inCountries == 0 {
@@ -273,6 +274,6 @@ func FuzzNearestRouterEquivalence(f *testing.F) {
 		c := &indexChecker{t: t, w: w}
 		c.nearestRouter(p, iso2)
 		c.stubInCountry(p, iso2)
-		c.transitInCity(p, city.Country, city.Name)
+		c.transitInCity(p, city)
 	})
 }

@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"testing"
+
+	"routergeo/internal/ipx"
 )
 
 // TestWorldInvariantsAcrossSeeds builds several independent small worlds
@@ -105,8 +107,19 @@ func validateWorld(w *World) error {
 		if int(ifc.Router) >= len(w.Routers) {
 			return fmt.Errorf("interface %d references router %d", i, ifc.Router)
 		}
-		if got, ok := w.ifaceByAddr[ifc.Addr]; !ok || got != ifc.ID {
+		if got, ok := w.IfaceByAddr(ifc.Addr); !ok || got != ifc.ID {
 			return fmt.Errorf("address index broken for %v", ifc.Addr)
+		}
+	}
+	// IfaceByAddr reads base+1+k from the k-th entry of a block, so the
+	// entries must be numbered densely from .1: .0, .255 and the address
+	// one past a block's last interface hold none.
+	for _, blk := range w.RoutedSlash24s() {
+		ids := w.BlockIfaces(blk.Base)
+		for _, a := range []ipx.Addr{blk.Base, blk.Base + 255, blk.Base + 1 + ipx.Addr(len(ids))} {
+			if id, ok := w.IfaceByAddr(a); ok {
+				return fmt.Errorf("IfaceByAddr(%v) = %d, want a miss", a, id)
+			}
 		}
 	}
 	for i := range w.Links {

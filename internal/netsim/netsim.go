@@ -115,10 +115,9 @@ type World struct {
 	Interfaces []Interface
 	Links      []Link
 
-	adj         [][]Hop
-	idx         *routerIndex // answers NearestRouter and the probe attachments
-	ifaceByAddr map[ipx.Addr]IfaceID
-	blocks      map[ipx.Addr][]IfaceID // /24 base -> its interfaces, ascending ID
+	adj    [][]Hop
+	idx    *routerIndex           // answers NearestRouter and the probe attachments
+	blocks map[ipx.Addr][]IfaceID // /24 base -> its interfaces, ascending ID
 }
 
 // NumASes etc. give the world's scale.
@@ -147,10 +146,16 @@ func (w *World) CityOf(i IfaceID) gazetteer.City {
 // jittered position).
 func (w *World) CoordOf(i IfaceID) geo.Coordinate { return w.RouterOf(i).Coord }
 
-// IfaceByAddr resolves an address to its interface.
+// IfaceByAddr resolves an address to its interface. A /24's cursor
+// hands out .1, .2, … in order and every address it hands out becomes
+// the block's next interface, so the k-th entry of BlockIfaces holds
+// base+1+k.
 func (w *World) IfaceByAddr(a ipx.Addr) (IfaceID, bool) {
-	id, ok := w.ifaceByAddr[a]
-	return id, ok
+	ids := w.BlockIfaces(a)
+	if k := a - a.Slash24().Base - 1; k < ipx.Addr(len(ids)) {
+		return ids[k], true
+	}
+	return 0, false
 }
 
 // Neighbors returns a router's adjacencies. The returned slice is shared;
@@ -163,7 +168,7 @@ func (w *World) Neighbors(r RouterID) []Hop { return w.adj[r] }
 // the reply comes from the block's router). ok is false for unrouted
 // space.
 func (w *World) DestRouterFor(a ipx.Addr) (RouterID, bool) {
-	if id, ok := w.ifaceByAddr[a]; ok {
+	if id, ok := w.IfaceByAddr(a); ok {
 		return w.Interfaces[id].Router, true
 	}
 	if ids := w.BlockIfaces(a); len(ids) > 0 {

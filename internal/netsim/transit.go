@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"routergeo/internal/gazetteer"
 	"routergeo/internal/geo"
 )
 
@@ -17,19 +18,18 @@ import (
 // replaced.
 //
 // Positions number the transit ASes in AS order (transit[pos] is the AS
-// index); cities use the router index's numbering. Every PoP of a city
-// shares the centre the router index records, and the distances below
-// are the same DistanceKm of the same two coordinates the scans
-// computed, so the only slack needed is the bound's, boundSlackKm.
+// index); cities are gazetteer.CityIDs. Every PoP of a city shares the
+// centre the router index records, and the distances below are the same
+// DistanceKm of the same two coordinates the scans computed, so the only
+// slack needed is the bound's, boundSlackKm.
 type transitIndex struct {
-	transit []int     // position -> AS index
-	popCity [][]int32 // AS index -> PoP index -> city
+	transit []int // position -> AS index
 	// atCity lists, per city, the positions with a PoP there in
 	// ascending order; nil for a city without a transit PoP.
 	atCity [][]int32
 	// near lists, per transit city, the transit cities within
 	// peeringRadiusKm + boundSlackKm of it, itself included.
-	near [][]int32
+	near [][]gazetteer.CityID
 	// The transit cities by ascending latitude, with their centres and
 	// the first position with a PoP in each.
 	lats   []float64
@@ -43,9 +43,9 @@ type transitIndex struct {
 // degToRad converts the latitude gaps of the index's lower bound.
 const degToRad = math.Pi / 180
 
-func newTransitIndex(w *World, popCity [][]int32, radiusKm float64) *transitIndex {
-	tx := &transitIndex{popCity: popCity, atCity: make([][]int32, len(w.idx.cities))}
-	var cities []int32
+func newTransitIndex(w *World, radiusKm float64) *transitIndex {
+	tx := &transitIndex{atCity: make([][]int32, len(w.idx.cities))}
+	var cities []gazetteer.CityID
 	for ai := range w.ASes {
 		as := &w.ASes[ai]
 		if !as.Transit {
@@ -53,7 +53,8 @@ func newTransitIndex(w *World, popCity [][]int32, radiusKm float64) *transitInde
 		}
 		pos := int32(len(tx.transit))
 		tx.transit = append(tx.transit, ai)
-		for pi, c := range popCity[ai] {
+		for pi := range as.PoPs {
+			c := as.PoPs[pi].City.ID
 			if tx.atCity[c] == nil {
 				cities = append(cities, c)
 			}
@@ -76,7 +77,7 @@ func newTransitIndex(w *World, popCity [][]int32, radiusKm float64) *transitInde
 	// No two cities whose latitudes lie further apart than the radius
 	// can be within it: a great-circle distance is at least
 	// EarthRadiusKm times the latitude difference.
-	tx.near = make([][]int32, len(w.idx.cities))
+	tx.near = make([][]gazetteer.CityID, len(w.idx.cities))
 	limit := radiusKm + boundSlackKm
 	for i, ci := range cities {
 		for j := i; j < len(cities) && geo.EarthRadiusKm*(tx.lats[j]-tx.lats[i])*degToRad <= limit; j++ {
@@ -97,10 +98,11 @@ func newTransitIndex(w *World, popCity [][]int32, radiusKm float64) *transitInde
 // PoP in a city within peeringRadiusKm + boundSlackKm of one of i's PoP
 // cities. Every other j > i has all its PoPs beyond the radius of all of
 // i's, so the peering scan's distance test failed for it without a draw.
-func (tx *transitIndex) peers(i int, out []int) []int {
+func (tx *transitIndex) peers(w *World, i int, out []int) []int {
 	clear(tx.mark)
-	for _, c := range tx.popCity[tx.transit[i]] {
-		for _, nc := range tx.near[c] {
+	pops := w.ASes[tx.transit[i]].PoPs
+	for pi := range pops {
+		for _, nc := range tx.near[pops[pi].City.ID] {
 			at := tx.atCity[nc]
 			for k := len(at) - 1; k >= 0 && int(at[k]) > i; k-- {
 				tx.mark[at[k]/64] |= 1 << (at[k] % 64)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -79,7 +80,7 @@ func buildDefault(t testing.TB, seed int64) *World {
 }
 
 func transitIndexOf(w *World) *transitIndex {
-	return newTransitIndex(w, popCities(w), peeringRadiusKm)
+	return newTransitIndex(w, peeringRadiusKm)
 }
 
 // highSource passes a seeded stream through, except that every third
@@ -242,7 +243,7 @@ func TestPeeringCandidatesCoverScan(t *testing.T) {
 		cands := make([][]int, len(tx.transit))
 		total := 0
 		for i := range tx.transit {
-			cands[i] = tx.peers(i, nil)
+			cands[i] = tx.peers(w, i, nil)
 			total += len(cands[i])
 			for k, j := range cands[i] {
 				if j <= i || (k > 0 && j <= cands[i][k-1]) {
@@ -331,16 +332,20 @@ func FuzzNearestProviderEquivalence(f *testing.F) {
 
 // TestBlockCitiesCountEveryInterface recounts every routed /24 from the
 // interfaces themselves: their IDs in ascending order, and a tally of
-// their cities keyed by "cc/city" whose keys are split and looked up in
-// the gazetteer. Every block query must agree with the recount on the
+// their cities keyed by (Country, Name) whose keys are looked up in the
+// gazetteer. Every block query must agree with the recount on the
 // seed-1 and seed-7 default worlds, a majority tie going to the smaller
 // key, and BlockMajorityCityAt with the recount over CityAt.
 func TestBlockCitiesCountEveryInterface(t *testing.T) {
-	tally := func(ids []IfaceID, cityOf func(IfaceID) gazetteer.City) map[string]int {
-		counts := map[string]int{}
+	type key = [2]string // Country, Name
+	compareKeys := func(a, b key) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
+	}
+	tally := func(ids []IfaceID, cityOf func(IfaceID) gazetteer.City) map[key]int {
+		counts := map[key]int{}
 		for _, id := range ids {
 			c := cityOf(id)
-			counts[c.Country+"/"+c.Name]++
+			counts[key{c.Country, c.Name}]++
 		}
 		return counts
 	}
@@ -348,18 +353,18 @@ func TestBlockCitiesCountEveryInterface(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		w := buildDefault(t, seed)
 		e := w.Evolve(rand.New(rand.NewSource(seed)), DefaultEvolutionParams())
-		lookup := func(key string) gazetteer.City {
-			cc, name, _ := strings.Cut(key, "/")
-			c, ok := w.Gaz.City(cc, name)
+		lookup := func(k key) gazetteer.City {
+			c, ok := w.Gaz.City(k[0], k[1])
 			if !ok {
-				t.Fatalf("seed %d: city %q not in the gazetteer", seed, key)
+				t.Fatalf("seed %d: city %q not in the gazetteer", seed, k)
 			}
 			return c
 		}
-		majority := func(counts map[string]int) gazetteer.City {
-			best, bestN := "", 0
+		majority := func(counts map[key]int) gazetteer.City {
+			var best key
+			bestN := 0
 			for k, n := range counts {
-				if n > bestN || (n == bestN && k < best) {
+				if n > bestN || (n == bestN && compareKeys(k, best) < 0) {
 					best, bestN = k, n
 				}
 			}
@@ -407,11 +412,11 @@ func TestBlockCitiesCountEveryInterface(t *testing.T) {
 			}
 
 			counts := tally(blk, w.CityOf)
-			keys := make([]string, 0, len(counts))
+			keys := make([]key, 0, len(counts))
 			for k := range counts {
 				keys = append(keys, k)
 			}
-			slices.Sort(keys)
+			slices.SortFunc(keys, compareKeys)
 			want := make([]gazetteer.City, len(keys))
 			for i, k := range keys {
 				want[i] = lookup(k)

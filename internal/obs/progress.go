@@ -2,47 +2,24 @@ package obs
 
 import (
 	"log/slog"
-	"os"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // ProgressThreshold is the default loop size below which NewProgress
 // stays silent: short loops finish before a progress line would help.
-// Overridable per reporter with WithProgressThreshold and process-wide
-// with the ROUTERGEO_PROGRESS_THRESHOLD environment variable.
+// Overridable per reporter with WithProgressThreshold.
 const ProgressThreshold = 100_000
 
 // defaultProgressInterval is the minimum gap between progress lines.
 const defaultProgressInterval = 2 * time.Second
 
-// envThreshold reads ROUTERGEO_PROGRESS_THRESHOLD once; malformed or
-// negative values keep the compiled default.
-var (
-	envThresholdOnce sync.Once
-	envThresholdVal  int64 = ProgressThreshold
-)
-
-func envThreshold() int64 {
-	envThresholdOnce.Do(func() {
-		if raw := os.Getenv("ROUTERGEO_PROGRESS_THRESHOLD"); raw != "" {
-			if n, err := strconv.ParseInt(raw, 10, 64); err == nil && n >= 0 {
-				envThresholdVal = n
-			}
-		}
-	})
-	return envThresholdVal
-}
-
 // ProgressOption configures NewProgress.
 type ProgressOption func(*Progress)
 
 // WithProgressThreshold overrides the enable threshold for this reporter
-// (0 logs every loop). It takes precedence over both the compiled
-// default and ROUTERGEO_PROGRESS_THRESHOLD; TestProgressThresholdOption
-// sets it on both sides of a loop's size.
+// (0 logs every loop); TestProgressThresholdOption sets it on both sides
+// of a loop's size.
 func WithProgressThreshold(n int64) ProgressOption {
 	return func(p *Progress) {
 		if n >= 0 {
@@ -98,17 +75,16 @@ type Progress struct {
 }
 
 // NewProgress returns a reporter for a loop over total items under the
-// given stage name. Loops under the threshold (ProgressThreshold,
-// overridden by ROUTERGEO_PROGRESS_THRESHOLD or WithProgressThreshold)
-// get a reporter that does not log — though it still publishes progress
-// events while the bus has subscribers.
+// given stage name. Loops under the threshold (ProgressThreshold, or
+// WithProgressThreshold's) get a reporter that does not log — though it
+// still publishes progress events while the bus has subscribers.
 func NewProgress(stage string, total int64, opts ...ProgressOption) *Progress {
 	p := &Progress{
 		stage:    stage,
 		total:    total,
 		start:    time.Now(),
 		interval: defaultProgressInterval,
-		enabled:  total >= envThreshold(),
+		enabled:  total >= ProgressThreshold,
 		bus:      defaultBus,
 		logger:   slog.Default(),
 	}

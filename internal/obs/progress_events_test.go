@@ -35,21 +35,6 @@ func TestProgressThresholdOption(t *testing.T) {
 	}
 }
 
-// TestProgressEnvThreshold: ROUTERGEO_PROGRESS_THRESHOLD is honored (the
-// parse is cached process-wide, so poke the cached value directly after
-// forcing the Once).
-func TestProgressEnvThreshold(t *testing.T) {
-	old := envThreshold() // force the Once with the real environment
-	envThresholdVal = 7
-	defer func() { envThresholdVal = old }()
-	if p := NewProgress("env", 8); !p.enabled {
-		t.Error("8-item loop should be enabled with env threshold 7")
-	}
-	if p := NewProgress("env", 6); p.enabled {
-		t.Error("6-item loop should stay disabled with env threshold 7")
-	}
-}
-
 // TestProgressPublishesRegardlessOfLogGate: a disabled (quiet) reporter
 // still streams progress events while the bus has a subscriber.
 func TestProgressPublishesRegardlessOfLogGate(t *testing.T) {

@@ -293,19 +293,19 @@ func Build(in Inputs, p Params) (*geodb.DB, error) {
 // large outliers. Families, not vendors, key the table so MaxMind's two
 // products answer with identical coordinates (Figure 1's 68%).
 type coordTable struct {
-	p     Params
-	cache map[cityKey]geo.Coordinate
+	p Params
+	// cache holds each city's coordinate by gazetteer.CityID, zero until
+	// first use. A coordinate that happened to be zero would only be
+	// computed again, to the same value.
+	cache []geo.Coordinate
 }
 
-type cityKey struct{ country, name string }
-
 func newCoordTable(p Params) *coordTable {
-	return &coordTable{p: p, cache: make(map[cityKey]geo.Coordinate)}
+	return &coordTable{p: p, cache: make([]geo.Coordinate, gazetteer.NumCities()+1)}
 }
 
 func (t *coordTable) coordFor(c gazetteer.City) geo.Coordinate {
-	key := cityKey{c.Country, c.Name}
-	if v, ok := t.cache[key]; ok {
+	if v := t.cache[c.ID]; !v.IsZero() {
 		return v
 	}
 	ccCity := []byte(c.Country + "/" + c.Name)
@@ -333,6 +333,6 @@ func (t *coordTable) coordFor(c gazetteer.City) geo.Coordinate {
 			v = v.Offset(6+srng.Float64()*22, srng.Float64()*360)
 		}
 	}
-	t.cache[key] = v
+	t.cache[c.ID] = v
 	return v
 }

@@ -131,13 +131,13 @@ func neighborCity(g *gazetteer.Gazetteer, truth gazetteer.City, rng *rand.Rand) 
 		// Nearest other city: probe just outside the true city.
 		probe := truth.Coord.Offset(45, rng.Float64()*360)
 		c, _ := g.Nearest(probe)
-		if c.Name != truth.Name || c.Country != truth.Country {
+		if c.ID != truth.ID {
 			return c
 		}
 	}
 	for tries := 0; tries < 8; tries++ {
 		c := g.SampleCity(rng, truth.Country)
-		if c.Name != truth.Name {
+		if c.ID != truth.ID {
 			return c
 		}
 	}
