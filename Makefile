@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet fmt lint lint-json lint-diff deadcode samebytes build perfbench-test test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz-formats profile
+.PHONY: check vet fmt lint lint-json lint-diff deadcode samebytes build perfbench-test test cores race race-full chaos metrics-verify longitudinal bench bench-compare fuzz profile
 
 check: vet fmt lint build perfbench-test race metrics-verify
 
@@ -180,12 +180,29 @@ bench-compare:
 	$(GO) test -bench '$(OBS_BENCH_PATTERN)' -benchtime $(BENCH_TIME) -benchmem -run ^$$ $(OBS_BENCH_PKGS) | tee BENCH_obs.new.json
 	$(GO) run ./cmd/benchcompare -old BENCH_obs.json -new BENCH_obs.new.json -threshold $(NS_THRESHOLD)
 
-# 10-second fuzz smoke over both on-disk database readers, the RGSP
-# snapshot decoder and the CSV parser — the same job CI runs. The corpus
-# seeds live in the packages; findings land in their testdata/fuzz.
-fuzz-formats:
-	$(GO) test -run ^$$ -fuzz FuzzDecode -fuzztime 10s ./internal/geodb/snapshot/
-	$(GO) test -run ^$$ -fuzz FuzzRead -fuzztime 10s ./internal/geodb/dbcsv/
+# fuzz runs every fuzz target in the module for FUZZTIME each — the
+# smoke CI runs. -fuzz takes one target per run, so each line names one.
+# The equivalence targets pin a fast path to its reference; the parser
+# targets (ipx addresses and prefixes, hostname decoding, the snapshot
+# decoder, the CSV reader) must reject any input without panicking. The
+# corpus seeds live in the packages; findings land in their
+# testdata/fuzz.
+FUZZTIME ?= 10s
+
+fuzz:
+	$(GO) test -run ^$$ -fuzz '^FuzzParseAddr$$' -fuzztime $(FUZZTIME) ./internal/ipx/
+	$(GO) test -run ^$$ -fuzz '^FuzzParsePrefix$$' -fuzztime $(FUZZTIME) ./internal/ipx/
+	$(GO) test -run ^$$ -fuzz '^FuzzFlatIndexEquivalence$$' -fuzztime $(FUZZTIME) ./internal/ipx/
+	$(GO) test -run ^$$ -fuzz '^FuzzFindBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/ipx/
+	$(GO) test -run ^$$ -fuzz '^FuzzNearestRouterEquivalence$$' -fuzztime $(FUZZTIME) ./internal/netsim/
+	$(GO) test -run ^$$ -fuzz '^FuzzNearestProviderEquivalence$$' -fuzztime $(FUZZTIME) ./internal/netsim/
+	$(GO) test -run ^$$ -fuzz '^FuzzBuildTreeEquivalence$$' -fuzztime $(FUZZTIME) ./internal/traceroute/
+	$(GO) test -run ^$$ -fuzz '^FuzzBuildMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/geodb/
+	$(GO) test -run ^$$ -fuzz '^FuzzV2LookupDecode$$' -fuzztime $(FUZZTIME) ./internal/geodb/httpapi/
+	$(GO) test -run ^$$ -fuzz '^FuzzKeyedRandMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/vendors/
+	$(GO) test -run ^$$ -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/hints/
+	$(GO) test -run ^$$ -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/geodb/snapshot/
+	$(GO) test -run ^$$ -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/geodb/dbcsv/
 
 # profile captures pprof profiles of a whole default run: the
 # environment build (world, Ark sweep, Atlas fleets, ground truth and

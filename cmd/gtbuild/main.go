@@ -65,7 +65,7 @@ func main() {
 
 	for _, id := range []string{"table1", "sec31", "sec32"} {
 		exp, _ := experiments.ByID(id)
-		fmt.Printf("\n================ %s — %s ================\n", exp.ID, exp.Title)
+		experiments.Banner(os.Stdout, exp)
 		if err := experiments.RunOne(ctx, exp, os.Stdout, env); err != nil {
 			fmt.Fprintln(os.Stderr, "gtbuild:", err)
 			os.Exit(1)

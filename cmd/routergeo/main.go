@@ -101,6 +101,18 @@ func main() {
 		return
 	}
 
+	// Reject bad -run IDs and longitudinal arguments before the build,
+	// which takes seconds on the larger worlds.
+	selected, err := selectExperiments(*run)
+	if err == nil && *longit {
+		err = experiments.CheckLongitudinal(*epochs, *interval)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "routergeo:", err)
+		stopProfiles() // os.Exit skips the deferred stop
+		os.Exit(1)
+	}
+
 	cfg := experiments.DefaultConfig()
 	cfg.World.Seed = *seed
 	if *ases > 0 {
@@ -203,7 +215,7 @@ func main() {
 		return
 	}
 
-	if *run == "" {
+	if selected == nil {
 		if err := experiments.RunAll(ctx, os.Stdout, env); err != nil {
 			fail(err)
 		}
@@ -218,20 +230,31 @@ func main() {
 		writeManifest()
 		return
 	}
-	for _, id := range strings.Split(*run, ",") {
-		id = strings.TrimSpace(id)
-		e, ok := experiments.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "routergeo: unknown experiment %q (use -list)\n", id)
-			stopProfiles()
-			os.Exit(1)
-		}
+	for _, e := range selected {
 		experiments.Banner(os.Stdout, e)
 		if err := experiments.RunOne(ctx, e, os.Stdout, env); err != nil {
 			fail(err)
 		}
 	}
 	writeManifest()
+}
+
+// selectExperiments resolves -run's comma-separated IDs, in order. An
+// empty list selects nothing, which means every paper artifact.
+func selectExperiments(run string) ([]experiments.Experiment, error) {
+	if run == "" {
+		return nil, nil
+	}
+	var out []experiments.Experiment
+	for _, id := range strings.Split(run, ",") {
+		id = strings.TrimSpace(id)
+		e, ok := experiments.ByID(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q (use -list)", id)
+		}
+		out = append(out, e)
+	}
+	return out, nil
 }
 
 // remoteAccuracy scores the paper's accuracy sweep (§5.2) against a

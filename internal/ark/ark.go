@@ -83,13 +83,12 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 	_, sp := obs.Start(ctx, "ark.collect")
 	defer sp.End()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	eng := traceroute.New(w)
 
 	monitors := placeMonitors(w, rng, cfg.Monitors)
 	// The trees are independent and draw nothing, so they build on the
 	// engine's workers.
 	trees := make([]*traceroute.Tree, len(monitors))
-	par.Each(len(monitors), func(i int) { trees[i] = eng.BuildTree(monitors[i].Router) })
+	par.Each(len(monitors), func(i int) { trees[i] = traceroute.BuildTree(w, monitors[i].Router) })
 
 	c := &Collection{Monitors: monitors}
 	seen := make([]bool, len(w.Interfaces))
@@ -117,7 +116,7 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 			}
 			for k := 0; k < monitorsPerTarget; k++ {
 				mi := rng.Intn(len(monitors))
-				hops := eng.Trace(rng, trees[mi], dst, 0)
+				hops := trees[mi].Trace(rng, dst)
 				c.Traces++
 				for _, h := range hops {
 					if h.Iface < 0 {

@@ -8,10 +8,13 @@
 // paper's §3.2 filters hunt: probes parked on default country coordinates,
 // and probes that moved without their public location being updated.
 // A measurement carries what RIPE Atlas publishes for a traceroute: probe
-// id, destination, and per-hop addresses and RTT triples.
+// id, destination, and per-hop addresses, with each hop's three RTT
+// samples reduced to their minimum, the one value the proximity rule
+// reads.
 package atlas
 
 import (
+	"math"
 	"math/rand"
 
 	"routergeo/internal/gazetteer"
@@ -103,11 +106,10 @@ type Fleet struct {
 // Deploy places a fleet. Deterministic for a given cfg.Seed.
 func Deploy(w *netsim.World, cfg Config) *Fleet {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	lastMile := rtt.DefaultLastMile()
 
 	f := &Fleet{World: w}
 	for id := 0; id < cfg.Probes; id++ {
-		rir := sampleRIR(rng, regionWeights)
+		rir := geo.SampleRIR(rng, regionWeights)
 		country := w.Gaz.SampleCountry(rng, rir)
 		city := w.Gaz.SampleCity(rng, country.ISO2)
 		trueCoord := city.Coord.Offset(rng.Float64()*netsim.CityJitterKm, rng.Float64()*360)
@@ -118,7 +120,7 @@ func Deploy(w *netsim.World, cfg Config) *Fleet {
 			TrueCoord:       trueCoord,
 			Reported:        city.Coord.Offset(rng.Float64()*reportJitterKm, rng.Float64()*360),
 			ReportedCountry: city.Country,
-			LastMileMs:      lastMile.Sample(rng),
+			LastMileMs:      rtt.LastMileMs(rng),
 		}
 		switch x := rng.Float64(); {
 		case x < centroidFrac:
@@ -144,7 +146,7 @@ func Deploy(w *netsim.World, cfg Config) *Fleet {
 			if r, ok := w.NearestTransitInCity(trueCoord, city); ok {
 				p.Router = r
 				p.TrueCoord = w.Routers[r].Coord.Offset(0.05+rng.Float64()*0.2, rng.Float64()*360)
-				p.LastMileMs = 0.04 + rng.Float64()*0.12
+				p.LastMileMs = rtt.FacilityLinkMs(rng)
 				p.Datacenter = true
 				f.Probes = append(f.Probes, p)
 				continue
@@ -177,7 +179,7 @@ func Deploy(w *netsim.World, cfg Config) *Fleet {
 			// The access link must respect geography: a probe whose nearest
 			// router is hundreds of kilometres away cannot see it in under
 			// a millisecond, or the 0.5 ms proximity rule would be unsound.
-			p.LastMileMs += rtt.DefaultModel().PropagationMs(trueCoord, w.Routers[r].Coord, 0)
+			p.LastMileMs += rtt.PropagationMs(trueCoord, w.Routers[r].Coord)
 		}
 		f.Probes = append(f.Probes, p)
 	}
@@ -214,13 +216,14 @@ func pickTargets(w *netsim.World, rng *rand.Rand, n int) []netsim.RouterID {
 	return out
 }
 
-// HopResult is one traceroute hop; a built-in sends three packets per
-// hop. It holds no pointers, so a campaign's hop arrays give the garbage
-// collector nothing to mark.
+// HopResult is one traceroute hop. A built-in sends three packets per
+// hop, and RTTMs is the smallest of their RTTs, the value the proximity
+// rule uses. It holds no pointers, so a campaign's hop arrays give the
+// garbage collector nothing to mark.
 type HopResult struct {
-	Hop  int
-	From ipx.Addr
-	RTTs [3]float64
+	Hop   int
+	From  ipx.Addr
+	RTTMs float64
 }
 
 // Measurement is one built-in traceroute result.
@@ -230,30 +233,16 @@ type Measurement struct {
 	Result  []HopResult
 }
 
-// MinRTT returns the smallest of a hop's RTT samples, the value the
-// proximity rule uses.
-func (h HopResult) MinRTT() float64 {
-	min := h.RTTs[0]
-	for _, v := range h.RTTs[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
 // RunBuiltins runs every probe's built-in traceroutes to every target and
 // returns their results. One shortest-path tree per *target* serves the
 // entire fleet: links are symmetric, so the tree rooted at the target is
 // every probe's reverse-path table.
 func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 	rng := rand.New(rand.NewSource(seed))
-	eng := traceroute.New(f.World)
-	model := eng.Model
 
 	out := make([]Measurement, 0, len(f.Targets)*len(f.Probes))
 	for _, target := range f.Targets {
-		tree := eng.BuildTree(target)
+		tree := traceroute.BuildTree(f.World, target)
 		dstAddr := f.World.Interfaces[f.World.Routers[target].Ifaces[0]].Addr.String()
 		// One backing array of hops serves every probe's result toward
 		// this target; each measurement gets a capacity-capped window, so
@@ -287,11 +276,12 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 			// the tree root (the target).
 			r, ifc := p.Router, f.World.Routers[p.Router].Ifaces[0]
 			for j := range m.Result {
-				prop := p.LastMileMs + 2*(total-tree.DistMs(r)) + float64(j)*model.PerHopMs
+				prop := p.LastMileMs + 2*(total-tree.DistMs(r)) + float64(j)*rtt.PerHopMs
 				h := &m.Result[j]
 				h.Hop, h.From = hop, f.World.Interfaces[ifc].Addr
-				for k := range h.RTTs {
-					h.RTTs[k] = prop + rng.ExpFloat64()*model.QueueMeanMs
+				h.RTTMs = math.Inf(1)
+				for range 3 { // three packets per hop; the fastest counts
+					h.RTTMs = min(h.RTTMs, prop+rng.ExpFloat64()*rtt.QueueMeanMs)
 				}
 				hop++
 				if r != target {
@@ -305,19 +295,4 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 		}
 	}
 	return out
-}
-
-func sampleRIR(rng *rand.Rand, weights map[geo.RIR]float64) geo.RIR {
-	total := 0.0
-	for _, r := range geo.RIRs {
-		total += weights[r]
-	}
-	x := rng.Float64() * total
-	for _, r := range geo.RIRs {
-		x -= weights[r]
-		if x < 0 {
-			return r
-		}
-	}
-	return geo.RIPENCC
 }

@@ -55,7 +55,7 @@ func runExtCBG(ctx context.Context, w io.Writer, env *Env) error {
 		for _, h := range m.Result {
 			obsByAddr[h.From] = append(obsByAddr[h.From], cbg.Observation{
 				From:  pc,
-				RTTMs: h.MinRTT(),
+				RTTMs: h.RTTMs,
 			})
 		}
 	}

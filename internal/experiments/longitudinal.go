@@ -44,6 +44,15 @@ type epochReport struct {
 	err  error
 }
 
+// CheckLongitudinal rejects the arguments Longitudinal cannot sweep, so
+// a caller can check them before it builds an Env.
+func CheckLongitudinal(epochs int, intervalMonths float64) error {
+	if epochs < 1 || intervalMonths <= 0 {
+		return fmt.Errorf("experiments: longitudinal sweep needs epochs >= 1 and a positive interval, got %d and %v", epochs, intervalMonths)
+	}
+	return nil
+}
+
 // Longitudinal runs the drift sweep: it rebuilds the four vendor
 // databases at each churn horizon (epoch k is k·intervalMonths months of
 // evolution on the environment's shared timeline) and scores every
@@ -58,8 +67,8 @@ type epochReport struct {
 // measurement engine with buffered output, emitted in epoch order —
 // byte-identical at any worker count, like every other sweep.
 func Longitudinal(ctx context.Context, w io.Writer, env *Env, epochs int, intervalMonths float64) error {
-	if epochs < 1 || intervalMonths <= 0 {
-		return fmt.Errorf("experiments: longitudinal sweep needs epochs >= 1 and a positive interval, got %d and %v", epochs, intervalMonths)
+	if err := CheckLongitudinal(epochs, intervalMonths); err != nil {
+		return err
 	}
 	ctx, sp := obs.Start(ctx, "longitudinal.sweep")
 	defer sp.End()

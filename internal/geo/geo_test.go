@@ -187,3 +187,21 @@ func TestRIRsOrderMatchesTable1(t *testing.T) {
 		t.Errorf("RIRUnknown.String() = %q", RIRUnknown.String())
 	}
 }
+
+// TestSampleRIRHonorsWeights checks that SampleRIR never draws a
+// registry of zero or missing weight and draws in proportion otherwise.
+func TestSampleRIRHonorsWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	weights := map[RIR]float64{ARIN: 3, LACNIC: 1}
+	counts := map[RIR]int{}
+	const n = 4000
+	for i := 0; i < n; i++ {
+		counts[SampleRIR(rng, weights)]++
+	}
+	if counts[ARIN]+counts[LACNIC] != n {
+		t.Fatalf("draws outside the weighted registries: %v", counts)
+	}
+	if share := float64(counts[ARIN]) / n; share < 0.7 || share > 0.8 {
+		t.Errorf("ARIN share %.3f, want about 0.75", share)
+	}
+}

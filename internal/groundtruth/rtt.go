@@ -81,16 +81,15 @@ func BuildRTT(ctx context.Context, w *netsim.World, fleet *atlas.Fleet, ms []atl
 	probeSet := map[int]bool{}
 	for _, m := range ms {
 		for _, h := range m.Result {
-			min := h.MinRTT()
-			if min > cfg.ThresholdMs {
+			if h.RTTMs > cfg.ThresholdMs {
 				continue
 			}
 			cur := byAddr[h.From]
 			found := false
 			for i := range cur {
 				if cur[i].probe == m.ProbeID {
-					if min < cur[i].rtt {
-						cur[i].rtt = min
+					if h.RTTMs < cur[i].rtt {
+						cur[i].rtt = h.RTTMs
 						cur[i].hops = h.Hop
 					}
 					found = true
@@ -98,7 +97,7 @@ func BuildRTT(ctx context.Context, w *netsim.World, fleet *atlas.Fleet, ms []atl
 				}
 			}
 			if !found {
-				byAddr[h.From] = append(cur, sighting{probe: m.ProbeID, rtt: min, hops: h.Hop})
+				byAddr[h.From] = append(cur, sighting{probe: m.ProbeID, rtt: h.RTTMs, hops: h.Hop})
 			}
 			probeSet[m.ProbeID] = true
 		}

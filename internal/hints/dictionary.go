@@ -21,6 +21,7 @@ type Dictionary struct {
 	byToken map[string]gazetteer.City
 	iata    []string // by gazetteer.CityID: lowercase IATA, "" if none
 	site    []string // by gazetteer.CityID: CLLI-style site code, "" if none
+	name    []string // by gazetteer.CityID: collapsed city name
 }
 
 // NewDictionary derives a dictionary from the gazetteer. Token classes, in
@@ -33,6 +34,7 @@ func NewDictionary(g *gazetteer.Gazetteer) *Dictionary {
 		byToken: make(map[string]gazetteer.City),
 		iata:    make([]string, gazetteer.NumCities()+1),
 		site:    make([]string, gazetteer.NumCities()+1),
+		name:    make([]string, gazetteer.NumCities()+1),
 	}
 	cities := g.Cities()
 
@@ -73,10 +75,11 @@ func NewDictionary(g *gazetteer.Gazetteer) *Dictionary {
 	// Pass 3: collapsed city names; ambiguous ones are dropped entirely.
 	nameCount := map[string]int{}
 	for _, c := range cities {
-		nameCount[collapseName(c.Name)]++
+		d.name[c.ID] = collapseName(c.Name)
+		nameCount[d.name[c.ID]]++
 	}
 	for _, c := range cities {
-		tok := collapseName(c.Name)
+		tok := d.name[c.ID]
 		if nameCount[tok] > 1 {
 			continue
 		}
@@ -100,6 +103,12 @@ func (d *Dictionary) IATA(c gazetteer.City) string { return d.iata[c.ID] }
 // could not be assigned a collision-free code.
 func (d *Dictionary) SiteCode(c gazetteer.City) string { return d.site[c.ID] }
 
+// Name returns a city's collapsed name, the token the city-name rules
+// (belwue, seabone) decode: the name lowercased with every non-letter
+// stripped. It is returned even when the name is ambiguous and so does
+// not resolve.
+func (d *Dictionary) Name(c gazetteer.City) string { return d.name[c.ID] }
+
 // BestToken returns the preferred token for embedding in a hostname:
 // IATA if the city has one, else the site code, else the collapsed name.
 // ok is false if no token class resolves back to this city.
@@ -110,7 +119,7 @@ func (d *Dictionary) BestToken(c gazetteer.City) (string, bool) {
 	if t := d.SiteCode(c); t != "" {
 		return t, true
 	}
-	t := collapseName(c.Name)
+	t := d.name[c.ID]
 	if got, ok := d.byToken[t]; ok && got.ID == c.ID {
 		return t, true
 	}

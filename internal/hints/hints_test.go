@@ -173,6 +173,27 @@ func TestStripDigits(t *testing.T) {
 	}
 }
 
+// TestCollapseName checks the city-name token class, which rdns renders
+// into belwue and seabone hostnames through Name: letters only, in
+// lowercase.
+func TestCollapseName(t *testing.T) {
+	for in, want := range map[string]string{
+		"San Luis Obispo": "sanluisobispo",
+		"Cluj-Napoca":     "clujnapoca",
+	} {
+		if got := collapseName(in); got != want {
+			t.Errorf("collapseName(%q) = %q, want %q", in, got, want)
+		}
+	}
+	g := gazetteer.New()
+	d := NewDictionary(g)
+	for _, c := range g.Cities() {
+		if got := d.Name(c); got == "" || got != collapseName(c.Name) {
+			t.Errorf("Name(%s/%s) = %q, want %q", c.Country, c.Name, got, collapseName(c.Name))
+		}
+	}
+}
+
 // TestTokensMatchRecount recounts each city's tokens from the token
 // table, keyed by (Country, Name): a token equal to the city's lowercase
 // IATA code is its IATA token, one equal to its collapsed name is its

@@ -100,7 +100,7 @@ func (b *builder) addSeedAS(s SeedAS) error {
 }
 
 func (b *builder) addSyntheticAS(i int) error {
-	rir := b.sampleRIR(rirWeights)
+	rir := geo.SampleRIR(b.rng, rirWeights)
 	home := b.w.Gaz.SampleCountry(b.rng, rir)
 	transit := b.rng.Float64() < transitFraction
 	multinational := transit && b.rng.Float64() < multinationalFraction[rir]
@@ -180,7 +180,7 @@ func (b *builder) pickPoPsFrom(as *AS, domestic, foreign int, bias map[geo.RIR]f
 		bias = map[geo.RIR]float64{geo.RIPENCC: 0.45, geo.ARIN: 0.2, geo.APNIC: 0.2, geo.LACNIC: 0.1, geo.AFRINIC: 0.05}
 	}
 	for n, tries := 0, 0; n < foreign && tries < foreign*8+16; tries++ {
-		rir := b.sampleRIR(bias)
+		rir := geo.SampleRIR(b.rng, bias)
 		country := b.w.Gaz.SampleCountry(b.rng, rir)
 		if country.ISO2 == as.HomeCountry {
 			continue
@@ -197,21 +197,6 @@ func (b *builder) pickPoPsFrom(as *AS, domestic, foreign int, bias map[geo.RIR]f
 			n++
 		}
 	}
-}
-
-func (b *builder) sampleRIR(weights map[geo.RIR]float64) geo.RIR {
-	total := 0.0
-	for _, r := range geo.RIRs {
-		total += weights[r]
-	}
-	x := b.rng.Float64() * total
-	for _, r := range geo.RIRs {
-		x -= weights[r]
-		if x < 0 {
-			return r
-		}
-	}
-	return geo.RIPENCC
 }
 
 // createRouters instantiates routers at every PoP with jittered positions.
@@ -485,16 +470,7 @@ func (b *builder) link(x, y RouterID) error {
 	ifx := b.newIface(ax, x, linkIdx)
 	ify := b.newIface(ay, y, linkIdx)
 
-	d := rx.Coord.DistanceKm(ry.Coord)
-	stretch := linkStretch
-	if d < 60 {
-		// Metro links run on near-direct dark fibre; long-haul routes
-		// detour much more. Keeping metro crossings fast lets the 0.5 ms
-		// proximity rule reach the transit routers of a city, as it does
-		// in the paper's data.
-		stretch = 1.1
-	}
-	oneWay := d/rtt.KmPerMsOneWay*stretch + 0.02
+	oneWay := rtt.LinkOneWayMs(rx.Coord.DistanceKm(ry.Coord))
 	b.w.Links = append(b.w.Links, Link{A: x, B: y, AIface: ifx, BIface: ify, OneWayMs: oneWay})
 	return nil
 }

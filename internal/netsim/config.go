@@ -75,10 +75,6 @@ const (
 	// CityJitterKm bounds how far a router sits from its city's centre.
 	CityJitterKm float64 = 12
 
-	// linkStretch inflates link propagation delay over the great-circle
-	// minimum (fibre does not follow geodesics).
-	linkStretch float64 = 1.5
-
 	// genericHintCoverage is the default fraction of hint-bearing
 	// hostnames for synthetic operators' domains.
 	genericHintCoverage float64 = 0.35

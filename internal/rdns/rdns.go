@@ -149,7 +149,7 @@ func (z *Zone) render(i netsim.IfaceID, epoch int, city gazetteer.City, hinted b
 	case "seabone":
 		if tok != "" {
 			if iata := z.dict.IATA(city); iata != "" {
-				return fmt.Sprintf("xe-%d.%s%d.%s.%s", n, collapsed(city.Name), n%9+1, iata, as.Domain)
+				return fmt.Sprintf("xe-%d.%s%d.%s.%s", n, z.dict.Name(city), n%9+1, iata, as.Domain)
 			}
 			return fmt.Sprintf("xe-%d.%s%d.bb.%s", n, tok, n%9+1, as.Domain)
 		}
@@ -171,7 +171,7 @@ func (z *Zone) render(i netsim.IfaceID, epoch int, city gazetteer.City, hinted b
 		return fmt.Sprintf("edge%d.mgmt.%s", n, as.Domain)
 	case "belwue":
 		if tok != "" {
-			return fmt.Sprintf("%s-rtr%d.%s", collapsed(city.Name), n, as.Domain)
+			return fmt.Sprintf("%s-rtr%d.%s", z.dict.Name(city), n, as.Domain)
 		}
 		return fmt.Sprintf("bw-rtr%d.%s", n, as.Domain)
 	default: // "generic"
@@ -198,14 +198,4 @@ func siteToken(d *hints.Dictionary, city gazetteer.City, fallback string) string
 		return s
 	}
 	return fallback
-}
-
-func collapsed(name string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(name) {
-		if r >= 'a' && r <= 'z' {
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"routergeo/internal/gazetteer"
 	"routergeo/internal/hints"
 	"routergeo/internal/netsim"
 )
@@ -270,18 +269,4 @@ func TestZoneDeterministic(t *testing.T) {
 			t.Fatal("zone synthesis not deterministic")
 		}
 	}
-}
-
-func testCity(name, cc string) gazetteer.City {
-	return gazetteer.City{Name: name, Country: cc}
-}
-
-func TestCollapsed(t *testing.T) {
-	if got := collapsed("San Luis Obispo"); got != "sanluisobispo" {
-		t.Errorf("collapsed = %q", got)
-	}
-	if got := collapsed("Cluj-Napoca"); got != "clujnapoca" {
-		t.Errorf("collapsed = %q", got)
-	}
-	_ = testCity
 }

@@ -1,4 +1,7 @@
-// Package rtt models packet delay over the synthetic Internet.
+// Package rtt models packet delay over the synthetic Internet. It owns
+// every delay constant: netsim prices its links with LinkOneWayMs,
+// traceroute and atlas add PerHopMs and queueing noise per hop, and
+// atlas draws each probe's access link from the last-mile samplers.
 //
 // The model matters for one load-bearing property the paper relies on
 // (§2.3.2): a 0.5 ms RTT between two hosts bounds their distance at 50 km,
@@ -22,6 +25,45 @@ import (
 // expressed in km per millisecond.
 const KmPerMsOneWay = 200.0
 
+// The delay model, in line with published traceroute inflation studies.
+const (
+	// PathStretch multiplies the great-circle propagation delay to account
+	// for fibre routes not following geodesics. Typical measured values
+	// are 1.2-2.5.
+	PathStretch = 1.5
+	// MetroStretch replaces PathStretch on links shorter than MetroKm:
+	// metro links run on near-direct dark fibre, and keeping metro
+	// crossings fast lets the 0.5 ms proximity rule reach the transit
+	// routers of a city, as it does in the paper's data.
+	MetroStretch = 1.1
+	MetroKm      = 60.0
+	// LinkFixedMs is each link's one-way serialization cost on top of
+	// its propagation delay.
+	LinkFixedMs = 0.02
+	// PerHopMs is the forwarding cost a traceroute adds for every hop
+	// along its path. Modern metro hops add tens of microseconds, which
+	// is what lets a probe see routers several hops away under the
+	// paper's 0.5 ms bound.
+	PerHopMs = 0.02
+	// QueueMeanMs is the mean of the exponentially distributed queueing
+	// delay added to every RTT sample, one draw per hop sample.
+	QueueMeanMs = 0.08
+)
+
+// The last-mile mixture. RIPE Atlas probes sit in homes, offices and
+// data centres; delays to the first hop range from tens of microseconds
+// (data-centre probes) to tens of milliseconds (DSL interleaving). A
+// LastMileFast share of probes get a sub-half-millisecond access link,
+// the rest a log-normal spread. Roughly a third of probes can then
+// observe a sub-0.5 ms first hop, matching the yield the paper saw
+// (1,387 probes contributed 0.5 ms-proximate hops out of the ~9.5k
+// connected probes of the 2016 Atlas fleet).
+const (
+	LastMileFast         = 0.35
+	LastMileSlowMedianMs = 4.0
+	LastMileSlowSigma    = 1.0
+)
+
 // MinRTTMs returns the physical lower bound on the round-trip time between
 // two points: great-circle distance there and back at fibre speed.
 func MinRTTMs(a, b geo.Coordinate) float64 {
@@ -36,64 +78,33 @@ func MaxDistanceKmForRTT(ms float64) float64 {
 	return ms * KmPerMsOneWay / 2
 }
 
-// Model generates RTT samples with configurable inflation. The zero value
-// is not usable; call DefaultModel or fill every field.
-type Model struct {
-	// PathStretch multiplies the great-circle propagation delay to account
-	// for fibre routes not following geodesics. Typical measured values are
-	// 1.2-2.5; we default to 1.5.
-	PathStretch float64
-	// PerHopMs is the fixed per-hop forwarding/serialization cost added for
-	// every router on the path (both directions), in milliseconds.
-	PerHopMs float64
-	// QueueMeanMs is the mean of the exponentially distributed queueing
-	// delay added per measurement (not per hop).
-	QueueMeanMs float64
-}
-
-// DefaultModel returns delay parameters in line with published traceroute
-// inflation studies: 1.5× geographic stretch, 20 µs per-hop forwarding,
-// 80 µs mean queueing. The per-hop costs matter for the RTT-proximity
-// method: modern metro hops add tens of microseconds, which is what lets
-// a probe see routers several hops away under the paper's 0.5 ms bound.
-func DefaultModel() Model {
-	return Model{PathStretch: 1.5, PerHopMs: 0.02, QueueMeanMs: 0.08}
-}
-
 // PropagationMs returns the deterministic (no-queueing) RTT between two
-// points over hops intermediate routers.
-func (m Model) PropagationMs(a, b geo.Coordinate, hops int) float64 {
-	return MinRTTMs(a, b)*m.PathStretch + float64(hops)*m.PerHopMs
+// points over a stretched fibre path.
+func PropagationMs(a, b geo.Coordinate) float64 {
+	return MinRTTMs(a, b) * PathStretch
 }
 
-// LastMile models the access link between a measurement probe and its
-// first-hop router. RIPE Atlas probes sit in homes, offices and data
-// centres; delays to the first hop range from tens of microseconds
-// (data-centre probes) to tens of milliseconds (DSL interleaving). The
-// distribution below is a mixture: a fraction Fast of probes get a
-// sub-half-millisecond access link, the rest get a log-normal spread.
-type LastMile struct {
-	// Fast is the fraction of probes with data-centre-grade access
-	// (uniform 0.05-0.45 ms).
-	Fast float64
-	// SlowMedianMs and SlowSigma parameterize the log-normal delay of the
-	// remaining probes.
-	SlowMedianMs float64
-	SlowSigma    float64
+// LinkOneWayMs returns the one-way delay of a link spanning km of
+// great-circle distance: stretched propagation plus LinkFixedMs.
+func LinkOneWayMs(km float64) float64 {
+	stretch := PathStretch
+	if km < MetroKm {
+		stretch = MetroStretch
+	}
+	return km/KmPerMsOneWay*stretch + LinkFixedMs
 }
 
-// DefaultLastMile returns a mixture in which roughly a third of probes can
-// observe a sub-0.5 ms first hop, matching the yield the paper saw (1,387
-// probes contributed 0.5 ms-proximate hops out of the ~9.5k connected
-// probes of the 2016 Atlas fleet).
-func DefaultLastMile() LastMile {
-	return LastMile{Fast: 0.35, SlowMedianMs: 4.0, SlowSigma: 1.0}
-}
-
-// Sample draws one probe's access-link RTT in milliseconds.
-func (l LastMile) Sample(rng *rand.Rand) float64 {
-	if rng.Float64() < l.Fast {
+// LastMileMs draws one residential or office probe's access-link RTT in
+// milliseconds from the last-mile mixture.
+func LastMileMs(rng *rand.Rand) float64 {
+	if rng.Float64() < LastMileFast {
 		return 0.05 + rng.Float64()*0.40
 	}
-	return l.SlowMedianMs * math.Exp(rng.NormFloat64()*l.SlowSigma)
+	return LastMileSlowMedianMs * math.Exp(rng.NormFloat64()*LastMileSlowSigma)
+}
+
+// FacilityLinkMs draws the LAN-grade access-link RTT of a probe racked
+// next to its first router, in milliseconds.
+func FacilityLinkMs(rng *rand.Rand) float64 {
+	return 0.04 + rng.Float64()*0.12
 }

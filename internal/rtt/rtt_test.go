@@ -47,29 +47,38 @@ func TestBoundsAreConsistentProperty(t *testing.T) {
 	}
 }
 
-func TestPropagationMonotonicInHops(t *testing.T) {
-	m := DefaultModel()
-	a, b := coord(40, -74), coord(34, -118)
-	if m.PropagationMs(a, b, 10) <= m.PropagationMs(a, b, 2) {
-		t.Error("more hops should mean more delay")
+func TestPropagationIncludesStretch(t *testing.T) {
+	a, b := coord(51.5, -0.13), coord(48.86, 2.35) // London-Paris
+	floor := MinRTTMs(a, b)
+	if got := PropagationMs(a, b); got != floor*PathStretch {
+		t.Errorf("PropagationMs = %v, want MinRTTMs·PathStretch = %v", got, floor*PathStretch)
 	}
 }
 
-func TestPropagationIncludesStretch(t *testing.T) {
-	m := DefaultModel()
-	a, b := coord(51.5, -0.13), coord(48.86, 2.35) // London-Paris
-	floor := MinRTTMs(a, b)
-	if got := m.PropagationMs(a, b, 0); got < floor*1.49 {
-		t.Errorf("PropagationMs = %.3f, want >= 1.5x floor %.3f", got, floor)
+// TestLinkOneWayMsStretch checks the metro boundary: a link just under
+// 60 km runs at the metro stretch, one of exactly 60 km at the
+// long-haul stretch, and both pay LinkFixedMs.
+func TestLinkOneWayMsStretch(t *testing.T) {
+	for _, tc := range []struct {
+		km, stretch float64
+	}{
+		{0, MetroStretch},
+		{59.999, MetroStretch},
+		{60, PathStretch},
+		{1000, PathStretch},
+	} {
+		want := tc.km/KmPerMsOneWay*tc.stretch + LinkFixedMs
+		if got := LinkOneWayMs(tc.km); got != want {
+			t.Errorf("LinkOneWayMs(%v) = %v, want %v (stretch %v)", tc.km, got, want, tc.stretch)
+		}
 	}
 }
 
 func TestLastMileMixture(t *testing.T) {
-	lm := DefaultLastMile()
 	rng := rand.New(rand.NewSource(4))
 	fast, n := 0, 20000
 	for i := 0; i < n; i++ {
-		d := lm.Sample(rng)
+		d := LastMileMs(rng)
 		if d <= 0 {
 			t.Fatalf("non-positive last-mile delay %v", d)
 		}
@@ -86,9 +95,8 @@ func TestLastMileMixture(t *testing.T) {
 }
 
 func TestLastMileDeterministicUnderSeed(t *testing.T) {
-	lm := DefaultLastMile()
-	a := lm.Sample(rand.New(rand.NewSource(99)))
-	b := lm.Sample(rand.New(rand.NewSource(99)))
+	a := LastMileMs(rand.New(rand.NewSource(99)))
+	b := LastMileMs(rand.New(rand.NewSource(99)))
 	if a != b {
 		t.Errorf("same seed, different samples: %v vs %v", a, b)
 	}

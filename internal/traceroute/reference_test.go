@@ -75,7 +75,7 @@ func (q *refQueue) Pop() interface{} {
 // for every router.
 func checkAgainstReference(t *testing.T, w *netsim.World, src netsim.RouterID) {
 	t.Helper()
-	got := New(w).BuildTree(src)
+	got := BuildTree(w, src)
 	want := referenceTree(w, src)
 	for i := 0; i < w.NumRouters(); i++ {
 		r := netsim.RouterID(i)
@@ -194,10 +194,9 @@ func TestBuildTreeAllocs(t *testing.T) {
 		name string
 		w    *netsim.World
 	}{{"150-AS test world", testWorld(t)}, {"default world", def}} {
-		e := New(tc.w)
 		src := 0
 		allocs := testing.AllocsPerRun(20, func() {
-			e.BuildTree(netsim.RouterID(src))
+			BuildTree(tc.w, netsim.RouterID(src))
 			src = (src + 97) % tc.w.NumRouters()
 		})
 		if allocs > 20 {

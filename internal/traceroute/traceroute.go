@@ -40,21 +40,11 @@ type Tree struct {
 	hops        []int32
 }
 
-// Engine runs traceroutes with a given delay model.
-type Engine struct {
-	World *netsim.World
-	Model rtt.Model
-}
-
-// New returns an engine with the default delay model.
-func New(w *netsim.World) *Engine {
-	return &Engine{World: w, Model: rtt.DefaultModel()}
-}
-
-// BuildTree computes the shortest-delay tree from src. Cost is one
-// Dijkstra run (O(E log V)); reuse the tree for every destination.
-func (e *Engine) BuildTree(src netsim.RouterID) *Tree {
-	n := e.World.NumRouters()
+// BuildTree computes the shortest-delay tree from src over w's links.
+// Cost is one Dijkstra run (O(E log V)); reuse the tree for every
+// destination.
+func BuildTree(w *netsim.World, src netsim.RouterID) *Tree {
+	n := w.NumRouters()
 	t := &Tree{
 		Src:         src,
 		parent:      make([]netsim.RouterID, n),
@@ -76,7 +66,7 @@ func (e *Engine) BuildTree(src netsim.RouterID) *Tree {
 		if cur.dist > t.distMs[cur.router] {
 			continue // stale entry
 		}
-		for _, h := range e.World.Neighbors(cur.router) {
+		for _, h := range w.Neighbors(cur.router) {
 			nd := cur.dist + h.OneWayMs
 			if nd < t.distMs[h.Peer] {
 				t.distMs[h.Peer] = nd
@@ -114,13 +104,13 @@ func (t *Tree) DistMs(dst netsim.RouterID) float64 { return t.distMs[dst] }
 func (t *Tree) HopCount(dst netsim.RouterID) int { return int(t.hops[dst]) }
 
 // Trace produces the hop list a traceroute from the tree's source to dst
-// would report. baseMs is added to every RTT (the source's access-link
-// delay — zero for Ark monitors colocated with their first router,
-// the probe's last-mile for Atlas). Per-hop RTTs are sampled with
-// independent queueing noise but share the deterministic propagation
-// component, so RTTs increase (almost) monotonically along the path like
-// real traceroutes. Returns nil when dst is unreachable.
-func (e *Engine) Trace(rng *rand.Rand, t *Tree, dst netsim.RouterID, baseMs float64) []Hop {
+// would report. The source is colocated with its first router, as Ark
+// monitors are, so no access-link delay precedes the first hop. Per-hop
+// RTTs are sampled with independent queueing noise but share the
+// deterministic propagation component, so RTTs increase (almost)
+// monotonically along the path like real traceroutes. Returns nil when
+// dst is unreachable.
+func (t *Tree) Trace(rng *rand.Rand, dst netsim.RouterID) []Hop {
 	if !t.Reachable(dst) {
 		return nil
 	}
@@ -139,8 +129,8 @@ func (e *Engine) Trace(rng *rand.Rand, t *Tree, dst netsim.RouterID, baseMs floa
 		if i > 0 {
 			h.Iface = t.parentIface[h.Router]
 		}
-		prop := 2*t.distMs[h.Router] + float64(i)*e.Model.PerHopMs
-		h.RTTMs = baseMs + prop + rng.ExpFloat64()*e.Model.QueueMeanMs
+		prop := 2*t.distMs[h.Router] + float64(i)*rtt.PerHopMs
+		h.RTTMs = prop + rng.ExpFloat64()*rtt.QueueMeanMs
 	}
 	return out
 }

@@ -28,8 +28,7 @@ func testWorld(t *testing.T) *netsim.World {
 
 func TestTreeReachesEveryRouter(t *testing.T) {
 	w := testWorld(t)
-	e := New(w)
-	tree := e.BuildTree(0)
+	tree := BuildTree(w, 0)
 	for r := 0; r < w.NumRouters(); r++ {
 		if !tree.Reachable(netsim.RouterID(r)) {
 			t.Fatalf("router %d unreachable; world should be connected", r)
@@ -39,12 +38,11 @@ func TestTreeReachesEveryRouter(t *testing.T) {
 
 func TestPathEndpointsAndContinuity(t *testing.T) {
 	w := testWorld(t)
-	e := New(w)
-	tree := e.BuildTree(0)
+	tree := BuildTree(w, 0)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
 		dst := netsim.RouterID(rng.Intn(w.NumRouters()))
-		hops := e.Trace(rng, tree, dst, 0)
+		hops := tree.Trace(rng, dst)
 		if hops[0].Router != 0 || hops[len(hops)-1].Router != dst {
 			t.Fatalf("path endpoints wrong: %v -> %v", hops[0].Router, hops[len(hops)-1].Router)
 		}
@@ -71,8 +69,7 @@ func TestShortestDistances(t *testing.T) {
 	// Dijkstra distances must satisfy the triangle property over links:
 	// dist[b] <= dist[a] + w(a,b) for every link (a,b).
 	w := testWorld(t)
-	e := New(w)
-	tree := e.BuildTree(0)
+	tree := BuildTree(w, 0)
 	for r := 0; r < w.NumRouters(); r++ {
 		for _, h := range w.Neighbors(netsim.RouterID(r)) {
 			if tree.DistMs(h.Peer) > tree.DistMs(netsim.RouterID(r))+h.OneWayMs+1e-9 {
@@ -84,11 +81,10 @@ func TestShortestDistances(t *testing.T) {
 
 func TestTraceRevealsIngressInterfaces(t *testing.T) {
 	w := testWorld(t)
-	e := New(w)
-	tree := e.BuildTree(0)
+	tree := BuildTree(w, 0)
 	rng := rand.New(rand.NewSource(2))
 	dst := netsim.RouterID(w.NumRouters() - 1)
-	hops := e.Trace(rng, tree, dst, 0)
+	hops := tree.Trace(rng, dst)
 	if hops == nil {
 		t.Fatal("trace failed")
 	}
@@ -108,14 +104,12 @@ func TestTraceRevealsIngressInterfaces(t *testing.T) {
 
 func TestTraceRTTsRespectPropagation(t *testing.T) {
 	w := testWorld(t)
-	e := New(w)
-	tree := e.BuildTree(0)
+	tree := BuildTree(w, 0)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 25; trial++ {
 		dst := netsim.RouterID(rng.Intn(w.NumRouters()))
-		base := 1.5
-		for _, h := range e.Trace(rng, tree, dst, base) {
-			floor := base + 2*tree.DistMs(h.Router)
+		for _, h := range tree.Trace(rng, dst) {
+			floor := 2 * tree.DistMs(h.Router)
 			if h.RTTMs < floor-1e-9 {
 				t.Fatalf("hop RTT %.3f below propagation floor %.3f", h.RTTMs, floor)
 			}
@@ -125,9 +119,8 @@ func TestTraceRTTsRespectPropagation(t *testing.T) {
 
 func TestTraceToSelf(t *testing.T) {
 	w := testWorld(t)
-	e := New(w)
-	tree := e.BuildTree(7)
-	hops := e.Trace(rand.New(rand.NewSource(4)), tree, 7, 0)
+	tree := BuildTree(w, 7)
+	hops := tree.Trace(rand.New(rand.NewSource(4)), 7)
 	if len(hops) != 1 || hops[0].Router != 7 {
 		t.Fatalf("self-trace = %+v", hops)
 	}
@@ -137,9 +130,8 @@ func TestNearbyDestinationHasSmallRTT(t *testing.T) {
 	// A destination one link away must show an RTT close to twice the link
 	// delay — the property the 0.5 ms proximity rule exploits.
 	w := testWorld(t)
-	e := New(w)
 	src := netsim.RouterID(0)
-	tree := e.BuildTree(src)
+	tree := BuildTree(w, src)
 	var nearest netsim.RouterID = -1
 	bestD := 0.0
 	for _, h := range w.Neighbors(src) {
@@ -148,7 +140,7 @@ func TestNearbyDestinationHasSmallRTT(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(5))
-	hops := e.Trace(rng, tree, nearest, 0)
+	hops := tree.Trace(rng, nearest)
 	last := hops[len(hops)-1]
 	if last.RTTMs < 2*bestD {
 		t.Fatalf("RTT %.3f under propagation %.3f", last.RTTMs, 2*bestD)
@@ -159,20 +151,18 @@ func TestNearbyDestinationHasSmallRTT(t *testing.T) {
 }
 
 func TestProximityRuleSoundOverTraces(t *testing.T) {
-	// For every hop of every trace: if the RTT (minus the known base) is
-	// under 0.5 ms, the hop router must be within 50 km of the source.
-	// This is the end-to-end soundness of the paper's §2.3.2 rule in our
-	// simulator.
+	// For every hop of every trace: if the RTT is under 0.5 ms, the hop
+	// router must be within 50 km of the source. This is the end-to-end
+	// soundness of the paper's §2.3.2 rule in our simulator.
 	w := testWorld(t)
-	e := New(w)
 	rng := rand.New(rand.NewSource(6))
 	srcs := []netsim.RouterID{0, 11, 77}
 	for _, src := range srcs {
-		tree := e.BuildTree(src)
+		tree := BuildTree(w, src)
 		srcCoord := w.Routers[src].Coord
 		for trial := 0; trial < 40; trial++ {
 			dst := netsim.RouterID(rng.Intn(w.NumRouters()))
-			for _, h := range e.Trace(rng, tree, dst, 0) {
+			for _, h := range tree.Trace(rng, dst) {
 				if h.RTTMs < 0.5 {
 					d := w.Routers[h.Router].Coord.DistanceKm(srcCoord)
 					if d > rtt.MaxDistanceKmForRTT(0.5) {
@@ -192,9 +182,8 @@ func BenchmarkBuildTree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := New(w)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.BuildTree(netsim.RouterID(i % w.NumRouters()))
+		BuildTree(w, netsim.RouterID(i%w.NumRouters()))
 	}
 }

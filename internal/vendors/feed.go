@@ -35,9 +35,9 @@ type Feed struct {
 	Allocations []AllocationInfo
 	// SWIP maps /24 base addresses to reassignment entries.
 	SWIP map[ipx.Addr]SWIPRecord
-	// Blocks lists the /24 base addresses that contain interfaces, in
-	// address order, grouped under their covering allocation index.
-	BlocksOf map[int][]ipx.Addr
+	// BlocksOf parallels Allocations: BlocksOf[i] lists, in address
+	// order, the routed /24 base addresses inside Allocations[i].
+	BlocksOf [][]ipx.Addr
 }
 
 // AllocationInfo pairs a registry allocation with its org record.
@@ -75,27 +75,26 @@ const swipAtHQ float64 = 0.72
 // BuildFeed derives the registration feed from the world's registry.
 func BuildFeed(w *netsim.World, cfg FeedConfig) *Feed {
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	allocs := w.Reg.Allocations()
 	f := &Feed{
-		SWIP:     make(map[ipx.Addr]SWIPRecord),
-		BlocksOf: make(map[int][]ipx.Addr),
+		Allocations: make([]AllocationInfo, len(allocs)),
+		SWIP:        make(map[ipx.Addr]SWIPRecord),
+		BlocksOf:    make([][]ipx.Addr, len(allocs)),
 	}
-	allocIdx := make(map[registry.ASN][]int)
-	for _, a := range w.Reg.Allocations() {
+	for i, a := range allocs {
 		org, _ := w.Reg.Org(a.Org)
-		f.Allocations = append(f.Allocations, AllocationInfo{Alloc: a, Org: org})
-		allocIdx[a.ASN] = append(allocIdx[a.ASN], len(f.Allocations)-1)
+		f.Allocations[i] = AllocationInfo{Alloc: a, Org: org}
 	}
 
-	// Group routed /24s under allocations, in address order.
+	// Group routed /24s under allocations. Both lists ascend and the
+	// allocations are disjoint, so one cursor finds each block's
+	// allocation.
+	ai := 0
 	for _, blk := range w.RoutedSlash24s() {
-		ai := -1
-		for _, idx := range allocIdxForAddr(f, allocIdx, w, blk.Base) {
-			if f.Allocations[idx].Alloc.Prefix.Contains(blk.Base) {
-				ai = idx
-				break
-			}
+		for ai < len(allocs) && allocs[ai].Prefix.Last() < blk.Base {
+			ai++
 		}
-		if ai < 0 {
+		if ai == len(allocs) || !allocs[ai].Prefix.Contains(blk.Base) {
 			continue
 		}
 		f.BlocksOf[ai] = append(f.BlocksOf[ai], blk.Base)
@@ -113,14 +112,6 @@ func BuildFeed(w *netsim.World, cfg FeedConfig) *Feed {
 		f.SWIP[blk.Base] = rec
 	}
 	return f
-}
-
-func allocIdxForAddr(f *Feed, byASN map[registry.ASN][]int, w *netsim.World, a ipx.Addr) []int {
-	alloc, _, ok := w.Reg.Whois(a)
-	if !ok {
-		return nil
-	}
-	return byASN[alloc.ASN]
 }
 
 // neighborCity returns a plausible wrong answer for a measurement-derived

@@ -301,7 +301,6 @@ type Path struct {
 // examples such as detour detection.
 func (s *Study) SamplePaths(n int, seed int64) []Path {
 	w := s.env.W
-	eng := traceroute.New(w)
 	rng := newRand(seed)
 	var out []Path
 	for len(out) < n {
@@ -310,8 +309,7 @@ func (s *Study) SamplePaths(n int, seed int64) []Path {
 		if src == dst {
 			continue
 		}
-		tree := eng.BuildTree(src)
-		hops := eng.Trace(rng, tree, dst, 0)
+		hops := traceroute.BuildTree(w, src).Trace(rng, dst)
 		if hops == nil {
 			continue
 		}
