@@ -84,7 +84,7 @@ func main() {
 		build       = flag.Bool("build", false, "build a study and serve its four databases")
 		seed        = flag.Int64("seed", 1, "world seed (with -build)")
 		maxBatch    = flag.Int("max-batch", httpapi.DefaultMaxBatch, "max addresses per /v2/lookup request")
-		timeout     = flag.Duration("timeout", httpapi.DefaultRequestTimeout, "per-request timeout (0 disables)")
+		timeout     = flag.Duration("timeout", httpapi.DefaultRequestTimeout, "deadline of each API request: reading the body, the lookup and sending the answer; past it the connection closes (0 disables; /metrics and /v2/events have none)")
 		drain       = flag.Duration("drain", 10*time.Second, "shutdown drain timeout")
 		grace       = flag.Duration("grace", time.Second, "delay between /healthz flipping to draining and the listener closing")
 		quiet       = flag.Bool("quiet", false, "silence routine access logs (4xx/5xx still log)")

@@ -101,9 +101,13 @@ func main() {
 		return
 	}
 
-	// Reject bad -run IDs and longitudinal arguments before the build,
-	// which takes seconds on the larger worlds.
+	// Reject bad -run IDs, flags the chosen mode would drop and
+	// longitudinal arguments before the build, which takes seconds on the
+	// larger worlds.
 	selected, err := selectExperiments(*run)
+	if err == nil {
+		err = checkModeFlags(*run, *ext, *stability, *longit, *remote)
+	}
 	if err == nil && *longit {
 		err = experiments.CheckLongitudinal(*epochs, *interval)
 	}
@@ -255,6 +259,34 @@ func selectExperiments(run string) ([]experiments.Experiment, error) {
 		out = append(out, e)
 	}
 	return out, nil
+}
+
+// checkModeFlags rejects -run and -ext under -stability, -longitudinal
+// or -remote: each of those modes runs instead of the experiments, so
+// the two flags would be dropped without a word. The modes are checked
+// in the order main picks them.
+func checkModeFlags(run string, ext bool, stability int, longit bool, remote string) error {
+	var mode string
+	switch {
+	case stability > 0:
+		mode = "-stability"
+	case longit:
+		mode = "-longitudinal"
+	case remote != "":
+		mode = "-remote"
+	default:
+		return nil
+	}
+	var dropped string
+	switch {
+	case run != "":
+		dropped = "-run"
+	case ext:
+		dropped = "-ext"
+	default:
+		return nil
+	}
+	return fmt.Errorf("%s cannot be combined with %s, which runs instead of the experiments", dropped, mode)
 }
 
 // remoteAccuracy scores the paper's accuracy sweep (§5.2) against a

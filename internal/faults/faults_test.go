@@ -262,6 +262,33 @@ func TestMiddlewareSlowLoris(t *testing.T) {
 	}
 }
 
+// TestFaultWritersReachConnection: a handler behind the truncate and
+// slow-loris writers can still set connection deadlines, so a server's
+// request deadline holds under chaos.
+func TestFaultWritersReachConnection(t *testing.T) {
+	for _, r := range []Rule{
+		{Kind: KindTruncate, TruncateAt: 32},
+		{Kind: KindSlowLoris, Delay: time.Millisecond, ChunkBytes: 256},
+	} {
+		t.Run(string(r.Kind), func(t *testing.T) {
+			in := New(alwaysPolicy(r), WithSleep(func(time.Duration) {}))
+			errc := make(chan error, 1)
+			srv := httptest.NewServer(in.Middleware(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				errc <- http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Minute))
+			})))
+			defer srv.Close()
+			resp, err := http.Get(srv.URL + "/x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			drain(t, resp)
+			if err := <-errc; err != nil {
+				t.Errorf("SetWriteDeadline through the %s writer: %v", r.Kind, err)
+			}
+		})
+	}
+}
+
 func TestMiddlewareExemptPaths(t *testing.T) {
 	// The policy faults every decision, so the observer counts them all.
 	var decisions int

@@ -82,6 +82,10 @@ func (t *truncateWriter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
+// Unwrap exposes the underlying writer to http.NewResponseController,
+// so the server's per-request deadlines still reach the connection.
+func (t *truncateWriter) Unwrap() http.ResponseWriter { return t.ResponseWriter }
+
 // dripWriter forwards the response in small chunks with a pause between
 // each — a slow-loris server.
 type dripWriter struct {
@@ -115,3 +119,7 @@ func (d *dripWriter) Write(b []byte) (int, error) {
 	}
 	return total, nil
 }
+
+// Unwrap exposes the underlying writer to http.NewResponseController,
+// so the server's per-request deadlines still reach the connection.
+func (d *dripWriter) Unwrap() http.ResponseWriter { return d.ResponseWriter }

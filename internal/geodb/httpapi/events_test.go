@@ -137,8 +137,8 @@ func TestServerEventReplay(t *testing.T) {
 }
 
 // TestServerEventStreamOutlivesRequestTimeout: /v2/events sits outside
-// http.TimeoutHandler — a stream must survive past the request timeout
-// and still deliver.
+// the request deadline (WithRequestTimeout) — a stream must survive
+// past it and still deliver.
 func TestServerEventStreamOutlivesRequestTimeout(t *testing.T) {
 	bus := obs.NewEventBus(64)
 	h := NewHandler(testDBs(t),

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"routergeo/internal/geo"
 	"routergeo/internal/geodb"
@@ -181,6 +183,53 @@ func TestSwapClosersWaitForReaders(t *testing.T) {
 	g.release()
 	if !closed.Load() {
 		t.Fatal("closers did not run after the last reader drained")
+	}
+}
+
+// stalledWriter blocks the first Write until release is closed, the
+// way a client that stops reading holds the answer's network write.
+type stalledWriter struct {
+	nullResponseWriter
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (s *stalledWriter) Write(b []byte) (int, error) {
+	s.once.Do(func() { close(s.entered) })
+	<-s.release
+	return len(b), nil
+}
+
+// TestV2LookupReleasesPinBeforeWrite: a /v2/lookup answer that its
+// client reads slowly does not keep a swapped-out generation's closers
+// (its snapshot mappings) from running, with or without a deadline.
+func TestV2LookupReleasesPinBeforeWrite(t *testing.T) {
+	for _, timeout := range []time.Duration{DefaultRequestTimeout, 0} {
+		t.Run(fmt.Sprintf("timeout=%v", timeout), func(t *testing.T) {
+			var closed atomic.Bool
+			h := NewHandler(nil, WithRequestTimeout(timeout))
+			h.Swap(testDBs(t), func() error { closed.Store(true); return nil })
+
+			w := &stalledWriter{
+				nullResponseWriter: nullResponseWriter{h: make(http.Header)},
+				entered:            make(chan struct{}),
+				release:            make(chan struct{}),
+			}
+			req := httptest.NewRequest(http.MethodPost, "/v2/lookup", bytes.NewReader(batchBody(64)))
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				h.ServeHTTP(w, req)
+			}()
+			<-w.entered
+			h.Swap(altDBs(t))
+			stalled := !closed.Load()
+			close(w.release)
+			<-done
+			if stalled {
+				t.Error("a stalled answer write kept the swapped-out generation's closers from running")
+			}
+		})
 	}
 }
 

@@ -23,7 +23,8 @@ type StatsResponse struct {
 	Requests int64 `json:"requests"`
 	// ByEndpoint counts requests per route (method + path).
 	ByEndpoint map[string]int64 `json:"by_endpoint"`
-	// Errors counts responses with status >= 400.
+	// Errors counts responses with status >= 400 and requests that
+	// outlived their deadline (WithRequestTimeout).
 	Errors int64 `json:"errors"`
 	// LatencyMs holds p50/p90/p99 estimated from the latency histogram
 	// (empty until the first request).
@@ -115,7 +116,7 @@ func newMetrics(dbNames []string) *metrics {
 	}
 	// Help text rides into the Prometheus exposition's # HELP lines.
 	reg.SetHelp("http.requests", "HTTP requests served, across every route.")
-	reg.SetHelp("http.errors", "HTTP responses with status >= 400.")
+	reg.SetHelp("http.errors", "HTTP responses with status >= 400, and requests that outlived their deadline.")
 	reg.SetHelp("http.latency_ms", "Request latency in milliseconds, end to end through the middleware stack.")
 	reg.SetHelp("generation.swaps", "Hot-reload generation swaps since the server started.")
 	// Pre-seed the initial serving set so its tallies exist (at zero) on
@@ -146,18 +147,21 @@ func (m *metrics) endpointCounter(route string) *obs.Counter {
 }
 
 // middleware counts the request, its endpoint, its status class and its
-// latency.
+// latency. A request that ends past its context's deadline counts as an
+// error whatever status it wrote: its client saw the connection close.
 func (m *metrics) middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
 		next.ServeHTTP(rec, r)
+		end := time.Now()
 		m.requests.Inc()
-		if rec.status >= 400 {
+		deadline, hasDeadline := r.Context().Deadline()
+		if rec.status >= 400 || hasDeadline && !end.Before(deadline) {
 			m.errors.Inc()
 		}
 		m.endpointCounter(r.Method + " " + r.URL.Path).Inc()
-		m.latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
+		m.latency.Observe(float64(end.Sub(start)) / float64(time.Millisecond))
 	})
 }
 

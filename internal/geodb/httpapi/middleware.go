@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"log/slog"
 	"net/http"
 	"time"
@@ -49,6 +50,26 @@ func recoveryMiddleware(next http.Handler) http.Handler {
 			}
 		}()
 		next.ServeHTTP(w, r)
+	})
+}
+
+// deadlineMiddleware gives each request a deadline timeout from now, on
+// its context and on the connection's reads and writes, and runs next on
+// the caller's goroutine, so the answer streams as next writes it. A
+// body read or answer write that outlives the deadline fails, and the
+// server then closes the connection. The server clears both connection
+// deadlines once the request is done, so a keep-alive connection starts
+// its next request without them. A writer that reaches no connection (a
+// test recorder) keeps only the context deadline.
+func deadlineMiddleware(timeout time.Duration, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		deadline := time.Now().Add(timeout)
+		ctx, cancel := context.WithDeadline(r.Context(), deadline)
+		defer cancel()
+		rc := http.NewResponseController(w)
+		_ = rc.SetReadDeadline(deadline)
+		_ = rc.SetWriteDeadline(deadline)
+		next.ServeHTTP(w, r.WithContext(ctx))
 	})
 }
 

@@ -24,7 +24,8 @@ const (
 	// DefaultMaxBodyBytes caps the /v2/lookup request body (a 100k-address
 	// batch is under 2 MiB of JSON).
 	DefaultMaxBodyBytes = 16 << 20
-	// DefaultRequestTimeout bounds one request end to end.
+	// DefaultRequestTimeout is the deadline of one API request; see
+	// WithRequestTimeout.
 	DefaultRequestTimeout = 60 * time.Second
 )
 
@@ -51,8 +52,15 @@ func WithMaxBodyBytes(n int64) ServerOption {
 	}
 }
 
-// WithRequestTimeout bounds each request end to end; 0 disables the
-// timeout middleware.
+// WithRequestTimeout gives each API request a deadline d after it
+// reaches the handler (default DefaultRequestTimeout; 0 disables it).
+// The deadline bounds the request's context and the connection's reads
+// and writes, so it covers reading the body, the lookup and sending the
+// answer: a client that stalls mid-upload or stops reading mid-answer
+// holds the connection for at most d. A client whose request outlives
+// its deadline sees the connection close, with no status or a cut-off
+// body; the request counts as an error in /v2/stats and /metrics. GET
+// /metrics and GET /v2/events have no deadline (see NewHandler).
 func WithRequestTimeout(d time.Duration) ServerOption {
 	return func(h *Handler) { h.timeout = d }
 }
@@ -148,13 +156,15 @@ type Handler struct {
 	serve http.Handler
 }
 
-// NewHandler serves the given databases behind the full middleware
-// stack (panic recovery, optional request logging, metrics, request
-// timeout). Two routes sit outside the timeout+metrics layers:
-// GET /metrics (the Prometheus exposition must not skew the latency
-// histogram it reports) and GET /v2/events (a deliberately long-lived
-// SSE stream that http.TimeoutHandler would both kill and — its writer
-// has no Flusher — break).
+// NewHandler serves the given databases behind the middleware stack,
+// outermost first: panic recovery, optional request logging, the
+// generation header, then, for the API routes, the request deadline
+// (WithRequestTimeout) and the metrics. Every layer runs on the
+// connection's goroutine and writes through, so an answer streams to
+// the client as the handler writes it. Two routes sit outside the
+// deadline and metrics layers: GET /metrics (the Prometheus exposition
+// must not skew the latency histogram it reports) and GET /v2/events (a
+// deliberately long-lived SSE stream that a request deadline would cut).
 func NewHandler(dbs []*geodb.DB, opts ...ServerOption) *Handler {
 	h := &Handler{
 		maxBatch:     DefaultMaxBatch,
@@ -184,11 +194,12 @@ func NewHandler(dbs []*geodb.DB, opts ...ServerOption) *Handler {
 		mux.HandleFunc("POST /v2/admin/reload", h.handleAdminReload)
 	}
 
-	var api http.Handler = mux
+	// The deadline wraps the metrics so that they see it: a request that
+	// outlives its deadline counts as an error.
+	api := h.metrics.middleware(mux)
 	if h.timeout > 0 {
-		api = http.TimeoutHandler(api, h.timeout, `{"error":"request timed out"}`)
+		api = deadlineMiddleware(h.timeout, api)
 	}
-	api = h.metrics.middleware(api)
 
 	outer := http.NewServeMux()
 	outer.Handle("/", api)
@@ -295,6 +306,24 @@ func (h *Handler) resolve(g *generation, addr ipx.Addr, dbName string) map[strin
 // bodies the fast scanner cannot take drop to encoding/json for exact
 // stdlib semantics and error text.
 func (h *Handler) handleV2Lookup(w http.ResponseWriter, r *http.Request) {
+	st := v2StatePool.Get().(*v2State)
+	defer putV2State(st)
+	if !h.answerV2Lookup(w, r, st) {
+		return
+	}
+	// The answer is in st.out and every generation pin is released, so a
+	// client that reads it slowly never keeps a retired snapshot mapped.
+	// Direct map assignment of a shared value: Header().Set builds a
+	// fresh []string per call, the last allocation on this path.
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(st.out)
+}
+
+// answerV2Lookup resolves r's batch into st.out within the pinned
+// generation, or the asof one, and releases the pins on return. It
+// reports false when it has already written an error answer.
+func (h *Handler) answerV2Lookup(w http.ResponseWriter, r *http.Request, st *v2State) bool {
 	g := h.acquireGen()
 	defer g.release()
 	if r.URL.RawQuery != "" {
@@ -302,7 +331,7 @@ func (h *Handler) handleV2Lookup(w http.ResponseWriter, r *http.Request) {
 		// its allocations) away from plain batch lookups.
 		ag, handled := h.timeTravel(w, r)
 		if handled {
-			return
+			return false
 		}
 		if ag != nil {
 			defer ag.release()
@@ -312,25 +341,22 @@ func (h *Handler) handleV2Lookup(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set(GenerationHeader, g.id)
 		}
 	}
-	st := v2StatePool.Get().(*v2State)
-	defer putV2State(st)
-
 	body, err := st.readBody(r.Body, h.maxBody)
 	if err != nil {
 		if _, ok := err.(bodyTooLargeError); ok {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
 				ErrorResponse{Error: "request body too large", MaxBatch: h.maxBatch})
-			return
+			return false
 		}
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed JSON body: " + err.Error()})
-		return
+		return false
 	}
 	dbFilter, ok := st.parseBatchRequest(body)
 	if !ok {
 		var req BatchRequest
 		if err := json.Unmarshal(body, &req); err != nil {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed JSON body: " + err.Error()})
-			return
+			return false
 		}
 		st.setIPsFromStrings(req.IPs)
 		dbFilter = []byte(req.DB)
@@ -338,18 +364,18 @@ func (h *Handler) handleV2Lookup(w http.ResponseWriter, r *http.Request) {
 	n := len(st.ips)
 	if n == 0 {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "empty ips list"})
-		return
+		return false
 	}
 	if n > h.maxBatch {
 		writeJSON(w, http.StatusRequestEntityTooLarge,
 			ErrorResponse{Error: "batch too large", MaxBatch: h.maxBatch})
-		return
+		return false
 	}
 	sel := st.sel[:0]
 	if len(dbFilter) != 0 {
 		if _, ok := g.byName[string(dbFilter)]; !ok {
 			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown database " + string(dbFilter)})
-			return
+			return false
 		}
 		for i := range g.serve {
 			if g.serve[i].name == string(dbFilter) {
@@ -389,12 +415,7 @@ func (h *Handler) handleV2Lookup(w http.ResponseWriter, r *http.Request) {
 	for j, si := range sel {
 		h.metrics.addLookups(g.serve[si].name, st.hits[j], int64(valid)-st.hits[j])
 	}
-
-	// Direct map assignment of a shared value: Header().Set builds a
-	// fresh []string per call, the last allocation on this path.
-	w.Header()["Content-Type"] = jsonContentType
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(st.out)
+	return true
 }
 
 // jsonContentType is the shared Content-Type header value the zero-alloc

@@ -144,12 +144,20 @@ func TestV2LookupWireParity(t *testing.T) {
 }
 
 // nullResponseWriter swallows the response so the alloc measurements
-// see only the handler's own work.
-type nullResponseWriter struct{ h http.Header }
+// see only the handler's own work; it keeps the status and the body's
+// length.
+type nullResponseWriter struct {
+	h       http.Header
+	status  int
+	written int
+}
 
-func (n *nullResponseWriter) Header() http.Header         { return n.h }
-func (n *nullResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (n *nullResponseWriter) WriteHeader(int)             {}
+func (n *nullResponseWriter) Header() http.Header { return n.h }
+func (n *nullResponseWriter) Write(b []byte) (int, error) {
+	n.written += len(b)
+	return len(b), nil
+}
+func (n *nullResponseWriter) WriteHeader(code int) { n.status = code }
 
 // replayBody is a resettable no-alloc request body.
 type replayBody struct {
@@ -209,6 +217,52 @@ func TestV2LookupZeroAllocSteadyState(t *testing.T) {
 				t.Errorf("steady-state /v2/lookup allocates %.2f times per request at GOMAXPROCS=%d, want 0", avg, procs)
 			}
 		})
+	}
+}
+
+// TestV2LookupStackDoesNotCopyAnswer drives bulk requests through the
+// whole middleware stack at its default options and bounds the bytes it
+// allocates per request, averaged over 256 requests, to an eighth of
+// the answer, so no layer may copy the answer on its way out. At
+// GOMAXPROCS above 1 (make cores runs this at -cpu 1,2,4) the request
+// goroutine can move to a P whose sync.Pool slot is empty; that miss
+// regrows the pooled state, about 6 MB or seven answers, and the
+// average leaves room for four of them.
+func TestV2LookupStackDoesNotCopyAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the bound is asserted in normal builds")
+	}
+	h := NewHandler(testDBs(t))
+	rb := &replayBody{data: batchBody(4096)}
+	req := httptest.NewRequest(http.MethodPost, "/v2/lookup", rb)
+	req.Body = rb
+	w := &nullResponseWriter{h: make(http.Header)}
+	run := func() {
+		rb.off, w.status, w.written = 0, 0, 0
+		h.ServeHTTP(w, req)
+	}
+	for i := 0; i < 3; i++ {
+		run() // warm the pools
+	}
+	if w.status != http.StatusOK {
+		t.Fatalf("POST /v2/lookup through the stack = %d", w.status)
+	}
+	answer := w.written
+	// A collection moves pooled state to the pool's victim cache and the
+	// next one drops it: collect now, so that none is due in the loop.
+	runtime.GC()
+	run()
+
+	const reqs = 256
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reqs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perReq := (after.TotalAlloc - before.TotalAlloc) / reqs; perReq >= uint64(answer/8) {
+		t.Errorf("the stack allocates %d bytes per request for a %d-byte answer, want under %d",
+			perReq, answer, answer/8)
 	}
 }
 

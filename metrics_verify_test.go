@@ -12,9 +12,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -46,7 +48,8 @@ const verifyFixtureCSV = `lo,hi,country,city,lat,lon,resolution,block_bits
 // the fixture on an ephemeral port, and validates the Prometheus scrape
 // with the in-repo parser — covering registry metrics, the ambient
 // process/runtime collectors, content negotiation, the SSE endpoint's
-// liveness, and a clean SIGTERM exit.
+// liveness, the -timeout deadline against a stalled upload, and a clean
+// SIGTERM exit.
 func TestMetricsVerifyExposition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the real geoserve binary")
@@ -63,7 +66,7 @@ func TestMetricsVerifyExposition(t *testing.T) {
 
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-db", csvPath,
-		"-quiet", "-grace", "1ms", "-drain", "5s")
+		"-quiet", "-grace", "1ms", "-drain", "5s", "-timeout", "300ms")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +200,24 @@ func TestMetricsVerifyExposition(t *testing.T) {
 	}
 	sresp.Body.Close()
 
+	// -timeout reaches the API routes: an upload that stalls mid-body
+	// loses its connection soon after its 300ms deadline, and counts as
+	// an error.
+	if d := stalledUploadEnds(t, strings.TrimPrefix(baseURL, "http://"), 5*time.Second); d > 2*time.Second {
+		t.Errorf("stalled upload held its connection for %v under -timeout 300ms, want at most 2s", d)
+	}
+	if resp, err = http.Get(baseURL + "/metrics"); err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "routergeo_http_errors_total 1\n") {
+		t.Errorf("scrape after the stalled upload should report 1 error:\n%s", grepLines(string(body), "http_errors"))
+	}
+
 	// SIGTERM drains and exits cleanly.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -222,6 +243,30 @@ func TestMetricsVerifyExposition(t *testing.T) {
 	if !strings.Contains(stderrBuf.String(), "shutdown complete") {
 		t.Errorf("shutdown banner missing from stderr:\n%s", stderrBuf.String())
 	}
+}
+
+// stalledUploadEnds sends addr a POST /v2/lookup that declares a
+// 1,000-byte body, sends 8 bytes of it and stalls, then reads until the
+// server ends the connection. It returns how long that took, failing
+// the test when nothing ended it within wait.
+func stalledUploadEnds(t *testing.T, addr string, wait time.Duration) time.Duration {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v2/lookup HTTP/1.1\r\nHost: geoserve\r\n"+
+		"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n"+`{"ips":[`); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(start.Add(wait))
+	_, err = io.Copy(io.Discard, conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("stalled upload: the server neither answered nor closed the connection within %v", wait)
+	}
+	return time.Since(start)
 }
 
 // grepLines returns the lines of s containing substr, for error output.
