@@ -52,9 +52,9 @@ deadcode:
 # samebytes builds cmd/routergeo at BASE and in the working tree and
 # compares their stdout over the flag sets the golden files do not cover
 # (other seeds, -parallelism 1, the 4x and 16x worlds, -longitudinal),
-# one line per set; it fails if any differs. A change that declares an
-# output change differs by design, so CI does not run it. See
-# scripts/samebytes.sh.
+# one line per set, and examples/detour's (SamplePaths) on one more; it
+# fails if any differs. A change that declares an output change differs
+# by design, so CI does not run it. See scripts/samebytes.sh.
 samebytes:
 	@if [ -z "$(BASE)" ]; then echo "usage: make samebytes BASE=<git ref>" >&2; exit 2; fi
 	sh scripts/samebytes.sh $(BASE)

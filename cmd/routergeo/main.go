@@ -106,7 +106,7 @@ func main() {
 	// larger worlds.
 	selected, err := selectExperiments(*run)
 	if err == nil {
-		err = checkModeFlags(*run, *ext, *stability, *longit, *remote)
+		err = checkModeFlags(*run, *ext, *dbdir, *plotdir, *stability, *longit, *remote)
 	}
 	if err == nil && *longit {
 		err = experiments.CheckLongitudinal(*epochs, *interval)
@@ -261,11 +261,13 @@ func selectExperiments(run string) ([]experiments.Experiment, error) {
 	return out, nil
 }
 
-// checkModeFlags rejects -run and -ext under -stability, -longitudinal
-// or -remote: each of those modes runs instead of the experiments, so
-// the two flags would be dropped without a word. The modes are checked
-// in the order main picks them.
-func checkModeFlags(run string, ext bool, stability int, longit bool, remote string) error {
+// checkModeFlags rejects flags the chosen mode would drop without a
+// word: -run and -ext under -stability, -longitudinal or -remote, each
+// of which runs instead of the experiments, and -dbdir and -plotdir
+// under -stability, which exports neither databases nor figure series.
+// The modes are checked in the order main picks them, and the error
+// names every dropped flag.
+func checkModeFlags(run string, ext bool, dbdir, plotdir string, stability int, longit bool, remote string) error {
 	var mode string
 	switch {
 	case stability > 0:
@@ -277,16 +279,23 @@ func checkModeFlags(run string, ext bool, stability int, longit bool, remote str
 	default:
 		return nil
 	}
-	var dropped string
-	switch {
-	case run != "":
-		dropped = "-run"
-	case ext:
-		dropped = "-ext"
-	default:
+	var dropped []string
+	if run != "" {
+		dropped = append(dropped, "-run")
+	}
+	if ext {
+		dropped = append(dropped, "-ext")
+	}
+	if stability > 0 && dbdir != "" {
+		dropped = append(dropped, "-dbdir")
+	}
+	if stability > 0 && plotdir != "" {
+		dropped = append(dropped, "-plotdir")
+	}
+	if len(dropped) == 0 {
 		return nil
 	}
-	return fmt.Errorf("%s cannot be combined with %s, which runs instead of the experiments", dropped, mode)
+	return fmt.Errorf("%s cannot be combined with %s, which runs instead of the experiments", strings.Join(dropped, " and "), mode)
 }
 
 // remoteAccuracy scores the paper's accuracy sweep (§5.2) against a

@@ -30,6 +30,8 @@ func TestCheckModeFlagsRejectsDroppedFlags(t *testing.T) {
 	for _, c := range []struct {
 		run       string
 		ext       bool
+		dbdir     string
+		plotdir   string
 		stability int
 		longit    bool
 		remote    string
@@ -40,6 +42,12 @@ func TestCheckModeFlagsRejectsDroppedFlags(t *testing.T) {
 		{longit: true},
 		{remote: "http://127.0.0.1:1"},
 		{stability: 2},
+		{dbdir: "D", plotdir: "P"},
+		{dbdir: "D", plotdir: "P", longit: true},
+		{dbdir: "D", plotdir: "P", remote: "http://127.0.0.1:1"},
+		{dbdir: "D", stability: 1, want: []string{"-dbdir", "-stability"}},
+		{plotdir: "P", stability: 1, want: []string{"-plotdir", "-stability"}},
+		{dbdir: "D", plotdir: "P", stability: 1, want: []string{"-dbdir", "-plotdir", "-stability"}},
 		{run: "table1", longit: true, want: []string{"-run", "-longitudinal"}},
 		{ext: true, longit: true, want: []string{"-ext", "-longitudinal"}},
 		{run: "fig2", remote: "http://127.0.0.1:1", want: []string{"-run", "-remote"}},
@@ -47,7 +55,7 @@ func TestCheckModeFlagsRejectsDroppedFlags(t *testing.T) {
 		{run: "table1", stability: 3, want: []string{"-run", "-stability"}},
 		{ext: true, stability: 3, want: []string{"-ext", "-stability"}},
 	} {
-		err := checkModeFlags(c.run, c.ext, c.stability, c.longit, c.remote)
+		err := checkModeFlags(c.run, c.ext, c.dbdir, c.plotdir, c.stability, c.longit, c.remote)
 		if len(c.want) == 0 {
 			if err != nil {
 				t.Errorf("checkModeFlags(%+v) = %v, want nil", c, err)

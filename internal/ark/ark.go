@@ -105,6 +105,7 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 	sp.SetAttr("cycles", cycles)
 	prog := obs.NewProgress("ark.collect", int64(cycles)*int64(len(blocks)))
 	defer prog.Finish()
+	var path []netsim.IfaceID // one buffer serves every trace of the sweep
 	for cycle := 0; cycle < cycles; cycle++ {
 		for _, blk := range blocks {
 			prog.Add(1)
@@ -116,15 +117,12 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 			}
 			for k := 0; k < monitorsPerTarget; k++ {
 				mi := rng.Intn(len(monitors))
-				hops := trees[mi].Trace(rng, dst)
+				path = trees[mi].Trace(rng, dst, path[:0])
 				c.Traces++
-				for _, h := range hops {
-					if h.Iface < 0 {
-						continue
-					}
-					if !seen[h.Iface] {
-						seen[h.Iface] = true
-						c.Interfaces = append(c.Interfaces, h.Iface)
+				for _, id := range path {
+					if !seen[id] {
+						seen[id] = true
+						c.Interfaces = append(c.Interfaces, id)
 					}
 				}
 			}

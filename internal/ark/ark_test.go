@@ -151,3 +151,23 @@ func TestCollectSameAtAnyWorkerCount(t *testing.T) {
 			len(serial.Interfaces), len(parallel.Interfaces), serial.Traces, parallel.Traces)
 	}
 }
+
+// TestCollectAllocatesPerSweepNotPerTrace bounds a default-world sweep's
+// allocations to under one per 50 traces: the monitor trees, the seen
+// set and the growing interface list, with one path buffer serving
+// every trace.
+func TestCollectAllocatesPerSweepNotPerTrace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; the bound is asserted in normal builds")
+	}
+	w, err := netsim.Build(netsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c *Collection
+	allocs := testing.AllocsPerRun(1, func() { c = Collect(context.Background(), w, DefaultConfig()) })
+	if limit := float64(c.Traces) / 50; allocs >= limit {
+		t.Fatalf("Collect made %.0f allocations for %d traces, want under %.0f (one per 50 traces)",
+			allocs, c.Traces, limit)
+	}
+}

@@ -229,7 +229,6 @@ type HopResult struct {
 // Measurement is one built-in traceroute result.
 type Measurement struct {
 	ProbeID int
-	DstAddr string
 	Result  []HopResult
 }
 
@@ -243,7 +242,6 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 	out := make([]Measurement, 0, len(f.Targets)*len(f.Probes))
 	for _, target := range f.Targets {
 		tree := traceroute.BuildTree(f.World, target)
-		dstAddr := f.World.Interfaces[f.World.Routers[target].Ifaces[0]].Addr.String()
 		// One backing array of hops serves every probe's result toward
 		// this target; each measurement gets a capacity-capped window, so
 		// appending to one copies instead of overwriting its neighbour.
@@ -267,10 +265,7 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 				hop = 2
 			}
 			n := tree.HopCount(p.Router) + 1
-			m := Measurement{
-				ProbeID: p.ID, DstAddr: dstAddr,
-				Result: results[:n:n],
-			}
+			m := Measurement{ProbeID: p.ID, Result: results[:n:n]}
 			results = results[n:]
 			// Forward path: walk Parent pointers from the probe's router to
 			// the tree root (the target).

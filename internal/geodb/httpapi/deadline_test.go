@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -39,9 +41,12 @@ func stalledUploadEnds(t *testing.T, addr string, wait time.Duration) time.Durat
 
 // TestRequestDeadlineEndsStalledUpload: a client that stalls mid-body
 // loses its connection once the request deadline passes, and the
-// request counts as an error.
+// request counts as an error and logs as a 408, not as a malformed
+// body.
 func TestRequestDeadlineEndsStalledUpload(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(testDBs(t), WithRequestTimeout(150*time.Millisecond)))
+	var logs bytes.Buffer
+	srv := httptest.NewServer(NewHandler(testDBs(t), WithRequestTimeout(150*time.Millisecond),
+		WithLogger(slog.New(slog.NewTextHandler(&logs, nil)))))
 	t.Cleanup(srv.Close)
 
 	if d := stalledUploadEnds(t, srv.Listener.Addr().String(), 3*time.Second); d > time.Second {
@@ -54,6 +59,10 @@ func TestRequestDeadlineEndsStalledUpload(t *testing.T) {
 	if s.ByEndpoint["POST /v2/lookup"] != 1 || s.Errors != 1 {
 		t.Errorf("after one timed-out upload: /v2/lookup count %d, errors %d; want 1 and 1",
 			s.ByEndpoint["POST /v2/lookup"], s.Errors)
+	}
+	srv.Close() // waits for the handlers, so every log line is written
+	if !strings.Contains(logs.String(), "path=/v2/lookup status=408") {
+		t.Errorf("timed-out upload not logged as 408 Request Timeout:\n%s", logs.String())
 	}
 }
 

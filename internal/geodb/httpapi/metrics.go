@@ -21,7 +21,11 @@ type DBStats struct {
 type StatsResponse struct {
 	// Requests counts every request through the middleware stack.
 	Requests int64 `json:"requests"`
-	// ByEndpoint counts requests per route (method + path).
+	// ByEndpoint counts requests per API route, keyed "METHOD /path".
+	// Every request no route takes by its exact method and path counts
+	// under "other": unknown paths (404s), a known path under another
+	// method (405s) and HEAD requests, which the GET routes answer. The
+	// keys are fixed when the server starts, whatever paths clients send.
 	ByEndpoint map[string]int64 `json:"by_endpoint"`
 	// Errors counts responses with status >= 400 and requests that
 	// outlived their deadline (WithRequestTimeout).
@@ -95,13 +99,23 @@ type metrics struct {
 	// /v2/stats surfaces it as Reloads.
 	swaps *obs.Counter
 
-	// byEndpoint and byDB counters are created on demand — a hot reload
-	// can introduce database names that did not exist at construction —
-	// and cached so the common case is one map read under an RLock.
-	mu         sync.RWMutex
-	byEndpoint map[string]*obs.Counter
-	byDB       map[string]*dbTally
+	// byEndpoint holds each API route's counter, keyed by method and
+	// path; NewHandler fills it through addRoute before the handler
+	// serves, so it is read without a lock. other counts every request
+	// no route takes, so client-chosen paths never add a counter.
+	byEndpoint map[[2]string]*obs.Counter
+	other      *obs.Counter
+
+	// byDB counters are created on demand — a hot reload can introduce
+	// database names that did not exist at construction — and cached so
+	// the common case is one map read under an RLock.
+	mu   sync.RWMutex
+	byDB map[string]*dbTally
 }
+
+// otherEndpoint is the ByEndpoint key, and http.by_endpoint.other the
+// registry counter, of the requests no API route takes.
+const otherEndpoint = "other"
 
 func newMetrics(dbNames []string) *metrics {
 	reg := obs.NewRegistry()
@@ -111,7 +125,8 @@ func newMetrics(dbNames []string) *metrics {
 		errors:     reg.Counter("http.errors"),
 		latency:    reg.Histogram("http.latency_ms", obs.LatencyBucketsMs),
 		swaps:      reg.Counter("generation.swaps"),
-		byEndpoint: make(map[string]*obs.Counter),
+		byEndpoint: make(map[[2]string]*obs.Counter),
+		other:      reg.Counter("http.by_endpoint." + otherEndpoint),
 		byDB:       make(map[string]*dbTally, len(dbNames)),
 	}
 	// Help text rides into the Prometheus exposition's # HELP lines.
@@ -127,23 +142,10 @@ func newMetrics(dbNames []string) *metrics {
 	return m
 }
 
-// endpointCounter resolves the per-route counter, creating it on first
-// use under the registry name "http.by_endpoint.<METHOD PATH>".
-func (m *metrics) endpointCounter(route string) *obs.Counter {
-	m.mu.RLock()
-	c, ok := m.byEndpoint[route]
-	m.mu.RUnlock()
-	if ok {
-		return c
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.byEndpoint[route]; ok {
-		return c
-	}
-	c = m.reg.Counter("http.by_endpoint." + route)
-	m.byEndpoint[route] = c
-	return c
+// addRoute creates an API route's counter under the registry name
+// "http.by_endpoint.<METHOD PATH>".
+func (m *metrics) addRoute(method, path string) {
+	m.byEndpoint[[2]string{method, path}] = m.reg.Counter("http.by_endpoint." + method + " " + path)
 }
 
 // middleware counts the request, its endpoint, its status class and its
@@ -160,7 +162,11 @@ func (m *metrics) middleware(next http.Handler) http.Handler {
 		if rec.status >= 400 || hasDeadline && !end.Before(deadline) {
 			m.errors.Inc()
 		}
-		m.endpointCounter(r.Method + " " + r.URL.Path).Inc()
+		c, ok := m.byEndpoint[[2]string{r.Method, r.URL.Path}]
+		if !ok {
+			c = m.other
+		}
+		c.Inc()
 		m.latency.Observe(float64(end.Sub(start)) / float64(time.Millisecond))
 	})
 }
@@ -216,10 +222,11 @@ func (m *metrics) snapshot() StatsResponse {
 		LatencyMs:  make(map[string]float64),
 		DBs:        make(map[string]DBStats),
 	}
-	m.mu.RLock()
 	for route, c := range m.byEndpoint {
-		out.ByEndpoint[route] = c.Value()
+		out.ByEndpoint[route[0]+" "+route[1]] = c.Value()
 	}
+	out.ByEndpoint[otherEndpoint] = m.other.Value()
+	m.mu.RLock()
 	for name, t := range m.byDB {
 		out.DBs[name] = DBStats{Hits: t.hits.Value(), Misses: t.misses.Value()}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"log/slog"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -182,16 +183,20 @@ func NewHandler(dbs []*geodb.DB, opts ...ServerOption) *Handler {
 	h.metrics = newMetrics(gen.names)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", h.handleHealthz)
-	mux.HandleFunc("GET /v1/databases", h.handleV1Databases)
-	mux.HandleFunc("GET /v1/lookup", h.handleV1Lookup)
-	mux.HandleFunc("POST /v2/lookup", h.handleV2Lookup)
-	mux.HandleFunc("GET /v2/databases", h.handleV2Databases)
-	mux.HandleFunc("GET /v2/stats", h.handleV2Stats)
+	route := func(method, path string, fn http.HandlerFunc) {
+		mux.HandleFunc(method+" "+path, fn)
+		h.metrics.addRoute(method, path)
+	}
+	route(http.MethodGet, "/healthz", h.handleHealthz)
+	route(http.MethodGet, "/v1/databases", h.handleV1Databases)
+	route(http.MethodGet, "/v1/lookup", h.handleV1Lookup)
+	route(http.MethodPost, "/v2/lookup", h.handleV2Lookup)
+	route(http.MethodGet, "/v2/databases", h.handleV2Databases)
+	route(http.MethodGet, "/v2/stats", h.handleV2Stats)
 	if h.reloadHook != nil {
 		// The route exists only when a reload hook is armed, so an unarmed
 		// server answers the admin path with a plain 404.
-		mux.HandleFunc("POST /v2/admin/reload", h.handleAdminReload)
+		route(http.MethodPost, "/v2/admin/reload", h.handleAdminReload)
 	}
 
 	// The deadline wraps the metrics so that they see it: a request that
@@ -346,6 +351,12 @@ func (h *Handler) answerV2Lookup(w http.ResponseWriter, r *http.Request, st *v2S
 		if _, ok := err.(bodyTooLargeError); ok {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
 				ErrorResponse{Error: "request body too large", MaxBatch: h.maxBatch})
+			return false
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			// The upload outlived the request deadline. The connection
+			// closes, so the 408 reaches only the logs and metrics.
+			writeJSON(w, http.StatusRequestTimeout, ErrorResponse{Error: "request body not read before the deadline"})
 			return false
 		}
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed JSON body: " + err.Error()})

@@ -249,6 +249,42 @@ func TestV2Stats(t *testing.T) {
 	}
 }
 
+// TestUnknownPathsShareOneEndpointCounter: requests no route takes, 404s
+// and 405s alike, count under one label however many paths clients
+// send, so they cannot grow the registry, /metrics or /v2/stats.
+func TestUnknownPathsShareOneEndpointCounter(t *testing.T) {
+	const routes = 6 // the API routes of a handler without WithAdminReload
+	h := NewHandler(testDBs(t))
+	serve := func(method, path string, want int) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, nil))
+		if w.Code != want {
+			t.Fatalf("%s %s = %d, want %d", method, path, w.Code, want)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		serve(http.MethodGet, fmt.Sprintf("/nope-%d", i), http.StatusNotFound)
+	}
+	serve(http.MethodDelete, "/v1/lookup", http.StatusMethodNotAllowed)
+	serve(http.MethodGet, "/healthz", http.StatusOK)
+
+	counters := 0
+	for name := range h.Registry().Snapshot().Counters {
+		if strings.HasPrefix(name, "http.by_endpoint.") {
+			counters++
+		}
+	}
+	if counters > routes+1 {
+		t.Errorf("%d http.by_endpoint. counters after 1,000 unknown paths, want at most %d", counters, routes+1)
+	}
+	s := h.metrics.snapshot()
+	if len(s.ByEndpoint) > routes+1 || s.ByEndpoint["other"] != 1001 || s.ByEndpoint["GET /healthz"] != 1 {
+		t.Errorf("ByEndpoint has %d keys, other %d, GET /healthz %d; want at most %d, 1001 and 1",
+			len(s.ByEndpoint), s.ByEndpoint["other"], s.ByEndpoint["GET /healthz"], routes+1)
+	}
+}
+
 func TestHealthzDraining(t *testing.T) {
 	h := NewHandler(testDBs(t))
 	srv := httptest.NewServer(h)

@@ -52,9 +52,8 @@ type Entry struct {
 	Method  Method
 	// Domain is the rule that decoded a DNS entry ("" for RTT entries).
 	Domain string
-	// ProbeID and HopsFromProbe are set on RTT entries.
-	ProbeID       int
-	HopsFromProbe int
+	// ProbeID is set on RTT entries.
+	ProbeID int
 }
 
 // Dataset is an ordered, indexed set of entries (one per address).

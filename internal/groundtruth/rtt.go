@@ -191,13 +191,12 @@ func BuildRTT(ctx context.Context, w *netsim.World, fleet *atlas.Fleet, ms []atl
 			continue
 		}
 		entries = append(entries, Entry{
-			Iface:         id,
-			Addr:          a,
-			Coord:         p.Reported,
-			Country:       p.ReportedCountry,
-			Method:        RTT,
-			ProbeID:       best.probe,
-			HopsFromProbe: best.hops,
+			Iface:   id,
+			Addr:    a,
+			Coord:   p.Reported,
+			Country: p.ReportedCountry,
+			Method:  RTT,
+			ProbeID: best.probe,
 		})
 		if best.hops >= 2 {
 			twoPlus++

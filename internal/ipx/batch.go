@@ -1,13 +1,18 @@
 package ipx
 
-// The batch lookup kernel. Sweeps probe hundreds of thousands of
-// addresses with no locality, which defeats the branch predictor inside
-// find's binary search. FindBatch instead sorts each block of addresses
-// (an LSD radix sort over the address bits, ~3x faster than a
-// comparison sort here) and walks the interval table once,
-// monotonically, resolving every address against a forward-moving
-// cursor. Results scatter back to input positions, so callers observe
-// exactly the per-address Lookup answers in input order.
+// The batch lookup kernel. FindBatch sorts each block of addresses (an
+// LSD radix sort over the address bits, ~3x faster than a comparison
+// sort here) and walks the interval table once, monotonically,
+// resolving every address against a forward-moving cursor. Results
+// scatter back to input positions, so callers observe exactly the
+// per-address Lookup answers in input order.
+//
+// It serves two kinds of traffic. The measurement sweeps probe at most
+// 9,575 addresses at the default scale (the Ark set), in ascending
+// order and in blocks of up to 8,192. The server's bulk /v2/lookup
+// requests (8,192 addresses in perfbench serve) arrive in no order,
+// which defeats the branch predictor inside find's binary search; that
+// is where sorting pays.
 
 // batchSegment is the largest number of addresses one sort-and-walk
 // segment handles: the radix keys pack the address in the top 32 bits

@@ -6,14 +6,16 @@ import (
 	"sync"
 )
 
-// The ECDF sort kernel. Sorting dominates large-sweep ECDF queries (the
-// accuracy sweep sorts hundreds of thousands of distance samples), so
-// big inputs use an LSD radix sort over the IEEE-754 bit patterns
-// instead of the standard library's comparison sort — a ~3x win at
-// sweep sizes. The order-preserving key transform (flip the sign bit of
-// non-negatives, all bits of negatives) makes unsigned key order equal
-// float order, so the result is byte-identical to slices.Sort for any
-// NaN-free input; distance samples are non-negative by construction.
+// The ECDF sort kernel. An ECDF sorts its samples at its first query.
+// In a default run the largest ECDFs hold 3,868 and 2,713 samples (the
+// ground truth's size) and most hold a few hundred. Inputs from
+// radixSortCutoff up use an LSD radix sort over the IEEE-754 bit
+// patterns instead of the standard library's comparison sort, 3-4x
+// faster at 2,713 and 3,868 samples. The order-preserving key transform
+// (flip the sign bit of non-negatives, all bits of negatives) makes
+// unsigned key order equal float order, so the result is byte-identical
+// to slices.Sort for any NaN-free input; distance samples are
+// non-negative by construction.
 
 // radixSortCutoff is the input size below which slices.Sort wins: the
 // radix passes have a fixed cost (clearing 48 KiB of counting tables)

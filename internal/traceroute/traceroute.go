@@ -14,21 +14,10 @@ package traceroute
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"routergeo/internal/netsim"
-	"routergeo/internal/rtt"
 )
-
-// Hop is one line of a traceroute result.
-type Hop struct {
-	Router netsim.RouterID
-	// Iface is the ingress interface whose address appears in the result.
-	// It is -1 for the source router itself (a traceroute never reveals
-	// its own first router's upstream side).
-	Iface netsim.IfaceID
-	// RTTMs is the sampled round-trip time from the source to this hop.
-	RTTMs float64
-}
 
 // Tree is a single-source shortest-delay tree over the world's routers.
 type Tree struct {
@@ -103,36 +92,36 @@ func (t *Tree) DistMs(dst netsim.RouterID) float64 { return t.distMs[dst] }
 // HopCount returns the number of links on the path to dst.
 func (t *Tree) HopCount(dst netsim.RouterID) int { return int(t.hops[dst]) }
 
-// Trace produces the hop list a traceroute from the tree's source to dst
-// would report. The source is colocated with its first router, as Ark
-// monitors are, so no access-link delay precedes the first hop. Per-hop
-// RTTs are sampled with independent queueing noise but share the
-// deterministic propagation component, so RTTs increase (almost)
-// monotonically along the path like real traceroutes. Returns nil when
-// dst is unreachable.
-func (t *Tree) Trace(rng *rand.Rand, dst netsim.RouterID) []Hop {
+// Trace appends to buf the ingress interfaces a traceroute from the
+// tree's source to dst reveals, in hop order, and returns the extended
+// slice. The source's own router reveals none (a traceroute never shows
+// its first router's upstream side), so a trace to the source appends
+// nothing. When dst is unreachable Trace returns buf unchanged and draws
+// nothing from rng.
+//
+// No caller reads a traceroute's RTTs, so none are computed, but Trace
+// still draws the one exponential queueing sample per hop, the source's
+// included, that they took: callers share rng with their own picks (Ark
+// its targets and monitors, SamplePaths its routers), and those picks
+// replay exactly only if Trace leaves rng where the RTT sampling did.
+func (t *Tree) Trace(rng *rand.Rand, dst netsim.RouterID, buf []netsim.IfaceID) []netsim.IfaceID {
 	if !t.Reachable(dst) {
-		return nil
+		return buf
+	}
+	n := int(t.hops[dst])
+	for range n + 1 {
+		rng.ExpFloat64()
 	}
 	// Walk the parent pointers from dst back to the source, writing the
-	// routers in source-to-destination order, then sample the RTTs front
-	// to back so the rng draws stay in hop order.
-	out := make([]Hop, t.hops[dst]+1)
+	// interfaces from the end so they land in source-to-destination order.
+	start := len(buf)
+	buf = slices.Grow(buf, n)[:start+n]
 	r := dst
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i].Router = r
+	for i := start + n - 1; i >= start; i-- {
+		buf[i] = t.parentIface[r]
 		r = t.parent[r]
 	}
-	for i := range out {
-		h := &out[i]
-		h.Iface = -1
-		if i > 0 {
-			h.Iface = t.parentIface[h.Router]
-		}
-		prop := 2*t.distMs[h.Router] + float64(i)*rtt.PerHopMs
-		h.RTTMs = prop + rng.ExpFloat64()*rtt.QueueMeanMs
-	}
-	return out
+	return buf
 }
 
 // node and nodeQueue implement the Dijkstra priority queue: a binary

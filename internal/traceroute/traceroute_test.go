@@ -1,11 +1,12 @@
 package traceroute
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"routergeo/internal/netsim"
-	"routergeo/internal/rtt"
 )
 
 var cachedWorld *netsim.World
@@ -40,27 +41,32 @@ func TestPathEndpointsAndContinuity(t *testing.T) {
 	w := testWorld(t)
 	tree := BuildTree(w, 0)
 	rng := rand.New(rand.NewSource(1))
+	var ifaces []netsim.IfaceID
 	for trial := 0; trial < 50; trial++ {
 		dst := netsim.RouterID(rng.Intn(w.NumRouters()))
-		hops := tree.Trace(rng, dst)
-		if hops[0].Router != 0 || hops[len(hops)-1].Router != dst {
-			t.Fatalf("path endpoints wrong: %v -> %v", hops[0].Router, hops[len(hops)-1].Router)
+		ifaces = tree.Trace(rng, dst, ifaces[:0])
+		if len(ifaces) != tree.HopCount(dst) {
+			t.Fatalf("HopCount %d inconsistent with %d revealed interfaces", tree.HopCount(dst), len(ifaces))
 		}
-		// Every consecutive pair must share a link.
-		for i := 1; i < len(hops); i++ {
+		// The path runs from the source through each revealed interface's
+		// router, every consecutive pair sharing a link, and ends at dst.
+		prev := tree.Src
+		for _, id := range ifaces {
+			r := w.Interfaces[id].Router
 			found := false
-			for _, h := range w.Neighbors(hops[i-1].Router) {
-				if h.Peer == hops[i].Router {
+			for _, h := range w.Neighbors(prev) {
+				if h.Peer == r {
 					found = true
 					break
 				}
 			}
 			if !found {
-				t.Fatalf("path step %v->%v is not a link", hops[i-1].Router, hops[i].Router)
+				t.Fatalf("path step %v->%v is not a link", prev, r)
 			}
+			prev = r
 		}
-		if len(hops) != tree.HopCount(dst)+1 {
-			t.Fatalf("HopCount %d inconsistent with path length %d", tree.HopCount(dst), len(hops))
+		if prev != dst {
+			t.Fatalf("path ends at %v, want %v", prev, dst)
 		}
 	}
 }
@@ -84,93 +90,79 @@ func TestTraceRevealsIngressInterfaces(t *testing.T) {
 	tree := BuildTree(w, 0)
 	rng := rand.New(rand.NewSource(2))
 	dst := netsim.RouterID(w.NumRouters() - 1)
-	hops := tree.Trace(rng, dst)
-	if hops == nil {
+	ifaces := tree.Trace(rng, dst, nil)
+	if len(ifaces) == 0 {
 		t.Fatal("trace failed")
 	}
-	if hops[0].Iface != -1 {
-		t.Error("source hop must not reveal an interface")
-	}
-	for _, h := range hops[1:] {
-		if h.Iface < 0 {
-			t.Fatal("intermediate hop without interface")
+	// Each revealed interface faces the previous hop: the other end of
+	// its link sits on the router before it.
+	prev := tree.Src
+	for _, id := range ifaces {
+		if id < 0 {
+			t.Fatal("hop without interface")
 		}
-		ifc := w.Interfaces[h.Iface]
-		if ifc.Router != h.Router {
-			t.Fatalf("revealed interface %d not on router %d", h.Iface, h.Router)
+		if r := w.Interfaces[w.PeerIface(id)].Router; r != prev {
+			t.Fatalf("revealed interface %d faces router %d, want the previous hop %d", id, r, prev)
 		}
-	}
-}
-
-func TestTraceRTTsRespectPropagation(t *testing.T) {
-	w := testWorld(t)
-	tree := BuildTree(w, 0)
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 25; trial++ {
-		dst := netsim.RouterID(rng.Intn(w.NumRouters()))
-		for _, h := range tree.Trace(rng, dst) {
-			floor := 2 * tree.DistMs(h.Router)
-			if h.RTTMs < floor-1e-9 {
-				t.Fatalf("hop RTT %.3f below propagation floor %.3f", h.RTTMs, floor)
-			}
-		}
+		prev = w.Interfaces[id].Router
 	}
 }
 
 func TestTraceToSelf(t *testing.T) {
 	w := testWorld(t)
 	tree := BuildTree(w, 7)
-	hops := tree.Trace(rand.New(rand.NewSource(4)), 7)
-	if len(hops) != 1 || hops[0].Router != 7 {
-		t.Fatalf("self-trace = %+v", hops)
+	if ifaces := tree.Trace(rand.New(rand.NewSource(4)), 7, nil); len(ifaces) != 0 {
+		t.Fatalf("self-trace revealed %v", ifaces)
 	}
 }
 
-func TestNearbyDestinationHasSmallRTT(t *testing.T) {
-	// A destination one link away must show an RTT close to twice the link
-	// delay — the property the 0.5 ms proximity rule exploits.
-	w := testWorld(t)
-	src := netsim.RouterID(0)
-	tree := BuildTree(w, src)
-	var nearest netsim.RouterID = -1
-	bestD := 0.0
-	for _, h := range w.Neighbors(src) {
-		if nearest < 0 || tree.DistMs(h.Peer) < bestD {
-			nearest, bestD = h.Peer, tree.DistMs(h.Peer)
-		}
-	}
-	rng := rand.New(rand.NewSource(5))
-	hops := tree.Trace(rng, nearest)
-	last := hops[len(hops)-1]
-	if last.RTTMs < 2*bestD {
-		t.Fatalf("RTT %.3f under propagation %.3f", last.RTTMs, 2*bestD)
-	}
-	if last.RTTMs > 2*bestD+5 {
-		t.Fatalf("RTT %.3f implausibly inflated for a direct link of %.3f ms", last.RTTMs, bestD)
-	}
-}
-
-func TestProximityRuleSoundOverTraces(t *testing.T) {
-	// For every hop of every trace: if the RTT is under 0.5 ms, the hop
-	// router must be within 50 km of the source. This is the end-to-end
-	// soundness of the paper's §2.3.2 rule in our simulator.
-	w := testWorld(t)
-	rng := rand.New(rand.NewSource(6))
-	srcs := []netsim.RouterID{0, 11, 77}
-	for _, src := range srcs {
-		tree := BuildTree(w, src)
-		srcCoord := w.Routers[src].Coord
-		for trial := 0; trial < 40; trial++ {
-			dst := netsim.RouterID(rng.Intn(w.NumRouters()))
-			for _, h := range tree.Trace(rng, dst) {
-				if h.RTTMs < 0.5 {
-					d := w.Routers[h.Router].Coord.DistanceKm(srcCoord)
-					if d > rtt.MaxDistanceKmForRTT(0.5) {
-						t.Fatalf("hop with %.3f ms RTT is %.1f km away", h.RTTMs, d)
-					}
-				}
+// TestTraceDrawsWhatRTTsDrew pins what Trace leaves behind: the rng where
+// HopCount(dst)+1 ExpFloat64 draws leave a twin, the caller's slice
+// extended by the Parent/ParentIface walk in source-to-destination
+// order, and, toward an unreachable router, neither a draw nor an
+// appended interface.
+func TestTraceDrawsWhatRTTsDrew(t *testing.T) {
+	w := privateWorld(t)
+	// Price every link of the last router at +Inf, so no path reaches it.
+	cut := netsim.RouterID(w.NumRouters() - 1)
+	for r := 0; r < w.NumRouters(); r++ {
+		for i, hops := 0, w.Neighbors(netsim.RouterID(r)); i < len(hops); i++ {
+			if netsim.RouterID(r) == cut || hops[i].Peer == cut {
+				hops[i].OneWayMs = math.Inf(1)
 			}
 		}
+	}
+	tree := BuildTree(w, 0)
+	if tree.Reachable(cut) {
+		t.Fatal("the cut router is still reachable")
+	}
+	rng, twin := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
+	buf := []netsim.IfaceID{-7} // the caller's own entry stays in front
+	for trial := 0; trial < 60; trial++ {
+		dst := netsim.RouterID(rng.Intn(w.NumRouters()))
+		twin.Intn(w.NumRouters())
+		if trial%10 == 0 {
+			dst = cut
+		}
+		got := tree.Trace(rng, dst, buf[:1])
+		var want []netsim.IfaceID
+		if tree.Reachable(dst) {
+			for range tree.HopCount(dst) + 1 {
+				twin.ExpFloat64()
+			}
+			for r := dst; r != tree.Src; r = tree.Parent(r) {
+				want = append(want, tree.ParentIface(r))
+			}
+			slices.Reverse(want)
+		}
+		if a, b := rng.Int63(), twin.Int63(); a != b {
+			t.Fatalf("trace to %d (%d hops, reachable %v): rng drew %d, its twin %d",
+				dst, tree.HopCount(dst), tree.Reachable(dst), a, b)
+		}
+		if got[0] != -7 || !slices.Equal(got[1:], want) {
+			t.Fatalf("trace to %d appended %v after %d, want %v after -7", dst, got[1:], got[0], want)
+		}
+		buf = got
 	}
 }
 

@@ -303,25 +303,25 @@ func (s *Study) SamplePaths(n int, seed int64) []Path {
 	w := s.env.W
 	rng := newRand(seed)
 	var out []Path
+	var ifaces []netsim.IfaceID
 	for len(out) < n {
 		src := netsim.RouterID(rng.Intn(w.NumRouters()))
 		dst := netsim.RouterID(rng.Intn(w.NumRouters()))
 		if src == dst {
 			continue
 		}
-		hops := traceroute.BuildTree(w, src).Trace(rng, dst)
-		if hops == nil {
+		tree := traceroute.BuildTree(w, src)
+		if !tree.Reachable(dst) {
 			continue
 		}
+		ifaces = tree.Trace(rng, dst, ifaces[:0])
 		p := Path{
 			From: describeRouter(w, src),
 			To:   describeRouter(w, dst),
+			Hops: make([]string, len(ifaces)),
 		}
-		for _, h := range hops {
-			if h.Iface < 0 {
-				continue
-			}
-			p.Hops = append(p.Hops, w.Interfaces[h.Iface].Addr.String())
+		for i, id := range ifaces {
+			p.Hops[i] = w.Interfaces[id].Addr.String()
 		}
 		out = append(out, p)
 	}
