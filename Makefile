@@ -72,12 +72,13 @@ test:
 	$(GO) test ./...
 
 # cores re-runs the packages whose README guarantees depend on the core
-# count — serial ≡ parallel byte identity (par, core, ark, experiments),
-# the zero-alloc /v2/lookup steady state and the full stack's bound of
-# an eighth of the answer in bytes allocated per bulk request, which no
-# copy of the answer fits (httpapi) — at 1, 2 and 4 procs, so a
-# single-core runner cannot hide a multi-core failure.
-CORES_PKGS = ./internal/par/ ./internal/core/ ./internal/ark/ ./internal/experiments/ ./internal/geodb/httpapi/
+# count — serial ≡ parallel byte identity (par, core, ark, experiments,
+# and traceroute's trees built from 8 goroutines on one shared bucket
+# pool), the zero-alloc /v2/lookup steady state and the full stack's
+# bound of an eighth of the answer in bytes allocated per bulk request,
+# which no copy of the answer fits (httpapi) — at 1, 2 and 4 procs, so
+# a single-core runner cannot hide a multi-core failure.
+CORES_PKGS = ./internal/par/ ./internal/core/ ./internal/ark/ ./internal/experiments/ ./internal/geodb/httpapi/ ./internal/traceroute/
 
 cores:
 	$(GO) test -count=1 -cpu 1,2,4 $(CORES_PKGS)

@@ -37,6 +37,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -106,7 +107,9 @@ func main() {
 	// larger worlds.
 	selected, err := selectExperiments(*run)
 	if err == nil {
-		err = checkModeFlags(*run, *ext, *dbdir, *plotdir, *stability, *longit, *remote)
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		err = checkModeFlags(*run, *ext, *dbdir, *plotdir, *stability, *longit, *remote, set)
 	}
 	if err == nil && *longit {
 		err = experiments.CheckLongitudinal(*epochs, *interval)
@@ -263,11 +266,16 @@ func selectExperiments(run string) ([]experiments.Experiment, error) {
 
 // checkModeFlags rejects flags the chosen mode would drop without a
 // word: -run and -ext under -stability, -longitudinal or -remote, each
-// of which runs instead of the experiments, and -dbdir and -plotdir
-// under -stability, which exports neither databases nor figure series.
+// of which runs instead of the experiments; -dbdir and -plotdir under
+// -stability, which exports neither databases nor figure series; and
+// the mode-only flags without their mode (-epochs and -interval-months
+// without -longitudinal, -remote-fallback without -remote). set holds
+// the names of the flags given on the command line (flag.Visit), since
+// a mode-only flag's value cannot tell "-epochs 3" from the default.
 // The modes are checked in the order main picks them, and the error
 // names every dropped flag.
-func checkModeFlags(run string, ext bool, dbdir, plotdir string, stability int, longit bool, remote string) error {
+func checkModeFlags(run string, ext bool, dbdir, plotdir string, stability int, longit bool, remote string, set map[string]bool) error {
+	var problems []string
 	var mode string
 	switch {
 	case stability > 0:
@@ -276,14 +284,12 @@ func checkModeFlags(run string, ext bool, dbdir, plotdir string, stability int, 
 		mode = "-longitudinal"
 	case remote != "":
 		mode = "-remote"
-	default:
-		return nil
 	}
 	var dropped []string
-	if run != "" {
+	if mode != "" && run != "" {
 		dropped = append(dropped, "-run")
 	}
-	if ext {
+	if mode != "" && ext {
 		dropped = append(dropped, "-ext")
 	}
 	if stability > 0 && dbdir != "" {
@@ -292,10 +298,25 @@ func checkModeFlags(run string, ext bool, dbdir, plotdir string, stability int, 
 	if stability > 0 && plotdir != "" {
 		dropped = append(dropped, "-plotdir")
 	}
-	if len(dropped) == 0 {
+	if len(dropped) > 0 {
+		problems = append(problems, fmt.Sprintf("%s cannot be combined with %s, which runs instead of the experiments", strings.Join(dropped, " and "), mode))
+	}
+	for _, f := range []struct {
+		name, mode string
+		on         bool
+	}{
+		{"epochs", "-longitudinal", longit},
+		{"interval-months", "-longitudinal", longit},
+		{"remote-fallback", "-remote", remote != ""},
+	} {
+		if set[f.name] && !f.on {
+			problems = append(problems, fmt.Sprintf("-%s applies only with %s", f.name, f.mode))
+		}
+	}
+	if len(problems) == 0 {
 		return nil
 	}
-	return fmt.Errorf("%s cannot be combined with %s, which runs instead of the experiments", strings.Join(dropped, " and "), mode)
+	return errors.New(strings.Join(problems, "; "))
 }
 
 // remoteAccuracy scores the paper's accuracy sweep (§5.2) against a

@@ -35,6 +35,7 @@ func TestCheckModeFlagsRejectsDroppedFlags(t *testing.T) {
 		stability int
 		longit    bool
 		remote    string
+		set       []string // flags given on the command line, beyond those above
 		want      []string // substrings of the error; none means no error
 	}{
 		{run: "table1"},
@@ -54,8 +55,22 @@ func TestCheckModeFlagsRejectsDroppedFlags(t *testing.T) {
 		{ext: true, remote: "http://127.0.0.1:1", want: []string{"-ext", "-remote"}},
 		{run: "table1", stability: 3, want: []string{"-run", "-stability"}},
 		{ext: true, stability: 3, want: []string{"-ext", "-stability"}},
+		{longit: true, set: []string{"epochs", "interval-months"}},
+		{remote: "http://127.0.0.1:1", set: []string{"remote-fallback"}},
+		{set: []string{"epochs"}, want: []string{"-epochs", "-longitudinal"}},
+		{set: []string{"interval-months"}, want: []string{"-interval-months", "-longitudinal"}},
+		{set: []string{"remote-fallback"}, want: []string{"-remote-fallback", "-remote"}},
+		{remote: "http://127.0.0.1:1", set: []string{"epochs"}, want: []string{"-epochs", "-longitudinal"}},
+		{longit: true, set: []string{"remote-fallback"}, want: []string{"-remote-fallback", "-remote"}},
+		{stability: 2, set: []string{"epochs", "interval-months", "remote-fallback"},
+			want: []string{"-epochs", "-interval-months", "-longitudinal", "-remote-fallback", "-remote"}},
+		{run: "table1", longit: true, set: []string{"remote-fallback"}, want: []string{"-run", "-remote-fallback"}},
 	} {
-		err := checkModeFlags(c.run, c.ext, c.dbdir, c.plotdir, c.stability, c.longit, c.remote)
+		set := map[string]bool{}
+		for _, name := range c.set {
+			set[name] = true
+		}
+		err := checkModeFlags(c.run, c.ext, c.dbdir, c.plotdir, c.stability, c.longit, c.remote, set)
 		if len(c.want) == 0 {
 			if err != nil {
 				t.Errorf("checkModeFlags(%+v) = %v, want nil", c, err)

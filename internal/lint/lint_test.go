@@ -193,6 +193,13 @@ func TestPoolEscapeCoreScope(t *testing.T) {
 	checkFixture(t, l, "fixpool", "routergeo/internal/core/fixpool", []*Analyzer{PoolEscape})
 }
 
+// TestPoolEscapeTracerouteScope pins that the rule also covers the
+// shortest-path trees' bucket pool.
+func TestPoolEscapeTracerouteScope(t *testing.T) {
+	l := newTestLoader(t)
+	checkFixture(t, l, "fixpool", "routergeo/internal/traceroute/fixpool", []*Analyzer{PoolEscape})
+}
+
 func TestPoolEscapeOutOfScope(t *testing.T) {
 	l := newTestLoader(t)
 	pkg := loadFixture(t, l, "fixpool", "routergeo/internal/stats/fixpool")

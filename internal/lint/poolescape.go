@@ -6,11 +6,12 @@ import (
 )
 
 // poolEscapePkgs are the packages whose hot paths recycle state through
-// sync.Pool: the measurement engine's per-worker resolvers and the
-// server's pooled request state.
+// sync.Pool: the measurement engine's per-worker resolvers, the server's
+// pooled request state and the shortest-path trees' bucket queues.
 var poolEscapePkgs = []string{
 	"routergeo/internal/core",
 	"routergeo/internal/geodb/httpapi",
+	"routergeo/internal/traceroute",
 }
 
 // PoolEscape flags sync.Pool-managed objects that outlive the function
@@ -18,7 +19,7 @@ var poolEscapePkgs = []string{
 var PoolEscape = &Analyzer{
 	Name: "poolescape",
 	Doc: "An object obtained from a sync.Pool (internal/core's resolvers, " +
-		"httpapi's request state) must not outlive the " +
+		"httpapi's request state, traceroute's bucket queues) must not outlive the " +
 		"handler or sweep that called Get: returning it (or a field of it), " +
 		"sending it on a channel, or storing it into a struct field or " +
 		"package variable lets it be read after the next Get reuses the " +

@@ -19,8 +19,11 @@ import (
 
 // radixSortCutoff is the input size below which slices.Sort wins: the
 // radix passes have a fixed cost (clearing 48 KiB of counting tables)
-// that only amortizes over thousands of elements.
-const radixSortCutoff = 512
+// that only amortizes over about a thousand elements. Over uniform
+// random floats at -cpu 1 (2-core Intel Xeon, Go 1.24.0) the radix sort
+// took 9.5, 11.5 and 15.3 µs at 512, 768 and 1,024 samples, and
+// slices.Sort 6.0, 9.5 and 21.2 µs.
+const radixSortCutoff = 1024
 
 const (
 	floatRadixBits   = 11

@@ -30,10 +30,24 @@ type Tree struct {
 }
 
 // BuildTree computes the shortest-delay tree from src over w's links.
-// Cost is one Dijkstra run (O(E log V)); reuse the tree for every
-// destination.
+// Cost is one Dijkstra run; reuse the tree for every destination.
+//
+// The run takes the bucket queue (buckets.go), which settles a router
+// with no comparisons, unless two paths to a router tie or a link delay
+// lies outside the range netsim builds. The typed heap then builds the
+// tree again, and its pop order breaks the ties. Either way the tree is
+// the one a container/heap Dijkstra builds, ties included.
 func BuildTree(w *netsim.World, src netsim.RouterID) *Tree {
-	n := w.NumRouters()
+	t, ok := bucketTree(w, src)
+	if !ok {
+		t.reset()
+		t.fillHeap(w)
+	}
+	return t
+}
+
+// newTree allocates a tree rooted at src that reaches nothing yet.
+func newTree(n int, src netsim.RouterID) *Tree {
 	t := &Tree{
 		Src:         src,
 		parent:      make([]netsim.RouterID, n),
@@ -41,15 +55,25 @@ func BuildTree(w *netsim.World, src netsim.RouterID) *Tree {
 		distMs:      make([]float64, n),
 		hops:        make([]int32, n),
 	}
+	t.reset()
+	return t
+}
+
+// reset marks every router unreached but the source.
+func (t *Tree) reset() {
 	for i := range t.parent {
 		t.parent[i] = -1
 		t.parentIface[i] = -1
 		t.distMs[i] = math.Inf(1)
+		t.hops[i] = 0
 	}
-	t.distMs[src] = 0
+	t.distMs[t.Src] = 0
+}
 
+// fillHeap runs Dijkstra on the typed heap over a reset tree.
+func (t *Tree) fillHeap(w *netsim.World) {
 	pq := make(nodeQueue, 0, 64)
-	pq.push(node{router: src, dist: 0})
+	pq.push(node{router: t.Src, dist: 0})
 	for len(pq) > 0 {
 		cur := pq.pop()
 		if cur.dist > t.distMs[cur.router] {
@@ -66,7 +90,6 @@ func BuildTree(w *netsim.World, src netsim.RouterID) *Tree {
 			}
 		}
 	}
-	return t
 }
 
 // Parent returns the previous router on the tree path from the source to
@@ -124,7 +147,7 @@ func (t *Tree) Trace(rng *rand.Rand, dst netsim.RouterID, buf []netsim.IfaceID) 
 	return buf
 }
 
-// node and nodeQueue implement the Dijkstra priority queue: a binary
+// node and nodeQueue implement fillHeap's priority queue: a binary
 // min-heap on dist, typed so no entry is boxed into an interface. push
 // and pop perform container/heap's Push and Pop step for step (the same
 // comparisons, the same child choice, the swap with the last element

@@ -166,16 +166,16 @@ func TestTraceDrawsWhatRTTsDrew(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildTree builds default-world trees, one per Ark monitor or
+// Atlas target, from sources spread over the world.
 func BenchmarkBuildTree(b *testing.B) {
-	cfg := netsim.DefaultConfig()
-	cfg.Seed = 42
-	cfg.ASes = 150
-	w, err := netsim.Build(cfg)
+	w, err := netsim.Build(netsim.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildTree(w, netsim.RouterID(i%w.NumRouters()))
+		BuildTree(w, netsim.RouterID(i*97%w.NumRouters()))
 	}
 }
