@@ -202,7 +202,6 @@ fuzz:
 	$(GO) test -run ^$$ -fuzz '^FuzzBuildTreeEquivalence$$' -fuzztime $(FUZZTIME) ./internal/traceroute/
 	$(GO) test -run ^$$ -fuzz '^FuzzBuildMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/geodb/
 	$(GO) test -run ^$$ -fuzz '^FuzzV2LookupDecode$$' -fuzztime $(FUZZTIME) ./internal/geodb/httpapi/
-	$(GO) test -run ^$$ -fuzz '^FuzzKeyedRandMatchesMathRand$$' -fuzztime $(FUZZTIME) ./internal/vendors/
 	$(GO) test -run ^$$ -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/hints/
 	$(GO) test -run ^$$ -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/geodb/snapshot/
 	$(GO) test -run ^$$ -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/geodb/dbcsv/

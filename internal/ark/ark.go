@@ -117,7 +117,7 @@ func Collect(ctx context.Context, w *netsim.World, cfg Config) *Collection {
 			}
 			for k := 0; k < monitorsPerTarget; k++ {
 				mi := rng.Intn(len(monitors))
-				path = trees[mi].Trace(rng, dst, path[:0])
+				path = trees[mi].Trace(dst, path[:0])
 				c.Traces++
 				for _, id := range path {
 					if !seen[id] {

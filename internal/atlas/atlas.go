@@ -14,7 +14,6 @@
 package atlas
 
 import (
-	"math"
 	"math/rand"
 
 	"routergeo/internal/gazetteer"
@@ -274,10 +273,10 @@ func (f *Fleet) RunBuiltins(seed int64) []Measurement {
 				prop := p.LastMileMs + 2*(total-tree.DistMs(r)) + float64(j)*rtt.PerHopMs
 				h := &m.Result[j]
 				h.Hop, h.From = hop, f.World.Interfaces[ifc].Addr
-				h.RTTMs = math.Inf(1)
-				for range 3 { // three packets per hop; the fastest counts
-					h.RTTMs = min(h.RTTMs, prop+rng.ExpFloat64()*rtt.QueueMeanMs)
-				}
+				// The fastest of three packets, each queueing for an
+				// exponential time of mean QueueMeanMs, queues for an
+				// exponential time of a third of that mean: one draw.
+				h.RTTMs = prop + rng.ExpFloat64()*(rtt.QueueMeanMs/3)
 				hop++
 				if r != target {
 					// tree.ParentIface(r) is the interface at r on the link

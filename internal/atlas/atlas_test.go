@@ -1,12 +1,14 @@
 package atlas
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"routergeo/internal/geo"
 	"routergeo/internal/netsim"
 	"routergeo/internal/rtt"
+	"routergeo/internal/traceroute"
 )
 
 var (
@@ -150,6 +152,49 @@ func TestBuiltinsRTTsMonotoneInPropagation(t *testing.T) {
 		if first.RTTMs < p.LastMileMs {
 			t.Fatalf("first hop RTT %.3f under last-mile %.3f", first.RTTMs, p.LastMileMs)
 		}
+	}
+}
+
+// TestBuiltinsQueueHasAThirdOfTheMean rebuilds every hop's propagation
+// part of the RTT and checks that what remains, the queueing of the
+// fastest of three packets, is never negative and has mean
+// QueueMeanMs/3 within 3 standard errors: the minimum of three
+// exponentials of mean QueueMeanMs is exponential with a third of it.
+func TestBuiltinsQueueHasAThirdOfTheMean(t *testing.T) {
+	w, f, ms := setup(t)
+	var n, sum, sumSq float64
+	next := 0
+	for _, target := range f.Targets {
+		tree := traceroute.BuildTree(w, target)
+		for pi := range f.Probes {
+			p := &f.Probes[pi]
+			if !tree.Reachable(p.Router) {
+				continue
+			}
+			m := ms[next]
+			next++
+			if m.ProbeID != p.ID {
+				t.Fatalf("measurement %d is probe %d's, want probe %d's", next-1, m.ProbeID, p.ID)
+			}
+			total, r := tree.DistMs(p.Router), p.Router
+			for j, h := range m.Result {
+				prop := p.LastMileMs + 2*(total-tree.DistMs(r)) + float64(j)*rtt.PerHopMs
+				q := h.RTTMs - prop
+				if q < -1e-9 {
+					t.Fatalf("probe %d, hop %d: RTT %v under its propagation %v", p.ID, h.Hop, h.RTTMs, prop)
+				}
+				n, sum, sumSq = n+1, sum+q, sumSq+q*q
+				r = tree.Parent(r)
+			}
+		}
+	}
+	if next != len(ms) {
+		t.Fatalf("rebuilt %d measurements of %d", next, len(ms))
+	}
+	mean := sum / n
+	se := math.Sqrt((sumSq/n - mean*mean) / n)
+	if want := rtt.QueueMeanMs / 3; math.Abs(mean-want) > 3*se {
+		t.Fatalf("mean queueing over %v hops is %.5f ms (standard error %.5f), want %.5f", n, mean, se, want)
 	}
 }
 

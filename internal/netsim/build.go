@@ -348,7 +348,7 @@ func (b *builder) createLinks() error {
 	}
 	pickProvider := func(coord geo.Coordinate) RouterID {
 		if b.rng.Float64() < 0.5 {
-			return tx.nearestRouter(b.w, b.rng, coord)
+			return b.nearestRouterInAS(transit[tx.nearestPosition(coord)], coord)
 		}
 		x := b.rng.Intn(totalWeight)
 		for i, ti := range transit {

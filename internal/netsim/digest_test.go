@@ -53,10 +53,12 @@ func worldDigest(w *World) string {
 }
 
 // TestWorldDigests pins the built world byte for byte at sizes the
-// repository's golden files do not reach. The digests were recorded from
-// the build whose createLinks scanned every transit AS for each query,
-// so a faster build is held to the scans' output. A float's last bit may
-// differ on another GOARCH or GOAMD64 level, so the test skips there.
+// repository's golden files do not reach: every PoP, router, link and
+// address the seeded draws of Build choose, a stub's uplink to its
+// nearest transit provider included (one Intn over the routers of the
+// winning AS's nearest PoP). A faster build must keep them. A float's
+// last bit may differ on another GOARCH or GOAMD64 level, so the test
+// skips there.
 func TestWorldDigests(t *testing.T) {
 	if target := buildTarget(); target != "GOARCH=amd64 GOAMD64=v1" {
 		t.Skipf("world digests are recorded for GOARCH=amd64 GOAMD64=v1; this is %s", target)
@@ -66,9 +68,9 @@ func TestWorldDigests(t *testing.T) {
 		ases int
 		want string
 	}{
-		{1, 3600, "86bad88d58c67c657584da73c96353abd79b1e6b441b2a13aa48f56d91b0d144"},
-		{7, 3600, "dcc8311233fa0a2f3e77822d7e824739c31a8f3483fa1d7dd929aa691e6e81eb"},
-		{1, 14400, "6f5bb08890a36f396e977658cec23a3432028c1ab06814e3d6eac9b13aaea1e6"},
+		{1, 3600, "652c82c8f54b229d6d09e16cf1a56143a619bb6ca96186afb60eb6aa2ca557a2"},
+		{7, 3600, "04a6789ba6584feaaceddc365f94f0d4e7e6d1423f72f90f20fb1096073260af"},
+		{1, 14400, "dbf8371116c84ac67ecf76777bb7221881cc150bc848a2213b807279b975f01d"},
 	} {
 		if tc.ases > 3600 && testing.Short() {
 			t.Logf("seed %d, %d ASes: skipped under -short", tc.seed, tc.ases)

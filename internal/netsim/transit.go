@@ -3,7 +3,6 @@ package netsim
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"routergeo/internal/gazetteer"
@@ -13,9 +12,8 @@ import (
 // transitIndex answers createLinks' two questions about the transit
 // tier by PoP city instead of by scanning every transit AS: which
 // transit ASes may peer with a given one, and which transit PoP lies
-// nearest a point. Both answers, and every draw createLinks makes from
-// them, equal those of the scans over all transit ASes the index
-// replaced.
+// nearest a point. Both answers equal those of the scans over all
+// transit ASes the index replaced.
 //
 // Positions number the transit ASes in AS order (transit[pos] is the AS
 // index); cities are gazetteer.CityIDs. Every PoP of a city shares the
@@ -35,9 +33,7 @@ type transitIndex struct {
 	lats   []float64
 	coords []geo.Coordinate
 	first  []int32
-	// maxRouters is the largest router count of any transit PoP.
-	maxRouters int
-	mark       []uint64 // peers' scratch bitset over positions
+	mark   []uint64 // peers' scratch bitset over positions
 }
 
 // degToRad converts the latitude gaps of the index's lower bound.
@@ -59,7 +55,6 @@ func newTransitIndex(w *World, radiusKm float64) *transitIndex {
 				cities = append(cities, c)
 			}
 			tx.atCity[c] = append(tx.atCity[c], pos)
-			tx.maxRouters = max(tx.maxRouters, len(as.PoPs[pi].Routers))
 		}
 	}
 	tx.mark = make([]uint64, (len(tx.transit)+63)/64)
@@ -149,47 +144,6 @@ func (tx *transitIndex) nearestPosition(p geo.Coordinate) int {
 			best, bestD = tx.first[k], d
 		}
 	}
-}
-
-// nearestRouter returns what the nearest-provider scan returned: a
-// router of the transit PoP nearest p, drawn from the rng exactly as the
-// scan drew it. The scan called nearestRouterInAS for every transit AS
-// in order, so each AS drew rng.Intn(n) over the routers of its own
-// nearest PoP, and the nearest AS's draw picked the router.
-//
-// Intn(n) is Int31n(n) for these n: one Int31 v, redrawn only while v
-// exceeds 2³¹−1 − 2³¹ mod n when n is not a power of two, then v % n.
-// Every value it redraws lies above 2³¹−1 − maxRouters, so an AS other
-// than the nearest needs its own nearest PoP (and so its n) only when v
-// does; otherwise its draw is the one Int31, whatever n is.
-func (tx *transitIndex) nearestRouter(w *World, rng *rand.Rand, p geo.Coordinate) RouterID {
-	win := tx.nearestPosition(p)
-	cutoff := int32(math.MaxInt32 - tx.maxRouters)
-	var r RouterID
-	for pos, ai := range tx.transit {
-		v := rng.Int31()
-		if pos != win && v <= cutoff {
-			continue
-		}
-		rs := w.ASes[ai].PoPs[nearestPoP(&w.ASes[ai], p)].Routers
-		if k := int31nFrom(rng, v, int32(len(rs))); pos == win {
-			r = rs[k]
-		}
-	}
-	return r
-}
-
-// int31nFrom finishes rng.Int31n(n) given the first Int31 that call
-// draws, drawing again only where Int31n would.
-func int31nFrom(rng *rand.Rand, v, n int32) int32 {
-	if n&(n-1) == 0 {
-		return v & (n - 1)
-	}
-	top := int32((1 << 31) - 1 - (1<<31)%uint32(n))
-	for v > top {
-		v = rng.Int31()
-	}
-	return v % n
 }
 
 // nearestPoP returns the index of the AS's PoP whose city centre is

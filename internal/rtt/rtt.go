@@ -46,7 +46,7 @@ const (
 	// paper's 0.5 ms bound.
 	PerHopMs = 0.02
 	// QueueMeanMs is the mean of the exponentially distributed queueing
-	// delay added to every RTT sample, one draw per hop sample.
+	// delay every RTT sample adds.
 	QueueMeanMs = 0.08
 )
 

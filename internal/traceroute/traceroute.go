@@ -13,7 +13,6 @@ package traceroute
 
 import (
 	"math"
-	"math/rand"
 	"slices"
 
 	"routergeo/internal/netsim"
@@ -119,22 +118,12 @@ func (t *Tree) HopCount(dst netsim.RouterID) int { return int(t.hops[dst]) }
 // tree's source to dst reveals, in hop order, and returns the extended
 // slice. The source's own router reveals none (a traceroute never shows
 // its first router's upstream side), so a trace to the source appends
-// nothing. When dst is unreachable Trace returns buf unchanged and draws
-// nothing from rng.
-//
-// No caller reads a traceroute's RTTs, so none are computed, but Trace
-// still draws the one exponential queueing sample per hop, the source's
-// included, that they took: callers share rng with their own picks (Ark
-// its targets and monitors, SamplePaths its routers), and those picks
-// replay exactly only if Trace leaves rng where the RTT sampling did.
-func (t *Tree) Trace(rng *rand.Rand, dst netsim.RouterID, buf []netsim.IfaceID) []netsim.IfaceID {
+// nothing. When dst is unreachable Trace returns buf unchanged.
+func (t *Tree) Trace(dst netsim.RouterID, buf []netsim.IfaceID) []netsim.IfaceID {
 	if !t.Reachable(dst) {
 		return buf
 	}
 	n := int(t.hops[dst])
-	for range n + 1 {
-		rng.ExpFloat64()
-	}
 	// Walk the parent pointers from dst back to the source, writing the
 	// interfaces from the end so they land in source-to-destination order.
 	start := len(buf)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"routergeo/internal/gazetteer"
 	"routergeo/internal/geo"
 	"routergeo/internal/geodb"
 	"routergeo/internal/geodb/snapshot"
@@ -409,5 +410,37 @@ func TestEvolvedBuildRequiresTimeline(t *testing.T) {
 	in := Inputs{World: w, Feed: BuildFeed(w, DefaultFeedConfig()), AsOfMonths: 10}
 	if _, err := Build(in, IP2LocationLite()); err == nil {
 		t.Error("AsOfMonths without Evo must fail")
+	}
+}
+
+// TestKeyedRandIsSplitMix64 pins the keyed source to splitmix64's
+// published outputs for seed 0, and checks that Seed restarts it.
+func TestKeyedRandIsSplitMix64(t *testing.T) {
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f, 0xf88bb8a8724c81ec}
+	rng := newKeyedRand(0)
+	for pass := 0; pass < 2; pass++ {
+		for k, w := range want {
+			if g := rng.Uint64(); g != w {
+				t.Fatalf("pass %d, draw %d: got %#016x, want %#016x", pass, k+1, g, w)
+			}
+		}
+		rng.Seed(0)
+	}
+}
+
+func TestCoordForHitAllocatesNothing(t *testing.T) {
+	city, ok := gazetteer.New().City("US", "New York")
+	if !ok {
+		t.Fatal("no New York in the gazetteer")
+	}
+	tab := newCoordTable(MaxMindGeoLite())
+	want := tab.coordFor(city)
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := tab.coordFor(city); got != want {
+			t.Fatalf("cached coordinate changed: %v, then %v", want, got)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("coordFor allocates %v times per cache hit, want 0", allocs)
 	}
 }

@@ -314,7 +314,7 @@ func (s *Study) SamplePaths(n int, seed int64) []Path {
 		if !tree.Reachable(dst) {
 			continue
 		}
-		ifaces = tree.Trace(rng, dst, ifaces[:0])
+		ifaces = tree.Trace(dst, ifaces[:0])
 		p := Path{
 			From: describeRouter(w, src),
 			To:   describeRouter(w, dst),
