@@ -30,6 +30,10 @@
 // databases go stale. Output is byte-identical between serial and
 // parallel runs and across same-seed re-runs.
 //
+// -stability, -longitudinal and -remote are modes that run instead of
+// the paper artifacts; routergeo refuses more than one of them, and the
+// flags a mode would ignore, before it builds anything.
+//
 // -cpuprofile and -memprofile write pprof profiles of the run (CPU over
 // the whole run, heap at exit), so `make profile` captures a whole run
 // rather than a microbenchmark. Inspect with `go tool pprof`.
@@ -102,14 +106,18 @@ func main() {
 		return
 	}
 
-	// Reject bad -run IDs, flags the chosen mode would drop and
-	// longitudinal arguments before the build, which takes seconds on the
-	// larger worlds.
+	// Reject bad -run IDs, a second mode, flags the chosen mode would
+	// drop and longitudinal arguments before the build, which takes
+	// seconds on the larger worlds.
 	selected, err := selectExperiments(*run)
 	if err == nil {
+		on := map[string]bool{
+			"stability": *stability > 0, "longitudinal": *longit, "remote": *remote != "",
+			"run": *run != "", "ext": *ext, "dbdir": *dbdir != "", "plotdir": *plotdir != "",
+		}
 		set := map[string]bool{}
 		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		err = checkModeFlags(*run, *ext, *dbdir, *plotdir, *stability, *longit, *remote, set)
+		err = checkModeFlags(on, set)
 	}
 	if err == nil && *longit {
 		err = experiments.CheckLongitudinal(*epochs, *interval)
@@ -264,53 +272,53 @@ func selectExperiments(run string) ([]experiments.Experiment, error) {
 	return out, nil
 }
 
-// checkModeFlags rejects flags the chosen mode would drop without a
-// word: -run and -ext under -stability, -longitudinal or -remote, each
-// of which runs instead of the experiments; -dbdir and -plotdir under
-// -stability, which exports neither databases nor figure series; and
-// the mode-only flags without their mode (-epochs and -interval-months
-// without -longitudinal, -remote-fallback without -remote). set holds
-// the names of the flags given on the command line (flag.Visit), since
-// a mode-only flag's value cannot tell "-epochs 3" from the default.
-// The modes are checked in the order main picks them, and the error
-// names every dropped flag.
-func checkModeFlags(run string, ext bool, dbdir, plotdir string, stability int, longit bool, remote string, set map[string]bool) error {
-	var problems []string
-	var mode string
-	switch {
-	case stability > 0:
-		mode = "-stability"
-	case longit:
-		mode = "-longitudinal"
-	case remote != "":
-		mode = "-remote"
+// modes lists the modes that run instead of the paper artifacts, in
+// the order main picks them: each mode's flag, the flags it would drop
+// without a word, and the flags that apply only with it.
+var modes = []struct {
+	flag  string
+	drops []string
+	owns  []string
+}{
+	{"stability", []string{"run", "ext", "dbdir", "plotdir"}, nil},
+	{"longitudinal", []string{"run", "ext"}, []string{"epochs", "interval-months"}},
+	{"remote", []string{"run", "ext"}, []string{"remote-fallback"}},
+}
+
+// checkModeFlags rejects, by the modes table, a second mode (main would
+// run only the first), the flags a chosen mode would drop, and a
+// mode's own flags without it. on holds whether a mode flag, or a flag
+// a mode drops, asks for something (-stability above 0, a non-empty
+// -run); set holds the names of the flags given on the command line
+// (flag.Visit), since a mode's own flag cannot tell "-epochs 3" from
+// the default. The error names every offending flag.
+func checkModeFlags(on, set map[string]bool) error {
+	var problems, chosen []string
+	for _, m := range modes {
+		if on[m.flag] {
+			chosen = append(chosen, "-"+m.flag)
+		}
 	}
-	var dropped []string
-	if mode != "" && run != "" {
-		dropped = append(dropped, "-run")
+	if len(chosen) > 1 {
+		problems = append(problems, fmt.Sprintf("%s are separate modes; give one", strings.Join(chosen, " and ")))
 	}
-	if mode != "" && ext {
-		dropped = append(dropped, "-ext")
-	}
-	if stability > 0 && dbdir != "" {
-		dropped = append(dropped, "-dbdir")
-	}
-	if stability > 0 && plotdir != "" {
-		dropped = append(dropped, "-plotdir")
-	}
-	if len(dropped) > 0 {
-		problems = append(problems, fmt.Sprintf("%s cannot be combined with %s, which runs instead of the experiments", strings.Join(dropped, " and "), mode))
-	}
-	for _, f := range []struct {
-		name, mode string
-		on         bool
-	}{
-		{"epochs", "-longitudinal", longit},
-		{"interval-months", "-longitudinal", longit},
-		{"remote-fallback", "-remote", remote != ""},
-	} {
-		if set[f.name] && !f.on {
-			problems = append(problems, fmt.Sprintf("-%s applies only with %s", f.name, f.mode))
+	for _, m := range modes {
+		if !on[m.flag] {
+			for _, f := range m.owns {
+				if set[f] {
+					problems = append(problems, fmt.Sprintf("-%s applies only with -%s", f, m.flag))
+				}
+			}
+			continue
+		}
+		var dropped []string
+		for _, f := range m.drops {
+			if on[f] {
+				dropped = append(dropped, "-"+f)
+			}
+		}
+		if len(dropped) > 0 {
+			problems = append(problems, fmt.Sprintf("%s cannot be combined with -%s, which runs instead of the experiments", strings.Join(dropped, " and "), m.flag))
 		}
 	}
 	if len(problems) == 0 {

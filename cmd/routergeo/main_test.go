@@ -28,49 +28,50 @@ func TestSelectExperimentsTrimsAndKeepsOrder(t *testing.T) {
 
 func TestCheckModeFlagsRejectsDroppedFlags(t *testing.T) {
 	for _, c := range []struct {
-		run       string
-		ext       bool
-		dbdir     string
-		plotdir   string
-		stability int
-		longit    bool
-		remote    string
-		set       []string // flags given on the command line, beyond those above
-		want      []string // substrings of the error; none means no error
+		on   []string // mode flags and flags a mode drops, each asking for something
+		set  []string // flags given on the command line, beyond those in on
+		want []string // substrings of the error; none means no error
 	}{
-		{run: "table1"},
-		{ext: true},
-		{longit: true},
-		{remote: "http://127.0.0.1:1"},
-		{stability: 2},
-		{dbdir: "D", plotdir: "P"},
-		{dbdir: "D", plotdir: "P", longit: true},
-		{dbdir: "D", plotdir: "P", remote: "http://127.0.0.1:1"},
-		{dbdir: "D", stability: 1, want: []string{"-dbdir", "-stability"}},
-		{plotdir: "P", stability: 1, want: []string{"-plotdir", "-stability"}},
-		{dbdir: "D", plotdir: "P", stability: 1, want: []string{"-dbdir", "-plotdir", "-stability"}},
-		{run: "table1", longit: true, want: []string{"-run", "-longitudinal"}},
-		{ext: true, longit: true, want: []string{"-ext", "-longitudinal"}},
-		{run: "fig2", remote: "http://127.0.0.1:1", want: []string{"-run", "-remote"}},
-		{ext: true, remote: "http://127.0.0.1:1", want: []string{"-ext", "-remote"}},
-		{run: "table1", stability: 3, want: []string{"-run", "-stability"}},
-		{ext: true, stability: 3, want: []string{"-ext", "-stability"}},
-		{longit: true, set: []string{"epochs", "interval-months"}},
-		{remote: "http://127.0.0.1:1", set: []string{"remote-fallback"}},
+		{on: []string{"run"}},
+		{on: []string{"ext"}},
+		{on: []string{"longitudinal"}},
+		{on: []string{"remote"}},
+		{on: []string{"stability"}},
+		{on: []string{"dbdir", "plotdir"}},
+		{on: []string{"dbdir", "plotdir", "longitudinal"}},
+		{on: []string{"dbdir", "plotdir", "remote"}},
+		{on: []string{"dbdir", "stability"}, want: []string{"-dbdir", "-stability"}},
+		{on: []string{"plotdir", "stability"}, want: []string{"-plotdir", "-stability"}},
+		{on: []string{"dbdir", "plotdir", "stability"}, want: []string{"-dbdir", "-plotdir", "-stability"}},
+		{on: []string{"run", "longitudinal"}, want: []string{"-run", "-longitudinal"}},
+		{on: []string{"ext", "longitudinal"}, want: []string{"-ext", "-longitudinal"}},
+		{on: []string{"run", "remote"}, want: []string{"-run", "-remote"}},
+		{on: []string{"ext", "remote"}, want: []string{"-ext", "-remote"}},
+		{on: []string{"run", "stability"}, want: []string{"-run", "-stability"}},
+		{on: []string{"ext", "stability"}, want: []string{"-ext", "-stability"}},
+		{on: []string{"longitudinal"}, set: []string{"epochs", "interval-months"}},
+		{on: []string{"remote"}, set: []string{"remote-fallback"}},
 		{set: []string{"epochs"}, want: []string{"-epochs", "-longitudinal"}},
 		{set: []string{"interval-months"}, want: []string{"-interval-months", "-longitudinal"}},
 		{set: []string{"remote-fallback"}, want: []string{"-remote-fallback", "-remote"}},
-		{remote: "http://127.0.0.1:1", set: []string{"epochs"}, want: []string{"-epochs", "-longitudinal"}},
-		{longit: true, set: []string{"remote-fallback"}, want: []string{"-remote-fallback", "-remote"}},
-		{stability: 2, set: []string{"epochs", "interval-months", "remote-fallback"},
+		{on: []string{"remote"}, set: []string{"epochs"}, want: []string{"-epochs", "-longitudinal"}},
+		{on: []string{"longitudinal"}, set: []string{"remote-fallback"}, want: []string{"-remote-fallback", "-remote"}},
+		{on: []string{"stability"}, set: []string{"epochs", "interval-months", "remote-fallback"},
 			want: []string{"-epochs", "-interval-months", "-longitudinal", "-remote-fallback", "-remote"}},
-		{run: "table1", longit: true, set: []string{"remote-fallback"}, want: []string{"-run", "-remote-fallback"}},
+		{on: []string{"run", "longitudinal"}, set: []string{"remote-fallback"}, want: []string{"-run", "-remote-fallback"}},
+		// Two modes: main would run only the first.
+		{on: []string{"stability", "longitudinal"}, want: []string{"-stability", "-longitudinal", "separate modes"}},
+		{on: []string{"stability", "remote"}, want: []string{"-stability", "-remote", "separate modes"}},
+		{on: []string{"longitudinal", "remote"}, set: []string{"epochs", "remote-fallback"}, want: []string{"-longitudinal", "-remote", "separate modes"}},
 	} {
-		set := map[string]bool{}
+		on, set := map[string]bool{}, map[string]bool{}
+		for _, name := range c.on {
+			on[name], set[name] = true, true
+		}
 		for _, name := range c.set {
 			set[name] = true
 		}
-		err := checkModeFlags(c.run, c.ext, c.dbdir, c.plotdir, c.stability, c.longit, c.remote, set)
+		err := checkModeFlags(on, set)
 		if len(c.want) == 0 {
 			if err != nil {
 				t.Errorf("checkModeFlags(%+v) = %v, want nil", c, err)
