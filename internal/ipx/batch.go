@@ -8,7 +8,7 @@ package ipx
 // per-address Lookup answers in input order.
 //
 // It serves two kinds of traffic. The measurement sweeps probe at most
-// 9,575 addresses at the default scale (the Ark set), in ascending
+// 9,509 addresses at the default scale (the Ark set), in ascending
 // order and in blocks of up to 8,192. The server's bulk /v2/lookup
 // requests (8,192 addresses in perfbench serve) arrive in no order,
 // which defeats the branch predictor inside find's binary search; that

@@ -65,7 +65,7 @@ func RunBlocks(n, size, workers int, process func(wi, bi, lo, hi int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for wi := 0; wi < workers; wi++ {
-		//lint:ignore hotalloc one closure per started worker, never more than blocks, whatever n is: at the default scale nothing amortizes it (the 9,575-address Ark sweep is 2 blocks, Each claims 3-60 items); BenchmarkAccuracy/workers=N allocs/op in BENCH_core.json checks it
+		//lint:ignore hotalloc one closure per started worker, never more than blocks, whatever n is: at the default scale nothing amortizes it (the 9,509-address Ark sweep is 2 blocks, Each claims 3-60 items); BenchmarkAccuracy/workers=N allocs/op in BENCH_core.json checks it
 		go func(wi int) {
 			defer wg.Done()
 			for {
